@@ -1,7 +1,6 @@
 """Command-line entry point: run, validate, plot, sweep.
 
 Exit codes: 0 success, 1 run error or failed theorem check, 2 config error.
-NEXUS_OPT_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
         overrides[key.strip()] = [_parse_override_value(v) for v in values.split(",")]
-    threads = int(os.environ.get("NEXUS_OPT_THREADS", "1"))
-    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, max_workers=max(threads, 1))
+    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds)
     print(f"swept {len(results)} runs into {args.out}")
     return 0
 

@@ -18,7 +18,6 @@ PROBLEM_KINDS = ("quadratic_family", "mlp_multisource", "cubic_set", "custom_tas
 OPTIMIZER_KINDS = ("adamw", "sgd", "nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
 SCHEDULE_KINDS = ("constant", "cosine", "wsd")
 SAMPLING_KINDS = ("iid_uniform", "fixed_sequence")
-VARIANT_KINDS = ("cosine", "dot")
 
 
 def _choice(options):
@@ -59,7 +58,6 @@ SCHEMA = {
     "name": (str, False, "run", None),
     "seed": (int, True, None, None),
     "total_steps": (int, False, 100, _non_negative),
-    "accum_steps": (int, False, 1, _positive),
     "metric_cadence": (int, False, 1, _positive),
     "output_dir": (str, False, "", None),
     "problem.kind": (str, False, "quadratic_family", _choice(PROBLEM_KINDS)),
@@ -90,7 +88,6 @@ SCHEMA = {
     "nexus.gamma": (float, False, 0.01, _positive),
     "nexus.inner_steps": (int, False, 4, _positive),
     "nexus.sampling": (str, False, "iid_uniform", _choice(SAMPLING_KINDS)),
-    "nexus.variant": (str, False, "cosine", _choice(VARIANT_KINDS)),
     "nexus.grad_floor": (float, False, 1e-12, _positive),
 }
 

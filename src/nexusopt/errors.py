@@ -50,14 +50,6 @@ class MissingMinimizer(NexusError):
     """A task minimizer was needed but neither analytic nor supplied."""
 
 
-class NotConverged(NexusError):
-    """Iterative minimizer location hit max_steps before the tolerance."""
-
-    def __init__(self, message: str, steps: int):
-        super().__init__(message)
-        self.steps = steps
-
-
 class NotStationary(NexusError):
     """An operation that assumes a stationary point was handed a non-stationary one."""
 

@@ -3,8 +3,14 @@ records, and on-disk outputs.
 
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
-metric logs. metrics.csv is written row-by-row and fsync'd before
-summary.json, so a partial run is detectable by the missing summary.
+metric logs. Metric rows are collected in memory during training; after it
+ends, metrics.csv is written and fsync'd before summary.json, so an output
+directory without a summary marks an incomplete write.
+
+Every training mode takes the same outer step: the mode supplies a direction
+(the full training gradient for adamw and sgd, the inner-loop pseudo-gradient
+for the dual-loop kinds), the direction is clipped when clip_norm > 0, and the
+outer optimizer consumes it. nsgd_adamw is the dual loop with one inner step.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import closeness, cosine_matrix, mean_pairwise_cosine
-from .config import ExperimentConfig
-from .errors import DegenerateGradient, MissingField
+from .config import OPTIMIZER_KINDS, ExperimentConfig
+from .errors import ConfigError, DegenerateGradient, MissingField
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, rng_root, rng_substream
-from .optimizers import AdamWState, Schedule, adamw_step, clip_grad, nsgd_direction, schedule_lr, sgd_step
+from .optimizers import AdamWState, Schedule, adamw_step, clip_grad, schedule_lr, sgd_step
 from .tasks import (
     QuadraticTask,
     TaskFamily,
@@ -34,6 +40,7 @@ from .tasks import (
     train_loss,
 )
 
+DUAL_LOOP_MODES = ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
 CSV_HEADER = "step,lr,train_loss,ood_loss,mean_pairwise_cos,grad_norm,pseudo_grad_norm"
 
 
@@ -130,10 +137,10 @@ def make_schedule(cfg: ExperimentConfig) -> Schedule:
 
 
 def make_nexus_config(cfg: ExperimentConfig) -> NexusConfig:
-    variant = "dot" if cfg["optimizer.kind"] == "nexus_dot_adamw" else "cosine"
-    return NexusConfig(
-        cfg["nexus.gamma"], cfg["nexus.inner_steps"], cfg["nexus.sampling"], variant, cfg["nexus.grad_floor"]
-    )
+    kind = cfg["optimizer.kind"]
+    inner_steps = 1 if kind == "nsgd_adamw" else cfg["nexus.inner_steps"]
+    variant = "dot" if kind == "nexus_dot_adamw" else "cosine"
+    return NexusConfig(cfg["nexus.gamma"], inner_steps, cfg["nexus.sampling"], variant, cfg["nexus.grad_floor"])
 
 
 def train(
@@ -151,16 +158,20 @@ def train(
 ) -> RunRecord:
     """Deterministic training loop returning per-step metrics.
 
-    Modes: adamw and sgd take the full training gradient; nsgd_adamw feeds the
-    gamma-scaled unit gradient of one sampled task to AdamW (the one-inner-step
-    trajectory); nexus_adamw / nexus_dot_adamw run the dual loop.
+    Modes: adamw and sgd step along the full training gradient; the
+    DUAL_LOOP_MODES step along the pseudo-gradient of ``nexus_cfg`` (nsgd_adamw
+    being its one-inner-step case). fixed_sequence sampling walks the tasks
+    round-robin across outer steps. Any direction is clipped to ``clip_norm``
+    when that is > 0; the pseudo_grad_norm column is taken before clipping.
     """
     theta = np.array(theta0, dtype=np.float64)
     task_rng = rng_substream(rng, "tasks")
     adamw_kwargs = adamw_kwargs or {}
     opt_state = None if mode == "sgd" else AdamWState.init(len(theta), **adamw_kwargs)
-    needs_nexus = mode in ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
-    if needs_nexus and nexus_cfg is None:
+    if mode not in OPTIMIZER_KINDS:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {OPTIMIZER_KINDS}")
+    dual_loop = mode in DUAL_LOOP_MODES
+    if dual_loop and nexus_cfg is None:
         raise ValueError(f"mode {mode} requires a NexusConfig")
 
     record = RunRecord(config={"mode": mode, "total_steps": total_steps})
@@ -189,30 +200,21 @@ def train(
         emit(0)
     for step in range(1, total_steps + 1):
         lr = schedule_lr(schedule, step)
-        if mode == "sgd":
-            g = train_grad(ts, theta)
-            if clip_norm > 0:
-                g = clip_grad(g, clip_norm)
-            theta = sgd_step(theta, g, lr)
-        elif mode == "adamw":
-            g = train_grad(ts, theta)
-            if clip_norm > 0:
-                g = clip_grad(g, clip_norm)
-            opt_state, theta = adamw_step(opt_state, theta, g, lr)
-        elif mode == "nsgd_adamw":
-            k = int(task_rng.generator.integers(0, len(ts)))
-            d = nsgd_direction(ts[k].grad(theta), nexus_cfg.gamma, nexus_cfg.grad_floor)
-            last_pg_norm = float(np.linalg.norm(d))
-            opt_state, theta = adamw_step(opt_state, theta, d, lr)
-        else:  # nexus_adamw / nexus_dot_adamw
+        if dual_loop:
+            sequence = None
             if nexus_cfg.sampling == "fixed_sequence":
                 base = (step - 1) * nexus_cfg.inner_steps
-                seq = [(base + m) % len(ts) for m in range(nexus_cfg.inner_steps)]
-                pg = inner_loop(theta, ts, nexus_cfg, sequence=seq)
-            else:
-                pg = inner_loop(theta, ts, nexus_cfg, rng=task_rng)
-            last_pg_norm = float(np.linalg.norm(pg.value))
-            opt_state, theta = adamw_step(opt_state, theta, pg.value, lr)
+                sequence = [(base + m) % len(ts) for m in range(nexus_cfg.inner_steps)]
+            direction = inner_loop(theta, ts, nexus_cfg, rng=task_rng, sequence=sequence).value
+            last_pg_norm = float(np.linalg.norm(direction))
+        else:
+            direction = train_grad(ts, theta)
+        if clip_norm > 0:
+            direction = clip_grad(direction, clip_norm)
+        if opt_state is None:
+            theta = sgd_step(theta, direction, lr)
+        else:
+            opt_state, theta = adamw_step(opt_state, theta, direction, lr)
         if step % metric_cadence == 0 or step == total_steps:
             emit(step)
     record.wall_clock = time.perf_counter() - start
@@ -232,7 +234,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     problem = build_problem(cfg, rng)
     schedule = make_schedule(cfg)
     mode = cfg["optimizer.kind"]
-    nexus_cfg = make_nexus_config(cfg) if mode in ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw") else None
+    nexus_cfg = make_nexus_config(cfg) if mode in DUAL_LOOP_MODES else None
     record = train(
         problem.taskset,
         cfg["total_steps"],
@@ -291,16 +293,17 @@ def sweep(
     out_dir: str,
     overrides: dict | None = None,
     num_seeds: int = 0,
-    max_workers: int = 1,
 ) -> list:
     """Cartesian product of config overrides, each run in its own directory.
 
     ``overrides`` maps config keys to lists of values. ``num_seeds`` > 0 adds a
-    seed axis with seeds derived from the base seed. When exactly two runs
-    result, a diff.json with final-metric deltas is emitted alongside.
+    seed axis with seeds derived from the base seed. Runs execute one after
+    another. Each run directory is named after its overrides, with "/" replaced
+    by "_", so every run lands directly inside ``out_dir``.
+    When exactly two runs result, a diff.json with final-metric deltas is
+    emitted alongside.
     """
     import itertools
-    from concurrent.futures import ThreadPoolExecutor
 
     overrides = dict(overrides or {})
     if num_seeds > 0:
@@ -311,19 +314,16 @@ def sweep(
     for combo in combos:
         patch = dict(zip(keys, combo))
         label = "-".join(f"{k.split('.')[-1]}={v}" for k, v in patch.items()) or "base"
-        jobs.append((label, base.with_overrides(patch)))
+        jobs.append((label.replace("/", "_"), base.with_overrides(patch)))
+    labels = [label for label, _ in jobs]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"sweep run directories collide: {sorted(labels)}")
 
-    def execute(job):
-        label, cfg = job
+    results = []
+    for label, cfg in jobs:
         record = run(cfg)
         write_outputs(record, os.path.join(out_dir, label))
-        return label, record
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(execute, jobs))
-    else:
-        results = [execute(job) for job in jobs]
+        results.append((label, record))
 
     index = {
         label: {k: v for k, v in record.summary.items() if not isinstance(v, np.ndarray)}

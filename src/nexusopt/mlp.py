@@ -169,18 +169,6 @@ class MLPTask:
         return MLPTask(self.spec, self.source, self.weight * alpha)
 
 
-def mlp_loss(task: MLPTask, theta: np.ndarray) -> float:
-    return task.loss(theta)
-
-
-def mlp_grad(task: MLPTask, theta: np.ndarray) -> np.ndarray:
-    return task.grad(theta)
-
-
-def mlp_hvp(task: MLPTask, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return task.hvp(theta, v)
-
-
 def make_synthetic_sources(
     K: int,
     d_in: int,

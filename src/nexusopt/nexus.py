@@ -12,11 +12,11 @@ one-inner-step trajectory bit-identical to feeding normalized gradients
 straight to the outer optimizer. An outer plain-SGD step with lr 1 therefore
 lands on the inner endpoint.
 
-The gradient-accumulation adaptation keeps a separate inner parameter copy,
-applies one inner step per minibatch, and at each accumulation boundary feeds
-the displacement (main minus inner) to the outer optimizer, then resyncs the
-inner copy. Its forward/backward count equals standard training on the same
-stream.
+The gradient-accumulation adaptation drives the same inner step over a
+minibatch stream: one inner step per minibatch, and every inner_steps
+minibatches the summed step vectors feed the outer optimizer, after which the
+inner copy restarts from the new parameters. Its forward/backward count equals
+standard training on the same stream.
 """
 
 from __future__ import annotations
@@ -66,12 +66,11 @@ class PseudoGradient:
     inner_trajectory: list | None = None
 
 
-def inner_step_vector(task, theta: np.ndarray, cfg: NexusConfig, task_index: int | None = None,
-                      lenient: bool = False) -> np.ndarray:
+def inner_step_vector(task, theta: np.ndarray, cfg: NexusConfig, task_index: int | None = None) -> np.ndarray:
     """One inner update vector d such that the step is theta <- theta - d."""
     g = task.grad(theta)
     if cfg.variant == "cosine":
-        return nsgd_direction(g, cfg.gamma, cfg.grad_floor, lenient, task_index)
+        return nsgd_direction(g, cfg.gamma, cfg.grad_floor, task_index=task_index)
     return cfg.gamma * g
 
 
@@ -82,7 +81,6 @@ def inner_loop(
     rng: RngStream | None = None,
     sequence=None,
     record_trajectory: bool = False,
-    lenient: bool = False,
 ) -> PseudoGradient:
     """Run K inner steps and return the pseudo-gradient (start minus end).
 
@@ -106,7 +104,7 @@ def inner_loop(
     current = theta
     for m in range(cfg.inner_steps):
         k = int(indices[m])
-        d = inner_step_vector(ts[k], current, cfg, task_index=k, lenient=lenient)
+        d = inner_step_vector(ts[k], current, cfg, task_index=k)
         current = current - d
         ghat = ghat + d
         if record_trajectory:
@@ -147,40 +145,33 @@ def nexus_accum_run(
     minibatch_stream,
     cfg: NexusConfig,
     outer_state,
-    accum_steps: int,
     outer_lr=0.0,
-    lenient: bool = False,
 ) -> AccumRunResult:
     """Inner-model gradient accumulation over a minibatch stream.
 
     ``minibatch_stream`` yields tasks (or (task, step) pairs; the step index is
     ignored in favor of an internal count). Every minibatch applies one inner
-    step to the inner copy; each time ``accum_steps`` minibatches complete, the
-    displacement main-minus-inner becomes the pseudo-gradient for one outer
-    step, after which the inner copy is resynchronized. A trailing partial
-    window produces no outer step. ``outer_lr`` may be a float or a callable
-    of the outer step index.
+    step; each time ``cfg.inner_steps`` minibatches complete, the sum of their
+    step vectors (the same sum form as ``inner_loop``) becomes the
+    pseudo-gradient for one outer step, and the inner copy restarts from the
+    new parameters. A trailing partial window produces no outer step.
+    ``outer_lr`` may be a float or a callable of the outer step index.
     """
-    if accum_steps < 1:
-        raise ValueError(f"accum_steps must be >= 1, got {accum_steps}")
     theta = as_params(model_theta).copy()
-    inner = theta.copy()
     result = AccumRunResult(theta, outer_state=outer_state)
-    count = 0
-    outer_count = 0
+    inner, ghat, window = theta, np.zeros_like(theta), 0
     for item in minibatch_stream:
         task = item[0] if isinstance(item, tuple) else item
-        d = inner_step_vector(task, inner, cfg, lenient=lenient)
+        d = inner_step_vector(task, inner, cfg)
         result.grad_evals += 1
         inner = inner - d
-        count += 1
-        if count % accum_steps == 0:
-            ghat = theta - inner
-            lr = outer_lr(outer_count) if callable(outer_lr) else outer_lr
+        ghat = ghat + d
+        window += 1
+        if window == cfg.inner_steps:
+            lr = outer_lr(len(result.outer_thetas)) if callable(outer_lr) else outer_lr
             result.outer_state, theta = nexus_outer_step(result.outer_state, theta, ghat, lr)
             result.pseudo_gradients.append(ghat)
             result.outer_thetas.append(theta.copy())
-            inner = theta.copy()
-            outer_count += 1
+            inner, ghat, window = theta, np.zeros_like(theta), 0
     result.theta = theta
     return result

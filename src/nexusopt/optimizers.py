@@ -3,7 +3,8 @@
 All steps are pure functions: state in, state out. AdamW is the decoupled
 variant (weight decay applied to the parameters, not the gradient) with bias
 correction at the current step count. Defaults follow the usual pretraining
-settings: betas (0.9, 0.95), eps 1e-10, clip norm 1.0.
+settings: betas (0.9, 0.95), eps 1e-10. Gradient clipping is opt-in: the
+harness clips only when optimizer.clip_norm > 0, and its default 0 disables it.
 
 Normalized SGD refuses gradients below a norm floor by default; a lenient
 mode emits a zero step with a warning instead, for callers that prefer to

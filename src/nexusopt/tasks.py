@@ -275,18 +275,6 @@ class TaskSet:
         return TaskSet([t.scaled(alpha) for t in self.tasks])
 
 
-def task_loss(task, theta: np.ndarray) -> float:
-    return task.loss(theta)
-
-
-def task_grad(task, theta: np.ndarray) -> np.ndarray:
-    return task.grad(theta)
-
-
-def task_hvp(task, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return task.hvp(theta, v)
-
-
 def train_loss(ts: TaskSet, theta: np.ndarray) -> float:
     return sum(t.loss(theta) for t in ts.tasks) / len(ts)
 

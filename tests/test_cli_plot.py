@@ -70,8 +70,7 @@ def test_cli_validate_negative_control(tmp_path):
     assert any(c["measured"] > c["bound"] for c in failed)
 
 
-def test_cli_sweep(tmp_path, config_file, monkeypatch):
-    monkeypatch.setenv("NEXUS_OPT_THREADS", "2")
+def test_cli_sweep(tmp_path, config_file):
     out = tmp_path / "sweepout"
     code = main([
         "sweep", "--config", str(config_file), "--out", str(out),

@@ -1,6 +1,9 @@
+import pathlib
+
 import pytest
 
-from nexusopt.config import load_config, parse_config_text, save_config
+import nexusopt
+from nexusopt.config import SCHEMA, load_config, parse_config_text, save_config
 from nexusopt.errors import MissingField, ParseError, UnknownKey
 
 MINIMAL = "seed = 42\n"
@@ -75,3 +78,21 @@ def test_overrides_validate():
 def test_int_accepted_for_float_fields():
     cfg = parse_config_text("seed = 1\nnexus.gamma = 1\n")
     assert cfg["nexus.gamma"] == 1.0 and isinstance(cfg["nexus.gamma"], float)
+
+
+@pytest.mark.parametrize("key, value", [("accum_steps", "2"), ("nexus.variant", "\"dot\"")])
+def test_removed_keys_are_unknown(key, value):
+    with pytest.raises(UnknownKey) as err:
+        parse_config_text(f"seed = 1\n{key} = {value}\n")
+    assert err.value.path == key
+    with pytest.raises(UnknownKey):
+        parse_config_text(MINIMAL).with_overrides({key: 2})
+
+
+def test_every_schema_key_is_read():
+    # an accepted key that nothing reads would make config.resolved.json
+    # record a setting that never took effect
+    package = pathlib.Path(nexusopt.__file__).parent
+    source = "".join(p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py")) if p.name != "config.py")
+    unread = [key for key in SCHEMA if f'["{key}"]' not in source]
+    assert unread == []

@@ -2,11 +2,14 @@ import json
 import os
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt.config import parse_config_text
-from nexusopt.harness import build_problem, derive_sweep_seeds, run, sweep, write_outputs
-from nexusopt.numerics import rng_root
+from nexusopt.errors import ConfigError
+from nexusopt.harness import build_problem, derive_sweep_seeds, make_schedule, run, sweep, write_outputs
+from nexusopt.numerics import rng_root, rng_substream
+from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
 
 
 def make_cfg(extra=""):
@@ -79,6 +82,46 @@ def test_nexus_k1_trajectory_bit_identical_to_nsgd_feed():
     assert np.array_equal(rec_nexus.final_theta, rec_nsgd.final_theta)
     for ra, rb in zip(rec_nexus.rows, rec_nsgd.rows):
         assert ra.train_loss == rb.train_loss
+
+
+def nsgd_feed_by_hand(cfg, pick):
+    """Final theta of feeding gamma * unit gradient of task pick(step, draws) to AdamW."""
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    draws = rng_substream(rng_root(cfg["seed"]), "tasks")
+    schedule = make_schedule(cfg)
+    theta, state = problem.theta0, AdamWState.init(len(problem.theta0))
+    for step in range(1, cfg["total_steps"] + 1):
+        task = problem.taskset[pick(step, draws)]
+        d = nsgd_direction(task.grad(theta), cfg["nexus.gamma"], cfg["nexus.grad_floor"])
+        state, theta = adamw_step(state, theta, d, schedule_lr(schedule, step))
+    return theta
+
+
+def test_nsgd_adamw_matches_hand_written_normalized_feed():
+    cfg = make_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "total_steps": 60,
+                                     "nexus.gamma": 0.02, "nexus.inner_steps": 5})
+    expected = nsgd_feed_by_hand(cfg, lambda step, draws: int(draws.generator.integers(0, cfg["problem.k"])))
+    assert np.array_equal(run(cfg).final_theta, expected)
+
+
+def test_nsgd_adamw_honors_fixed_sequence():
+    cfg = make_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "total_steps": 60,
+                                     "nexus.gamma": 0.02, "nexus.sampling": "fixed_sequence"})
+    expected = nsgd_feed_by_hand(cfg, lambda step, draws: (step - 1) % cfg["problem.k"])
+    final = run(cfg).final_theta
+    assert np.array_equal(final, expected)
+    assert not np.array_equal(final, run(cfg.with_overrides({"nexus.sampling": "iid_uniform"})).final_theta)
+
+
+def test_clip_norm_applies_to_the_pseudo_gradient():
+    cfg = make_cfg().with_overrides({"optimizer.kind": "nexus_adamw", "total_steps": 40,
+                                     "nexus.gamma": 0.05, "nexus.inner_steps": 4})
+    unclipped = run(cfg)
+    # a cosine pseudo-gradient has norm <= K * gamma, so this clip never binds
+    loose = run(cfg.with_overrides({"optimizer.clip_norm": 4 * 0.05}))
+    assert np.array_equal(loose.final_theta, unclipped.final_theta)
+    tight = run(cfg.with_overrides({"optimizer.clip_norm": 0.01}))
+    assert not np.array_equal(tight.final_theta, unclipped.final_theta)
 
 
 def test_fixed_sequence_sampling_is_round_robin_deterministic():
@@ -154,3 +197,20 @@ def test_sweep_seed_axis_derives_independent_seeds(tmp_path):
     assert len(results) == 2
     finals = [rec.summary["train_loss"] for _, rec in results]
     assert finals[0] != finals[1]
+
+
+def test_sweep_labels_stay_flat_inside_out_dir(tmp_path):
+    out = tmp_path / "out"
+    results = sweep(make_cfg(), str(out), {"name": ["a/b", "../c"]})
+    labels = sorted(label for label, _ in results)
+    assert labels == ["name=.._c", "name=a_b"]
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+    runs = sorted(d for d in os.listdir(out) if (out / d).is_dir())
+    assert runs == labels
+    assert all(sorted(os.listdir(out / d)) == ["config.resolved.json", "metrics.csv", "summary.json"] for d in runs)
+
+
+def test_sweep_rejects_colliding_run_directories(tmp_path):
+    with pytest.raises(ConfigError):
+        sweep(make_cfg(), str(tmp_path), {"name": ["a/b", "a_b"]})
+    assert os.listdir(tmp_path) == []
