@@ -9,8 +9,7 @@ trained parameters can sit from the individual task minimizers.
 Submodules:
   numerics    vectors, splittable RNG streams, finite-difference oracles
   tasks       quadratic/cubic task families, task sets, serialization
-  autodiff    minimal reverse-mode tape over numpy arrays
-  mlp         tiny MLP regression tasks on synthetic multi-source data
+  mlp         tiny MLP regression tasks, closed-form backprop, synthetic sources
   optimizers  SGD, normalized SGD, decoupled AdamW, lr schedules, clipping
   nexus       the dual-loop approximator and its accumulation adaptation
   analysis    similarity matrices, closeness, transfer, flatness bounds

@@ -3,9 +3,10 @@
 The network is fully connected with a linear output layer; hidden activations
 are tanh (default), relu, or identity. Losses are weighted mean squared error
 per data source, giving a smooth non-quadratic landscape at desk scale.
-Gradients come from the reverse-mode tape in ``autodiff``; Hessian-vector
-products use central differences of exact gradients (tolerance 1e-4 wherever
-they are consumed).
+One forward pass (``_layer_outputs``) serves prediction, loss and gradient;
+gradients are closed-form backprop over its cached layer outputs, and
+Hessian-vector products use central differences of those exact gradients
+(tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DimensionMismatch
 from .numerics import RngStream, as_params, fd_hvp, rng_substream
 
@@ -99,20 +99,24 @@ class DataSource:
         return DataSource(self.inputs[idx], self.targets[idx], self.source_id)
 
 
-def mlp_forward(spec: MLPSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass (no tape)."""
-    arrays = spec.unflatten(theta)
-    h = np.asarray(x, dtype=np.float64)
+def _layer_outputs(spec: MLPSpec, arrays: list, x: np.ndarray) -> list:
+    """The input followed by each layer's output (post-activation; the last is linear)."""
+    hs = [np.asarray(x, dtype=np.float64)]
     n_layers = len(spec.layer_widths) - 1
     for layer in range(n_layers):
-        W, b = arrays[2 * layer], arrays[2 * layer + 1]
-        h = h @ W + b
+        h = hs[-1] @ arrays[2 * layer] + arrays[2 * layer + 1]
         if layer < n_layers - 1:
             if spec.activation == "tanh":
                 h = np.tanh(h)
             elif spec.activation == "relu":
                 h = np.maximum(h, 0.0)
-    return h
+        hs.append(h)
+    return hs
+
+
+def mlp_forward(spec: MLPSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Network predictions for inputs x (n x input width)."""
+    return _layer_outputs(spec, spec.unflatten(theta), x)[-1]
 
 
 @dataclass
@@ -135,29 +139,28 @@ class MLPTask:
     def dim(self) -> int:
         return self.spec.n_params
 
-    def _loss_node(self, theta: np.ndarray):
-        arrays = self.spec.unflatten(theta)
-        params = [ad.leaf(a, requires_grad=True) for a in arrays]
-        h = ad.leaf(self.source.inputs)
-        n_layers = len(self.spec.layer_widths) - 1
-        for layer in range(n_layers):
-            h = ad.add_bias(ad.matmul(h, params[2 * layer]), params[2 * layer + 1])
-            if layer < n_layers - 1:
-                if self.spec.activation == "tanh":
-                    h = ad.tanh(h)
-                elif self.spec.activation == "relu":
-                    h = ad.relu(h)
-        err = ad.sub(h, ad.leaf(self.source.targets))
-        return ad.scale(ad.mean_square(err), self.weight), params
-
     def loss(self, theta: np.ndarray) -> float:
-        out, _ = self._loss_node(theta)
-        return float(out.value)
+        err = mlp_forward(self.spec, theta, self.source.inputs) - self.source.targets
+        return float(self.weight * np.mean(err**2))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        out, params = self._loss_node(theta)
-        grads = ad.backward(out)
-        return self.spec.flatten([grads[p] for p in params])
+        arrays = self.spec.unflatten(theta)
+        hs = _layer_outputs(self.spec, arrays, self.source.inputs)
+        err = hs[-1] - self.source.targets
+        # delta is dLoss/d(pre-activation) of the current layer, whose input is hs[layer]
+        delta = self.weight * (2.0 / err.size) * err
+        grads = [None] * len(arrays)
+        for layer in reversed(range(len(self.spec.layer_widths) - 1)):
+            grads[2 * layer] = hs[layer].T @ delta
+            grads[2 * layer + 1] = delta.sum(axis=0)
+            if layer > 0:
+                h = hs[layer]
+                delta = delta @ arrays[2 * layer].T
+                if self.spec.activation == "tanh":
+                    delta = delta * (1.0 - h**2)
+                elif self.spec.activation == "relu":
+                    delta = delta * (h > 0.0)
+        return self.spec.flatten(grads)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         return fd_hvp(self.grad, theta, v)
@@ -203,22 +206,3 @@ def make_synthetic_sources(
     held_out = build(K, "source/held_out")
     return sources, held_out
 
-
-# --- JSON serialization (same container style as task sets) --------------
-
-
-def datasource_to_dict(src: DataSource) -> dict:
-    return {
-        "kind": "data_source",
-        "source_id": src.source_id,
-        "inputs": src.inputs.tolist(),
-        "targets": src.targets.tolist(),
-    }
-
-
-def datasource_from_dict(doc: dict) -> DataSource:
-    return DataSource(
-        np.asarray(doc["inputs"], dtype=np.float64),
-        np.asarray(doc["targets"], dtype=np.float64),
-        int(doc.get("source_id", 0)),
-    )

@@ -6,15 +6,12 @@ correction at the current step count. Defaults follow the usual pretraining
 settings: betas (0.9, 0.95), eps 1e-10. Gradient clipping is opt-in: the
 harness clips only when optimizer.clip_norm > 0, and its default 0 disables it.
 
-Normalized SGD refuses gradients below a norm floor by default; a lenient
-mode emits a zero step with a warning instead, for callers that prefer to
-limp past a flat region.
+Normalized SGD refuses gradients below a norm floor.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +35,6 @@ def nsgd_direction(
     grad: np.ndarray,
     lr: float,
     floor: float = DEFAULT_GRAD_FLOOR,
-    lenient: bool = False,
     task_index: int | None = None,
 ) -> np.ndarray:
     """The update vector lr * grad/||grad||; shared by nsgd_step and the inner loop.
@@ -50,9 +46,6 @@ def nsgd_direction(
     grad = as_params(grad)
     norm = float(np.linalg.norm(grad))
     if norm < floor:
-        if lenient:
-            warnings.warn(f"gradient norm {norm:g} below floor {floor:g}; emitting zero step")
-            return np.zeros_like(grad)
         raise DegenerateGradient(f"gradient norm {norm:g} below floor {floor:g}", task_index)
     return (lr / norm) * grad
 
@@ -62,14 +55,13 @@ def nsgd_step(
     grad: np.ndarray,
     lr: float,
     floor: float = DEFAULT_GRAD_FLOOR,
-    lenient: bool = False,
 ) -> np.ndarray:
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     theta = as_params(theta)
     grad = as_params(grad)
     check_same_dim(theta, grad)
-    return theta - nsgd_direction(grad, lr, floor, lenient)
+    return theta - nsgd_direction(grad, lr, floor)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,6 @@ from nexusopt.mlp import (
     DataSource,
     MLPSpec,
     MLPTask,
-    datasource_from_dict,
-    datasource_to_dict,
     make_synthetic_sources,
     mlp_forward,
 )
@@ -40,19 +38,61 @@ def test_tanh_net_zero_params_zero_targets():
     assert_allclose(task.grad(theta), 0.0, atol=1e-15)
 
 
-def test_grad_matches_fd_on_random_configs():
-    # the fundamental autodiff correctness gate
+def hidden_preactivations(spec, theta, x):
+    """Pre-activations of every hidden layer, by an independent forward pass."""
+    arrays = spec.unflatten(theta)
+    h, out = x, []
+    for layer in range(len(spec.layer_widths) - 2):
+        z = h @ arrays[2 * layer] + arrays[2 * layer + 1]
+        out.append(z)
+        h = {"tanh": np.tanh(z), "relu": np.maximum(z, 0.0), "identity": z}[spec.activation]
+    return out
+
+
+FD_EPS = 1e-6
+
+
+@pytest.mark.parametrize("weight", [1.0, 2.5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_grad_matches_fd_on_random_configs(activation, depth, weight):
+    # the fundamental backprop correctness gate; depth counts hidden layers
     root = rng_root(31)
+    checked = 0
     for i in range(20):
         rng = rng_substream(root, f"cfg/{i}")
         gen = rng.generator
-        widths = (int(gen.integers(2, 5)), int(gen.integers(2, 7)), int(gen.integers(1, 4)))
-        task, spec = random_task(rng, widths, n=int(gen.integers(4, 20)))
+        widths = (
+            (int(gen.integers(2, 5)),)
+            + tuple(int(gen.integers(2, 7)) for _ in range(depth))
+            + (int(gen.integers(1, 4)),)
+        )
+        task, spec = random_task(rng, widths, n=int(gen.integers(4, 20)), activation=activation, weight=weight)
         theta = 0.7 * gen.standard_normal(spec.n_params)
+        if activation == "relu":
+            # central differences straddling a kink measure no derivative
+            nearest_kink = min(np.abs(z).min() for z in hidden_preactivations(spec, theta, task.source.inputs))
+            if nearest_kink <= 10 * FD_EPS:
+                continue
         analytic = task.grad(theta)
-        numeric = fd_gradient(task.loss, theta, eps=1e-6)
+        numeric = fd_gradient(task.loss, theta, eps=FD_EPS)
         denom = max(np.linalg.norm(numeric), 1e-10)
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
+        checked += 1
+    assert checked >= 18  # the kink filter must not hollow out the gate
+
+
+def test_relu_kink_is_where_fd_disagrees():
+    # the case the relu gradcheck drops: pre-activation exactly 0, where the
+    # backprop subgradient is 0 and central differences average the two slopes
+    spec = MLPSpec((1, 1, 1), "relu")
+    x = np.array([[2.0]])
+    task = MLPTask(spec, DataSource(x, np.zeros((1, 1))))
+    theta = np.array([1.0, -2.0, 3.0, 0.5])  # w1, b1, w2, b2: pre = 2 - 2 = 0
+    assert np.abs(hidden_preactivations(spec, theta, x)[0]).min() <= 10 * FD_EPS
+    assert np.array_equal(task.grad(theta), [0.0, 0.0, 0.0, 1.0])
+    numeric = fd_gradient(task.loss, theta, eps=FD_EPS)
+    assert_allclose(numeric[0], 3.0, rtol=1e-4)  # half the right slope 2 * 0.5 * 3 * 2
 
 
 def test_weight_scales_loss_and_grad():
@@ -182,14 +222,6 @@ def test_held_out_source_differs_from_training_sources():
     sources, held = make_synthetic_sources(3, 4, 1, 16, 0.5, rng_root(13))
     for s in sources:
         assert not np.array_equal(s.targets, held.targets)
-
-
-def test_datasource_json_round_trip():
-    src = DataSource(np.array([[1.0, 2.0]]), np.array([[0.5]]), 7)
-    back = datasource_from_dict(datasource_to_dict(src))
-    assert np.array_equal(back.inputs, src.inputs)
-    assert np.array_equal(back.targets, src.targets)
-    assert back.source_id == 7
 
 
 def test_forward_matches_task_internal_path():

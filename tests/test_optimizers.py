@@ -74,12 +74,6 @@ def test_nsgd_degenerate_gradient():
         nsgd_step(np.zeros(2), np.zeros(2), 0.1)
 
 
-def test_nsgd_lenient_mode_zero_step():
-    with pytest.warns(UserWarning):
-        d = nsgd_direction(np.zeros(2), 0.1, lenient=True)
-    assert_allclose(d, 0.0)
-
-
 def test_adamw_zero_grad_fixed_point():
     state = AdamWState.init(2, weight_decay=0.0)
     theta = np.array([0.4, -0.2])
