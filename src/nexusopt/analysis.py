@@ -19,23 +19,31 @@ import numpy as np
 from .errors import DegenerateGradient, MissingMinimizer
 from .numerics import as_params
 from .optimizers import AdamWState, adamw_step
-from .tasks import CubicTask, QuadraticTask, TaskSet, train_grad
+from .tasks import CubicTask, QuadraticTask, TaskSet, task_grads, train_grad
 
 SEGMENT_SAMPLES = 32
 
 
 def cosine_matrix(ts: TaskSet, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """K x K matrix of pairwise cosine similarities between per-task gradients."""
-    grads = [t.grad(theta) for t in ts.tasks]
-    norms = [float(np.linalg.norm(g)) for g in grads]
+    return gradient_cosines(task_grads(ts, theta), floor)
+
+
+def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
+
+    Each entry is its own dot product over the two norms; a single G @ G.T
+    may sum in another order and move the entries in the last bits.
+    """
+    norms = [float(np.linalg.norm(g)) for g in G]
     for k, n in enumerate(norms):
         if n < floor:
             raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {floor:g}", k)
-    K = len(ts)
+    K = len(G)
     S = np.empty((K, K))
     for i in range(K):
         for j in range(K):
-            S[i, j] = float(grads[i] @ grads[j]) / (norms[i] * norms[j])
+            S[i, j] = float(G[i] @ G[j]) / (norms[i] * norms[j])
     return S
 
 

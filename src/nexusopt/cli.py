@@ -12,7 +12,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, NexusError
-from .harness import run, sweep, write_outputs
+from .harness import run, sweep, write_json_atomic, write_outputs
 from .svgplot import plot
 from .validate import SUITES, report_to_dict, validate_theorems
 
@@ -33,8 +33,7 @@ def cmd_run(args) -> int:
         record = run(cfg)
     except NexusError as exc:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump({"error": f"{type(exc).__name__}: {exc}"}, fh, indent=2)
+        write_json_atomic(os.path.join(out_dir, "summary.json"), {"error": f"{type(exc).__name__}: {exc}"})
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     write_outputs(record, out_dir)

@@ -30,12 +30,14 @@ class SingularSystem(NexusError):
 class DegenerateGradient(NexusError):
     """Gradient norm fell below the configured floor.
 
-    Carries the offending task index when known (``task_index`` may be None).
+    Carries the offending task index and, when raised during training, the
+    outer step (either may be None when unknown).
     """
 
-    def __init__(self, message: str, task_index: int | None = None):
+    def __init__(self, message: str, task_index: int | None = None, step: int | None = None):
         super().__init__(message)
         self.task_index = task_index
+        self.step = step
 
 
 class StepOutOfRange(NexusError):

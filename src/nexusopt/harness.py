@@ -4,8 +4,13 @@ records, and on-disk outputs.
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
 metric logs. Metric rows are collected in memory during training; after it
-ends, metrics.csv is written and fsync'd before summary.json, so an output
-directory without a summary marks an incomplete write.
+ends, metrics.csv is written and fsync'd before summary.json, which is
+renamed into place, so an output directory without a summary marks an
+incomplete write.
+
+A metrics emit computes each per-task gradient once, as one (K, d) matrix
+that gives both the training-gradient norm and the pairwise cosines; the
+summary reuses the row emitted at the last step.
 
 Every training mode takes the same outer step: the mode supplies a direction
 (the full training gradient for adamw and sgd, the inner-loop pseudo-gradient
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import closeness, cosine_matrix, mean_pairwise_cosine
+from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
 from .config import OPTIMIZER_KINDS, ExperimentConfig
 from .errors import ConfigError, DegenerateGradient, MissingField
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
@@ -33,8 +38,10 @@ from .tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    mean_grad,
     random_cubic_task,
     sample_family,
+    task_grads,
     taskset_from_json,
     train_grad,
     train_loss,
@@ -177,27 +184,26 @@ def train(
     record = RunRecord(config={"mode": mode, "total_steps": total_steps})
     last_pg_norm: float | None = None
 
-    def pairwise_cos(point: np.ndarray) -> float | None:
-        if len(ts) < 2:
+    def pairwise_cos(G: np.ndarray) -> float | None:
+        if len(G) < 2:
             return None
         try:
-            value = mean_pairwise_cosine(cosine_matrix(ts, point))
+            value = mean_pairwise_cosine(gradient_cosines(G))
         except DegenerateGradient:
             return None
         return value if np.isfinite(value) else None
 
-    def emit(step: int) -> None:
+    def emit(step: int) -> MetricsRow:
+        # one (K, d) matrix of per-task gradients gives grad_norm and the cosines
         lr = schedule_lr(schedule, step)
         tl = train_loss(ts, theta)
-        g = train_grad(ts, theta)
+        G = task_grads(ts, theta)
         ood = ood_task.loss(theta) if ood_task is not None else None
-        record.rows.append(
-            MetricsRow(step, lr, tl, ood, pairwise_cos(theta), float(np.linalg.norm(g)), last_pg_norm)
-        )
+        return MetricsRow(step, lr, tl, ood, pairwise_cos(G), float(np.linalg.norm(mean_grad(G))), last_pg_norm)
 
     start = time.perf_counter()
     if total_steps > 0:
-        emit(0)
+        record.rows.append(emit(0))
     for step in range(1, total_steps + 1):
         lr = schedule_lr(schedule, step)
         if dual_loop:
@@ -205,7 +211,12 @@ def train(
             if nexus_cfg.sampling == "fixed_sequence":
                 base = (step - 1) * nexus_cfg.inner_steps
                 sequence = [(base + m) % len(ts) for m in range(nexus_cfg.inner_steps)]
-            direction = inner_loop(theta, ts, nexus_cfg, rng=task_rng, sequence=sequence).value
+            try:
+                direction = inner_loop(theta, ts, nexus_cfg, rng=task_rng, sequence=sequence).value
+            except DegenerateGradient as exc:
+                raise DegenerateGradient(
+                    f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index, step
+                ) from exc
             last_pg_norm = float(np.linalg.norm(direction))
         else:
             direction = train_grad(ts, theta)
@@ -216,16 +227,35 @@ def train(
         else:
             opt_state, theta = adamw_step(opt_state, theta, direction, lr)
         if step % metric_cadence == 0 or step == total_steps:
-            emit(step)
+            record.rows.append(emit(step))
     record.wall_clock = time.perf_counter() - start
     record.final_theta = theta
+    # the row of step total_steps was measured at the final theta
+    final = record.rows[-1] if record.rows else emit(0)
     record.summary = {
-        "train_loss": train_loss(ts, theta),
-        "ood_loss": ood_task.loss(theta) if ood_task is not None else None,
-        "mean_pairwise_cos": pairwise_cos(theta),
+        "train_loss": final.train_loss,
+        "ood_loss": final.ood_loss,
+        "mean_pairwise_cos": final.mean_pairwise_cos,
         "steps": total_steps,
     }
     return record
+
+
+def _effective_config(cfg: ExperimentConfig) -> dict:
+    """The config keys that take effect under cfg's optimizer.kind.
+
+    nexus.* reach only the dual-loop modes, nsgd_adamw fixes one inner step,
+    and sgd uses none of AdamW's settings. Every problem.* key stays.
+    """
+    mode = cfg["optimizer.kind"]
+    ignored = set()
+    if mode not in DUAL_LOOP_MODES:
+        ignored.update(key for key in cfg.values if key.startswith("nexus."))
+    elif mode == "nsgd_adamw":
+        ignored.add("nexus.inner_steps")
+    if mode == "sgd":
+        ignored.update(("optimizer.beta1", "optimizer.beta2", "optimizer.eps", "optimizer.weight_decay"))
+    return {key: value for key, value in cfg.values.items() if key not in ignored}
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
@@ -253,7 +283,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         },
         clip_norm=cfg["optimizer.clip_norm"],
     )
-    record.config = dict(cfg.values)
+    record.config = _effective_config(cfg)
     if problem.has_analytic_minimizers and record.final_theta is not None:
         report = closeness(record.final_theta, problem.taskset)
         record.summary["closeness_mean_sq"] = report.mean_sq
@@ -261,10 +291,27 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
-def write_outputs(record: RunRecord, out_dir: str) -> None:
-    """metrics.csv (fsync'd), then summary.json and config.resolved.json.
+def write_json_atomic(path: str, doc) -> None:
+    """Write doc as JSON to a temporary file beside path, then rename it over path.
 
-    summary.json is written last so its absence marks an incomplete run.
+    A reader sees either the previous file or the complete new one; a failed
+    write leaves no file behind.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_outputs(record: RunRecord, out_dir: str) -> None:
+    """metrics.csv (fsync'd), then config.resolved.json and summary.json.
+
+    summary.json is written last and atomically, so its absence marks an
+    incomplete run.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
@@ -278,8 +325,7 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         fh.write(json.dumps(record.config, indent=2, sort_keys=True))
     summary = dict(record.summary)
     summary["wall_clock"] = record.wall_clock
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
+    write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
 
 
 def derive_sweep_seeds(root_seed: int, count: int) -> list:

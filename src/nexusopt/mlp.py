@@ -11,6 +11,7 @@ Hessian-vector products use central differences of those exact gradients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ class MLPSpec:
         theta = as_params(theta, self.n_params)
         arrays, pos = [], 0
         for shape in self.shapes():
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             arrays.append(theta[pos : pos + size].reshape(shape))
             pos += size
         return arrays

@@ -279,11 +279,28 @@ def train_loss(ts: TaskSet, theta: np.ndarray) -> float:
     return sum(t.loss(theta) for t in ts.tasks) / len(ts)
 
 
+def task_grads(ts: TaskSet, theta: np.ndarray) -> np.ndarray:
+    """(K, d) matrix whose row k is the gradient of task k at theta."""
+    G = np.empty((len(ts), ts.dim))
+    for k, t in enumerate(ts.tasks):
+        G[k] = t.grad(theta)
+    return G
+
+
+def mean_grad(G: np.ndarray) -> np.ndarray:
+    """Mean of the rows of a task_grads matrix: the training gradient.
+
+    Rows are added one by one in task order onto zeros, so the result does not
+    depend on how numpy would order a reduction over the matrix.
+    """
+    g = np.zeros(G.shape[1])
+    for row in G:
+        g += row
+    return g / len(G)
+
+
 def train_grad(ts: TaskSet, theta: np.ndarray) -> np.ndarray:
-    g = np.zeros(ts.dim)
-    for t in ts.tasks:
-        g += t.grad(theta)
-    return g / len(ts)
+    return mean_grad(task_grads(ts, theta))
 
 
 def sample_family(family: TaskFamily, K: int, rng: RngStream) -> TaskSet:

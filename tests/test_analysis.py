@@ -7,6 +7,7 @@ from nexusopt.analysis import (
     cosine_matrix,
     first_order_transfer,
     flatness_closeness_bound,
+    gradient_cosines,
     locate_task_minimizer,
     mean_pairwise_cosine,
     newton_minimize,
@@ -21,6 +22,7 @@ from nexusopt.tasks import (
     random_spd_matrix,
     sample_family,
     stationary_point,
+    task_grads,
 )
 
 
@@ -56,6 +58,24 @@ def test_cosine_matrix_matches_brute_force():
             assert abs(S[i, j] - expected) <= 1e-12
     assert_allclose(S, S.T, atol=1e-15)
     assert S.min() >= -1.0 - 1e-12 and S.max() <= 1.0 + 1e-12
+
+
+def per_pair_cosines(ts, theta):
+    """Cosine matrix from separately computed task gradients, one dot product per pair."""
+    grads = [t.grad(theta) for t in ts.tasks]
+    norms = [float(np.linalg.norm(g)) for g in grads]
+    S = np.empty((len(ts), len(ts)))
+    for i in range(len(ts)):
+        for j in range(len(ts)):
+            S[i, j] = float(grads[i] @ grads[j]) / (norms[i] * norms[j])
+    return S
+
+
+def test_gradient_cosines_equal_the_per_pair_formula_bitwise(task_sets):
+    for name, ts, theta in task_sets:
+        expected = per_pair_cosines(ts, theta)
+        assert np.array_equal(gradient_cosines(task_grads(ts, theta)), expected), name
+        assert np.array_equal(cosine_matrix(ts, theta), expected), name
 
 
 def test_cosine_matrix_degenerate_gradient_names_task():

@@ -52,6 +52,16 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_run_error_summary_names_step_and_task(tmp_path):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(CONFIG_TEXT + "optimizer.kind = \"nexus_adamw\"\nnexus.grad_floor = 1e9\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert os.listdir(out) == ["summary.json"]
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert error.startswith("DegenerateGradient: outer step 1, task ")
+
+
 def test_cli_validate_suite(tmp_path):
     report_path = tmp_path / "report.json"
     code = main(["validate", "--suite", "nsgd_identity", "--out", str(report_path)])

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nexusopt.config import parse_config_text
-from nexusopt.errors import ConfigError
+from nexusopt.analysis import cosine_matrix, mean_pairwise_cosine
+from nexusopt.config import SCHEMA, parse_config_text
+from nexusopt.errors import ConfigError, DegenerateGradient
 from nexusopt.harness import build_problem, derive_sweep_seeds, make_schedule, run, sweep, write_outputs
+from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
+from nexusopt.tasks import train_loss
 
 
 def make_cfg(extra=""):
@@ -132,8 +135,8 @@ def test_fixed_sequence_sampling_is_round_robin_deterministic():
     assert np.array_equal(rec_a.final_theta, rec_b.final_theta)
 
 
-def test_mlp_problem_runs_and_reports_ood():
-    cfg = parse_config_text(
+def make_mlp_cfg():
+    return parse_config_text(
         "seed = 5\n"
         "total_steps = 4\n"
         "problem.kind = \"mlp_multisource\"\n"
@@ -145,9 +148,85 @@ def test_mlp_problem_runs_and_reports_ood():
         "nexus.inner_steps = 3\n"
         "schedule.base_lr = 0.01\n"
     )
-    rec = run(cfg)
+
+
+def test_mlp_problem_runs_and_reports_ood():
+    rec = run(make_mlp_cfg())
     assert rec.summary["ood_loss"] is not None
     assert rec.rows[-1].mean_pairwise_cos is not None
+
+
+def test_emit_computes_each_task_gradient_once(monkeypatch):
+    calls = []
+    grad = MLPTask.grad
+
+    def counted(self, theta):
+        calls.append(1)
+        return grad(self, theta)
+
+    monkeypatch.setattr(MLPTask, "grad", counted)
+    cfg = make_mlp_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "metric_cadence": 1, "total_steps": 6})
+    rec = run(cfg)
+    # one gradient per nsgd_adamw step, K per emitted row, none for the summary
+    assert len(rec.rows) == 7
+    assert len(calls) == 6 + cfg["problem.k"] * len(rec.rows)
+
+
+def test_summary_equals_a_fresh_measurement_at_the_final_theta():
+    cfg = make_mlp_cfg().with_overrides({"total_steps": 7, "metric_cadence": 3})
+    rec = run(cfg)
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    ts, theta = problem.taskset, rec.final_theta
+    assert rec.rows[-1].step == 7
+    assert rec.summary["train_loss"] == train_loss(ts, theta)
+    assert rec.summary["ood_loss"] == problem.ood_task.loss(theta)
+    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(cosine_matrix(ts, theta))
+
+
+def test_zero_step_summary_is_measured_at_theta0():
+    cfg = make_mlp_cfg().with_overrides({"total_steps": 0})
+    rec = run(cfg)
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    assert rec.rows == []
+    assert rec.summary["train_loss"] == train_loss(problem.taskset, problem.theta0)
+    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(cosine_matrix(problem.taskset, problem.theta0))
+
+
+@pytest.mark.parametrize("kind", ["nsgd_adamw", "nexus_adamw"])
+def test_degenerate_gradient_names_outer_step_and_task(kind):
+    cfg = make_cfg().with_overrides({"optimizer.kind": kind, "nexus.grad_floor": 1e9})
+    with pytest.raises(DegenerateGradient) as err:
+        run(cfg)
+    exc = err.value
+    assert exc.step == 1
+    assert exc.task_index in range(cfg["problem.k"])
+    assert str(exc).startswith(f"outer step 1, task {exc.task_index}: gradient norm ")
+
+
+ADAMW_ONLY = {"optimizer.beta1", "optimizer.beta2", "optimizer.eps", "optimizer.weight_decay"}
+NEXUS_KEYS = {key for key in SCHEMA if key.startswith("nexus.")}
+
+
+@pytest.mark.parametrize("kind, dropped", [
+    ("adamw", NEXUS_KEYS),
+    ("sgd", NEXUS_KEYS | ADAMW_ONLY),
+    ("nsgd_adamw", {"nexus.inner_steps"}),
+    ("nexus_adamw", set()),
+    ("nexus_dot_adamw", set()),
+])
+def test_resolved_config_records_only_keys_that_take_effect(tmp_path, kind, dropped):
+    rec = run(make_cfg().with_overrides({"optimizer.kind": kind, "total_steps": 2}))
+    assert set(rec.config) == set(SCHEMA) - dropped
+    write_outputs(rec, tmp_path)
+    assert json.loads((tmp_path / "config.resolved.json").read_text()) == rec.config
+
+
+def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
+    rec = run(make_cfg())
+    rec.summary["unserialisable"] = object()
+    with pytest.raises(TypeError):
+        write_outputs(rec, tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["config.resolved.json", "metrics.csv"]
 
 
 def test_custom_taskset_round_trip(tmp_path):

@@ -9,10 +9,12 @@ from nexusopt.tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    mean_grad,
     random_cubic_task,
     random_spd_matrix,
     sample_family,
     stationary_point,
+    task_grads,
     taskset_from_json,
     taskset_to_json,
     tensor_operator_bound,
@@ -101,6 +103,37 @@ def test_train_grad_matches_fd():
         theta = sub.generator.standard_normal(3)
         fd = fd_gradient(lambda th: train_loss(ts, th), theta)
         assert np.linalg.norm(fd - train_grad(ts, theta)) <= 1e-7 * max(1.0, np.linalg.norm(fd))
+
+
+def sequential_train_grad(ts, theta):
+    """The training gradient as an in-order sum onto zeros, one task gradient at a time."""
+    g = np.zeros(ts.dim)
+    for t in ts.tasks:
+        g += t.grad(theta)
+    return g / len(ts)
+
+
+def test_task_grads_stacks_each_task_gradient(task_sets):
+    for name, ts, theta in task_sets:
+        G = task_grads(ts, theta)
+        assert G.shape == (len(ts), ts.dim), name
+        assert np.array_equal(G, np.stack([t.grad(theta) for t in ts.tasks])), name
+
+
+def test_train_grad_equals_the_sequential_sum(task_sets):
+    for name, ts, theta in task_sets:
+        g = train_grad(ts, theta)
+        expected = sequential_train_grad(ts, theta)
+        assert np.array_equal(g, expected), name
+        assert np.array_equal(np.signbit(g), np.signbit(expected)), name
+
+
+def test_mean_grad_adds_rows_in_task_order():
+    # each +1 is lost against 1e16 in order; numpy's pairwise sum of a
+    # single column would keep some of them and give 8/12
+    G = np.array([1e16] + [1.0] * 8 + [-1e16, 0.0, 0.0]).reshape(12, 1)
+    assert mean_grad(G)[0] == 0.0
+    assert not np.signbit(mean_grad(np.full((3, 2), -0.0))).any()
 
 
 def test_stationary_point_symmetric_pair():
