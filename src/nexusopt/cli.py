@@ -1,18 +1,17 @@
 """Command-line entry point: run, validate, plot, sweep.
 
-Exit codes: 0 success, 1 run error or failed theorem check, 2 config error.
+Exit codes: 0 success, 1 run error (any run of a sweep) or failed theorem check, 2 config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import load_config
 from .errors import ConfigError, NexusError
-from .harness import run, sweep, write_json_atomic, write_outputs
+from .harness import run, sweep, write_error_summary, write_outputs
 from .svgplot import plot
 from .validate import SUITES, report_to_dict, validate_theorems
 
@@ -32,8 +31,7 @@ def cmd_run(args) -> int:
     try:
         record = run(cfg)
     except NexusError as exc:
-        os.makedirs(out_dir, exist_ok=True)
-        write_json_atomic(os.path.join(out_dir, "summary.json"), {"error": f"{type(exc).__name__}: {exc}"})
+        write_error_summary(exc, out_dir)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     write_outputs(record, out_dir)
@@ -75,7 +73,10 @@ def cmd_sweep(args) -> int:
         overrides[key.strip()] = [_parse_override_value(v) for v in values.split(",")]
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds)
     print(f"swept {len(results)} runs into {args.out}")
-    return 0
+    failed = [(label, record.summary["error"]) for label, record in results if "error" in record.summary]
+    for label, error in failed:
+        print(f"run {label} failed: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,9 +101,6 @@ class ExperimentConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
         merged = dict(self.values)
         for key, value in overrides.items():
@@ -115,9 +112,6 @@ class ExperimentConfig:
     def to_text(self) -> str:
         lines = [f"{key} = {json.dumps(self.values[key])}" for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.values, indent=2, sort_keys=True)
 
 
 def _coerce(key: str, raw, expected_type):

@@ -4,9 +4,9 @@ records, and on-disk outputs.
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
 metric logs. Metric rows are collected in memory during training; after it
-ends, metrics.csv is written and fsync'd before summary.json, which is
-renamed into place, so an output directory without a summary marks an
-incomplete write.
+ends, any old summary.json is removed, then metrics.csv is written and
+fsync'd before the new summary.json is renamed into place, so an output
+directory without a summary marks an incomplete write.
 
 A metrics emit computes each per-task gradient once, as one (K, d) matrix
 that gives both the training-gradient norm and the pairwise cosines; the
@@ -20,6 +20,7 @@ outer optimizer consumes it. nsgd_adamw is the dual loop with one inner step.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -29,7 +30,7 @@ import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
 from .config import OPTIMIZER_KINDS, ExperimentConfig
-from .errors import ConfigError, DegenerateGradient, MissingField
+from .errors import ConfigError, DegenerateGradient, MissingField, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, rng_root, rng_substream
@@ -310,10 +311,13 @@ def write_json_atomic(path: str, doc) -> None:
 def write_outputs(record: RunRecord, out_dir: str) -> None:
     """metrics.csv (fsync'd), then config.resolved.json and summary.json.
 
-    summary.json is written last and atomically, so its absence marks an
-    incomplete run.
+    A summary.json already in out_dir is removed first and the new one is
+    written last and atomically, so its absence marks an incomplete run.
     """
     os.makedirs(out_dir, exist_ok=True)
+    summary_path = os.path.join(out_dir, "summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -325,7 +329,15 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         fh.write(json.dumps(record.config, indent=2, sort_keys=True))
     summary = dict(record.summary)
     summary["wall_clock"] = record.wall_clock
+    write_json_atomic(summary_path, summary)
+
+
+def write_error_summary(exc: NexusError, out_dir: str) -> dict:
+    """Write the summary.json of a run that raised exc, {"error": "<class>: <message>"}, and return it."""
+    summary = {"error": f"{type(exc).__name__}: {exc}"}
+    os.makedirs(out_dir, exist_ok=True)
     write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
+    return summary
 
 
 def derive_sweep_seeds(root_seed: int, count: int) -> list:
@@ -347,7 +359,8 @@ def sweep(
     another. Each run directory is named after its overrides, with "/" replaced
     by "_", so every run lands directly inside ``out_dir``.
     When exactly two runs result, a diff.json with final-metric deltas is
-    emitted alongside.
+    emitted alongside. A run that raises a NexusError gets the error summary of
+    ``write_error_summary`` (also in sweep.json, with None deltas) and the sweep goes on.
     """
     import itertools
 
@@ -367,8 +380,13 @@ def sweep(
 
     results = []
     for label, cfg in jobs:
-        record = run(cfg)
-        write_outputs(record, os.path.join(out_dir, label))
+        run_dir = os.path.join(out_dir, label)
+        try:
+            record = run(cfg)
+        except NexusError as exc:
+            record = RunRecord(config=_effective_config(cfg), summary=write_error_summary(exc, run_dir))
+        else:
+            write_outputs(record, run_dir)
         results.append((label, record))
 
     index = {

@@ -42,31 +42,14 @@ def symmetrize_tensor(T: np.ndarray) -> np.ndarray:
     ) / 6.0
 
 
-def tensor_operator_bound(T: np.ndarray, restarts: int = 32, iters: int = 100, rng: RngStream | None = None) -> float:
-    """Estimate sup |T[u,u,u]| over unit u for a symmetric tensor.
+def tensor_operator_bound(T: np.ndarray) -> float:
+    """Certified upper bound on sup |T[u,u,u]| over unit u: the spectral norm of T's d x d^2 flattening.
 
-    For symmetric tensors the sup over three independent unit vectors is
-    attained on the diagonal, so a higher-order power iteration with random
-    restarts is adequate at the dimensions used here (d <= 8).
+    T[u,u,u] = u^T T_(1) (u kron u) with |u kron u| = 1, so it bounds every tensor and is
+    exact for rank-one a*a*a; the exact sup is NP-hard in general (Hillar & Lim 2013).
     """
     d = T.shape[0]
-    gen = rng.generator if rng is not None else np.random.default_rng(0)
-    best = 0.0
-    for _ in range(restarts):
-        u = gen.standard_normal(d)
-        u /= np.linalg.norm(u)
-        for _ in range(iters):
-            w = np.einsum("abc,b,c->a", T, u, u)
-            n = np.linalg.norm(w)
-            if n < 1e-300:
-                break
-            u_new = w / n
-            if np.linalg.norm(u_new - u) < 1e-14 or np.linalg.norm(u_new + u) < 1e-14:
-                u = u_new
-                break
-            u = u_new
-        best = max(best, abs(float(np.einsum("abc,a,b,c->", T, u, u, u))))
-    return best
+    return float(np.linalg.norm(T.reshape(d, d * d), 2))
 
 
 @dataclass
@@ -115,7 +98,10 @@ class QuadraticTask:
 
 @dataclass
 class CubicTask:
-    """Quadratic task plus (1/6) * T[delta,delta,delta] with T symmetric and |T| bounded by third_bound."""
+    """Quadratic task plus (1/6) * T[delta,delta,delta] with T symmetric and sup |T[u,u,u]| <= third_bound.
+
+    ``random_cubic_task`` certifies the bound by construction (``tensor_operator_bound``).
+    """
 
     hessian: np.ndarray
     minimizer: np.ndarray
@@ -179,7 +165,7 @@ def random_cubic_task(
     third_bound: float = 0.5,
     curvature_range: tuple[float, float] = (0.8, 3.0),
 ) -> CubicTask:
-    """Random SPD quadratic part plus a random symmetric tensor rescaled to the requested bound."""
+    """Random SPD quadratic part plus a random symmetric tensor rescaled to the requested certified bound."""
     gen = rng.generator
     A = random_spd_matrix(dim, rng, curvature_range)
     minimizer = gen.standard_normal(dim)
@@ -187,7 +173,7 @@ def random_cubic_task(
     if third_bound == 0.0:
         T = np.zeros((dim, dim, dim))
     else:
-        current = tensor_operator_bound(T, rng=rng)
+        current = tensor_operator_bound(T)
         if current > 0:
             T = T * (third_bound / current)
     return CubicTask(A, minimizer, 0.0, T, third_bound)

@@ -91,6 +91,20 @@ def test_cli_sweep(tmp_path, config_file):
     assert len([d for d in os.listdir(out) if (out / d).is_dir()]) == 2
 
 
+def test_cli_sweep_exits_1_when_a_run_fails(tmp_path, config_file, capsys):
+    out = tmp_path / "sweepout"
+    code = main([
+        "sweep", "--config", str(config_file), "--out", str(out),
+        "--set", "optimizer.kind=nexus_adamw", "--set", "nexus.grad_floor=1e-12,1e9",
+    ])
+    assert code == 1
+    index = json.loads((out / "sweep.json").read_text())
+    assert sorted(index) == ["grad_floor=1000000000.0-kind=nexus_adamw", "grad_floor=1e-12-kind=nexus_adamw"]
+    assert "error" in index["grad_floor=1000000000.0-kind=nexus_adamw"]
+    assert (out / "grad_floor=1e-12-kind=nexus_adamw" / "metrics.csv").exists()
+    assert "run grad_floor=1000000000.0-kind=nexus_adamw failed: DegenerateGradient" in capsys.readouterr().err
+
+
 def test_plot_two_runs_share_legend(tmp_path, config_file):
     out_a, out_b = tmp_path / "runA", tmp_path / "runB"
     main(["run", "--config", str(config_file), "--out", str(out_a)])

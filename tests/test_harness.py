@@ -229,6 +229,16 @@ def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["config.resolved.json", "metrics.csv"]
 
 
+def test_failed_rewrite_removes_the_previous_summary(tmp_path):
+    write_outputs(run(make_cfg().with_overrides({"total_steps": 4})), tmp_path)
+    assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 4
+    rec = run(make_cfg())
+    rec.summary["unserialisable"] = object()
+    with pytest.raises(TypeError):
+        write_outputs(rec, tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_custom_taskset_round_trip(tmp_path):
     from nexusopt.oracles import random_quadratic_taskset
     from nexusopt.tasks import taskset_to_json
@@ -266,6 +276,22 @@ def test_sweep_paired_runs_emit_diff(tmp_path):
     assert "diff.json" in names and "sweep.json" in names
     diff = json.loads((tmp_path / "diff.json").read_text())
     assert "train_loss" in diff["final_metric_deltas"]
+
+
+def test_sweep_keeps_going_past_a_failed_run(tmp_path):
+    cfg = make_cfg("optimizer.kind = \"nexus_adamw\"\n")
+    (ok_label, ok), (bad_label, bad) = sweep(cfg, str(tmp_path), {"nexus.grad_floor": [1e-12, 1e9]})
+    assert np.isfinite(ok.summary["train_loss"])
+    assert sorted(os.listdir(tmp_path / ok_label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert bad.summary["error"].startswith("DegenerateGradient: outer step 1, task ")
+    assert os.listdir(tmp_path / bad_label) == ["summary.json"]
+    assert json.loads((tmp_path / bad_label / "summary.json").read_text()) == bad.summary
+    index = json.loads((tmp_path / "sweep.json").read_text())
+    assert index[bad_label] == bad.summary
+    assert index[ok_label]["train_loss"] == ok.summary["train_loss"]
+    diff = json.loads((tmp_path / "diff.json").read_text())
+    assert diff["runs"] == [ok_label, bad_label]
+    assert diff["final_metric_deltas"] == {"train_loss": None, "ood_loss": None, "mean_pairwise_cos": None}
 
 
 def test_sweep_seed_axis_derives_independent_seeds(tmp_path):

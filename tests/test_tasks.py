@@ -229,5 +229,42 @@ def test_taskset_json_round_trip():
 
 def test_tensor_operator_bound_rescaling():
     task = random_cubic_task(3, rng_root(5), third_bound=0.7)
-    estimate = tensor_operator_bound(task.third, rng=rng_root(6))
-    assert_allclose(estimate, 0.7, rtol=1e-6)
+    assert_allclose(tensor_operator_bound(task.third), 0.7, rtol=1e-12)
+
+
+def test_tensor_operator_bound_exact_for_rank_one():
+    rng = rng_root(17)
+    for d in (1, 2, 4, 7):
+        a = rng.generator.standard_normal(d)
+        T = np.einsum("a,b,c->abc", a, a, a)
+        assert_allclose(tensor_operator_bound(T), np.linalg.norm(a) ** 3, rtol=1e-12)
+
+
+def shifted_power_search(T, rng, restarts=256, iters=200):
+    """Largest T[u,u,u] found by shifted symmetric power iteration (SS-HOPM), vectorized over restarts.
+
+    Kolda & Mayo 2011: a shift alpha >= 2 max_u |T[., ., u]|, which twice the
+    spectral norm of the flattening bounds, makes u <- normalize(T[., u, u] + alpha u)
+    climb T[u,u,u] monotonically. T[u,u,u] is odd in u, so the largest value
+    found is a lower estimate of sup |T[u,u,u]|.
+    """
+    d = T.shape[0]
+    alpha = 2.0 * np.linalg.norm(T.reshape(d, d * d), 2)
+    U = rng.generator.standard_normal((restarts, d))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for _ in range(iters):
+        W = np.einsum("abc,rb,rc->ra", T, U, U) + alpha * U
+        U = W / np.linalg.norm(W, axis=1, keepdims=True)
+    return float(np.einsum("abc,ra,rb,rc->r", T, U, U, U).max())
+
+
+def test_declared_third_bound_is_never_exceeded():
+    rng = rng_root(2024)
+    exceeded = []
+    for d in (2, 3, 5, 8):
+        for i in range(10):
+            task = random_cubic_task(d, rng_substream(rng, f"{d}/{i}"), third_bound=0.5)
+            found = shifted_power_search(task.third, rng_substream(rng, f"search/{d}/{i}"))
+            if found > task.third_bound * (1 + 1e-9):
+                exceeded.append((d, i, found))
+    assert exceeded == []
