@@ -16,7 +16,7 @@ Submodules:
   oracles     exact expectations, expansions, error bounds, gap formulas
   validate    theorem-validation suites
   config      strict flat dotted-key experiment configs
-  harness     training driver, metric records, outputs, sweeps
+  harness     training driver, metric records, outputs, process-parallel sweeps
   svgplot     dependency-free SVG charts
   cli         the `nexusopt` command
 """

@@ -5,8 +5,9 @@ expansion of the downstream loss.
 Curvature quantities along a segment are directional (the curvature of the
 one-dimensional restriction), which is what makes the expansion an exact
 equality for quadratic downstream losses. Quadratics evaluate it in closed
-form, cubics at the segment endpoints (the directional curvature is affine
-along the segment), everything else at 32 sampled points per segment.
+form and cubics at the segment endpoints (the directional curvature is affine
+along the segment); other tasks have no certified segment extremes and are
+rejected.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import DegenerateGradient, MissingMinimizer
 from .numerics import as_params
 from .optimizers import AdamWState, adamw_step
 from .tasks import CubicTask, QuadraticTask, TaskSet, task_grads, train_grad
-
-SEGMENT_SAMPLES = 32
 
 
 def cosine_matrix(ts: TaskSet, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -61,14 +60,14 @@ def _directional_curvature(task, xi: np.ndarray, u: np.ndarray) -> float:
 
 
 def _segment_curvatures(task, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Directional curvatures u^T H(xi) u at points xi along the segment [a, b]."""
+    """Directional curvatures u^T H(xi) u at the points xi of the segment [a, b]
+    where the extremes lie; only quadratic and cubic tasks have such points."""
     if isinstance(task, QuadraticTask):
         return np.array([_directional_curvature(task, a, u)])
     if isinstance(task, CubicTask):
         # affine in the segment parameter, extremes at the endpoints
         return np.array([_directional_curvature(task, a, u), _directional_curvature(task, b, u)])
-    points = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
-    return np.array([_directional_curvature(task, a + t * (b - a), u) for t in points])
+    raise TypeError(f"segment curvature extremes need a QuadraticTask or CubicTask, got {type(task).__name__}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import load_config
@@ -61,6 +62,21 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def sweep_workers() -> int:
+    """Worker processes for a sweep: the usable cores, capped by NEXUS_OPT_THREADS when it is set."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    raw = os.environ.get("NEXUS_OPT_THREADS")
+    if raw is None:
+        return workers
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"NEXUS_OPT_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, cap)
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -71,7 +87,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
         overrides[key.strip()] = [_parse_override_value(v) for v in values.split(",")]
-    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds)
+    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=sweep_workers())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, record.summary["error"]) for label, record in results if "error" in record.summary]
     for label, error in failed:

@@ -1,5 +1,5 @@
 """Experiment execution: problem construction, the training loop, metric
-records, and on-disk outputs.
+records, on-disk outputs, and runs of many configs in worker processes.
 
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
@@ -340,6 +340,37 @@ def write_error_summary(exc: NexusError, out_dir: str) -> dict:
     return summary
 
 
+def _run_caught(cfg: ExperimentConfig):
+    """run(cfg), or the NexusError it raised."""
+    try:
+        return run(cfg)
+    except NexusError as exc:
+        return exc
+
+
+def run_many(configs, workers: int = 1):
+    """Run each config; yield its RunRecord, or the NexusError it raised, in input order.
+
+    With workers > 1 the runs execute in that many worker processes (never
+    more than there are configs), started with fork rather than the
+    platform's default method: a forked worker inherits the modules already
+    imported and the environment, OPENBLAS_NUM_THREADS included, and the
+    program starts no threads that a fork could copy mid-operation. Any other
+    exception propagates at its run's position, after the results before it.
+    """
+    configs = list(configs)
+    workers = min(workers, len(configs))
+    if workers <= 1:
+        yield from map(_run_caught, configs)
+        return
+    # imported here: they add about 30 ms to every start of the program
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(_run_caught, configs)
+
+
 def derive_sweep_seeds(root_seed: int, count: int) -> list:
     """Independent per-run seeds derived from the root seed's sweep substream."""
     stream = rng_substream(rng_root(root_seed), "sweep")
@@ -351,12 +382,17 @@ def sweep(
     out_dir: str,
     overrides: dict | None = None,
     num_seeds: int = 0,
+    workers: int = 1,
 ) -> list:
     """Cartesian product of config overrides, each run in its own directory.
 
     ``overrides`` maps config keys to lists of values. ``num_seeds`` > 0 adds a
-    seed axis with seeds derived from the base seed. Runs execute one after
-    another. Each run directory is named after its overrides, with "/" replaced
+    seed axis with seeds derived from the base seed. The runs execute through
+    ``run_many``, in up to ``workers`` worker processes; each inherits
+    OPENBLAS_NUM_THREADS, and 1 avoids oversubscribing the cores. Each run's
+    outputs are written here, in input order, as its result arrives, so an
+    exception other than a NexusError still leaves the runs before it on disk.
+    Each run directory is named after its overrides, with "/" replaced
     by "_", so every run lands directly inside ``out_dir``.
     When exactly two runs result, a diff.json with final-metric deltas is
     emitted alongside. A run that raises a NexusError gets the error summary of
@@ -379,13 +415,12 @@ def sweep(
         raise ConfigError(f"sweep run directories collide: {sorted(labels)}")
 
     results = []
-    for label, cfg in jobs:
+    for (label, cfg), outcome in zip(jobs, run_many([cfg for _, cfg in jobs], workers)):
         run_dir = os.path.join(out_dir, label)
-        try:
-            record = run(cfg)
-        except NexusError as exc:
-            record = RunRecord(config=_effective_config(cfg), summary=write_error_summary(exc, run_dir))
+        if isinstance(outcome, NexusError):
+            record = RunRecord(config=_effective_config(cfg), summary=write_error_summary(outcome, run_dir))
         else:
+            record = outcome
             write_outputs(record, run_dir)
         results.append((label, record))
 

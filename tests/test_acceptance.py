@@ -11,7 +11,7 @@ import numpy as np
 
 from nexusopt.analysis import flatness_closeness_bound, newton_minimize
 from nexusopt.config import parse_config_text
-from nexusopt.harness import run
+from nexusopt.harness import run, run_many
 from nexusopt.mlp import DataSource, MLPSpec, MLPTask
 from nexusopt.nexus import NexusConfig
 from nexusopt.numerics import fd_gradient, rng_root, rng_substream
@@ -185,14 +185,17 @@ def test_a9_mechanism_at_desk_scale():
         "nexus.gamma = 0.22\n"
         "nexus.inner_steps = 8\n"
     )
+    kinds = ("adamw", "nexus_adamw")
+    configs = [parse_config_text(base_text.format(seed=seed)).with_overrides({"optimizer.kind": kind})
+               for seed in seeds for kind in kinds]
+    records = run_many(configs, workers=2)
     wins = 0
     loss_gaps, ood_deltas = [], []
     for seed in seeds:
-        cfg = parse_config_text(base_text.format(seed=seed))
         cos = {}
         summaries = {}
-        for kind in ("adamw", "nexus_adamw"):
-            rec = run(cfg.with_overrides({"optimizer.kind": kind}))
+        for kind in kinds:
+            rec = next(records)
             window = [r.mean_pairwise_cos for r in rec.rows
                       if r.step >= 0.8 * 400 and r.mean_pairwise_cos is not None]
             cos[kind] = float(np.mean(window))

@@ -248,6 +248,18 @@ def test_flatness_closeness_inequality_on_cubics():
         assert downstream.loss(theta) <= fb.bound + 1e-12
 
 
+def test_segment_curvature_rejects_tasks_without_certified_extremes():
+    from nexusopt.mlp import DataSource, MLPSpec, MLPTask
+
+    spec = MLPSpec((2, 2, 1))
+    task = MLPTask(spec, DataSource(np.ones((4, 2)), np.zeros((4, 1))))
+    theta, minimizer = np.ones(spec.n_params), np.zeros(spec.n_params)
+    with pytest.raises(TypeError, match="got MLPTask"):
+        flatness_closeness_bound(theta, task, minimizer=minimizer)
+    with pytest.raises(TypeError, match="got MLPTask"):
+        closeness(theta, TaskSet([task]), minimizers=[minimizer])
+
+
 def test_mean_pairwise_cosine():
     S = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]])
     assert_allclose(mean_pairwise_cosine(S), 0.0)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nexusopt.cli import main
+from nexusopt.cli import main, sweep_workers
 from nexusopt.errors import EmptyData, FieldMissing
 from nexusopt.svgplot import plot
 
@@ -103,6 +103,25 @@ def test_cli_sweep_exits_1_when_a_run_fails(tmp_path, config_file, capsys):
     assert "error" in index["grad_floor=1000000000.0-kind=nexus_adamw"]
     assert (out / "grad_floor=1e-12-kind=nexus_adamw" / "metrics.csv").exists()
     assert "run grad_floor=1000000000.0-kind=nexus_adamw failed: DegenerateGradient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
+def test_cli_sweep_rejects_a_bad_thread_cap(tmp_path, config_file, monkeypatch, value):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", value)
+    out = tmp_path / "sweepout"
+    code = main(["sweep", "--config", str(config_file), "--out", str(out), "--set", "optimizer.kind=adamw,sgd"])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_sweep_workers_are_the_cores_capped_by_the_thread_cap(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("NEXUS_OPT_THREADS", raising=False)
+    assert sweep_workers() == cores
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    assert sweep_workers() == 1
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "64")
+    assert sweep_workers() == cores
 
 
 def test_plot_two_runs_share_legend(tmp_path, config_file):

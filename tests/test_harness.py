@@ -8,7 +8,15 @@ from numpy.testing import assert_allclose
 from nexusopt.analysis import cosine_matrix, mean_pairwise_cosine
 from nexusopt.config import SCHEMA, parse_config_text
 from nexusopt.errors import ConfigError, DegenerateGradient
-from nexusopt.harness import build_problem, derive_sweep_seeds, make_schedule, run, sweep, write_outputs
+from nexusopt.harness import (
+    build_problem,
+    derive_sweep_seeds,
+    make_schedule,
+    run,
+    run_many,
+    sweep,
+    write_outputs,
+)
 from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
@@ -278,9 +286,9 @@ def test_sweep_paired_runs_emit_diff(tmp_path):
     assert "train_loss" in diff["final_metric_deltas"]
 
 
-def test_sweep_keeps_going_past_a_failed_run(tmp_path):
+def test_sweep_keeps_going_past_a_failed_run(tmp_path, workers=1):
     cfg = make_cfg("optimizer.kind = \"nexus_adamw\"\n")
-    (ok_label, ok), (bad_label, bad) = sweep(cfg, str(tmp_path), {"nexus.grad_floor": [1e-12, 1e9]})
+    (ok_label, ok), (bad_label, bad) = sweep(cfg, str(tmp_path), {"nexus.grad_floor": [1e-12, 1e9]}, workers=workers)
     assert np.isfinite(ok.summary["train_loss"])
     assert sorted(os.listdir(tmp_path / ok_label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
     assert bad.summary["error"].startswith("DegenerateGradient: outer step 1, task ")
@@ -292,6 +300,22 @@ def test_sweep_keeps_going_past_a_failed_run(tmp_path):
     diff = json.loads((tmp_path / "diff.json").read_text())
     assert diff["runs"] == [ok_label, bad_label]
     assert diff["final_metric_deltas"] == {"train_loss": None, "ood_loss": None, "mean_pairwise_cos": None}
+
+
+def test_sweep_keeps_going_past_a_failed_run_in_workers(tmp_path):
+    test_sweep_keeps_going_past_a_failed_run(tmp_path, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_crash_keeps_the_runs_before_it_on_disk(tmp_path, workers):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    cfg = make_cfg(f"problem.path = {json.dumps(str(bad))}\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        sweep(cfg, str(out), {"problem.kind": ["quadratic_family", "custom_taskset_file"]}, workers=workers)
+    assert sorted(os.listdir(out)) == ["kind=quadratic_family"]
+    assert sorted(os.listdir(out / "kind=quadratic_family")) == ["config.resolved.json", "metrics.csv", "summary.json"]
 
 
 def test_sweep_seed_axis_derives_independent_seeds(tmp_path):
@@ -319,3 +343,52 @@ def test_sweep_rejects_colliding_run_directories(tmp_path):
     with pytest.raises(ConfigError):
         sweep(make_cfg(), str(tmp_path), {"name": ["a/b", "a_b"]})
     assert os.listdir(tmp_path) == []
+
+
+def sweep_grid():
+    kinds = ["adamw", "nexus_adamw", "sgd"]
+    return [make_cfg().with_overrides({"optimizer.kind": kind, "seed": seed}) for seed in (1, 2) for kind in kinds]
+
+
+def test_run_many_in_workers_equals_serial_in_input_order():
+    configs = sweep_grid() + [make_cfg("optimizer.kind = \"nexus_adamw\"\nnexus.grad_floor = 1e9\n")]
+    serial = list(run_many(configs, workers=1))
+    parallel = list(run_many(configs, workers=2))
+    assert len(parallel) == len(configs)
+    for cfg, a, b in zip(configs, serial, parallel):
+        if isinstance(a, DegenerateGradient):
+            assert type(b) is DegenerateGradient and str(b) == str(a)
+            assert (b.step, b.task_index) == (a.step, a.task_index)
+            continue
+        assert (b.config["seed"], b.config["optimizer.kind"]) == (cfg["seed"], cfg["optimizer.kind"])
+        assert b.config == a.config and b.summary == a.summary
+        assert [r.to_csv() for r in b.rows] == [r.to_csv() for r in a.rows]
+        assert b.final_theta.tobytes() == a.final_theta.tobytes()
+
+
+def test_run_many_caps_workers_at_the_number_of_configs(monkeypatch):
+    import concurrent.futures
+
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    configs = sweep_grid()[:2]
+    assert [rec.summary for rec in run_many(configs, workers=16)] == [run(cfg).summary for cfg in configs]
+    assert started == [2]
+    assert list(run_many(configs[:1], workers=16))[0].summary == run(configs[0]).summary
+    assert started == [2]  # a single config runs in this process
+
+
+def test_parallel_sweep_writes_the_serial_outputs(tmp_path):
+    axes = {"optimizer.kind": ["adamw", "nexus_adamw", "sgd"]}
+    serial = sweep(make_cfg(), str(tmp_path / "serial"), axes, num_seeds=2, workers=1)
+    parallel = sweep(make_cfg(), str(tmp_path / "parallel"), axes, num_seeds=2, workers=2)
+    assert [label for label, _ in parallel] == [label for label, _ in serial]
+    for label, _ in serial:
+        for name in ("metrics.csv", "config.resolved.json"):
+            assert (tmp_path / "parallel" / label / name).read_bytes() == (tmp_path / "serial" / label / name).read_bytes()
