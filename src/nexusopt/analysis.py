@@ -1,6 +1,6 @@
 """Measurement protocol: gradient-similarity matrices, parameter closeness,
-task-minimizer location, first-order transfer, and the flatness/closeness
-expansion of the downstream loss.
+first-order transfer, and the flatness/closeness expansion of the downstream
+loss.
 
 Curvature quantities along a segment are directional (the curvature of the
 one-dimensional restriction), which is what makes the expansion an exact
@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, MissingMinimizer
 from .numerics import as_params
-from .optimizers import AdamWState, adamw_step
-from .tasks import CubicTask, QuadraticTask, TaskSet, task_grads, train_grad
-
-
-def cosine_matrix(ts: TaskSet, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """K x K matrix of pairwise cosine similarities between per-task gradients."""
-    return gradient_cosines(task_grads(ts, theta), floor)
+from .tasks import CubicTask, QuadraticTask, TaskSet, train_grad
 
 
 def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -107,52 +101,6 @@ def closeness(theta: np.ndarray, ts: TaskSet, minimizers=None) -> ClosenessRepor
     return ClosenessReport(distances, float(np.mean(distances**2)), floor)
 
 
-@dataclass
-class LocateResult:
-    theta: np.ndarray
-    converged: bool
-    steps: int
-    grad_norm: float
-
-
-def locate_task_minimizer(
-    task,
-    theta_init: np.ndarray,
-    lr: float = 2e-5,
-    tol: float = 1e-8,
-    max_steps: int = 400_000,
-    stall_window: int = 250,
-) -> LocateResult:
-    """Full-batch AdamW descent (weight decay 0) to the nearest minimizer.
-
-    Fixed-step AdamW orbits the minimizer at a radius set by the learning
-    rate, so once the gradient norm stalls the rate is halved and the descent
-    continues; this reaches the stationarity tolerance on smooth tasks while
-    keeping the protocol's starting rate. Non-convergence is reported in the
-    result, not raised.
-    """
-    theta = as_params(theta_init, task.dim).copy()
-    state = AdamWState.init(task.dim, weight_decay=0.0)
-    best = np.inf
-    best_at = 0
-    gnorm = float(np.linalg.norm(task.grad(theta)))
-    step = 0
-    while step < max_steps:
-        if gnorm <= tol:
-            return LocateResult(theta, True, step, gnorm)
-        state, theta = adamw_step(state, theta, task.grad(theta), lr)
-        step += 1
-        gnorm = float(np.linalg.norm(task.grad(theta)))
-        if gnorm < best * 0.999:
-            best, best_at = gnorm, step
-        elif step - best_at >= stall_window:
-            lr *= 0.5
-            best, best_at = gnorm, step
-            if lr < 1e-16:
-                break
-    return LocateResult(theta, gnorm <= tol, step, gnorm)
-
-
 def newton_minimize(task, theta_init: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     """Newton descent for tasks exposing hessian_at; used where analytic
     curvature is available and the basin is locally convex."""
@@ -173,7 +121,8 @@ class TransferCheck(NamedTuple):
 
 def first_order_transfer(theta: np.ndarray, ts: TaskSet, downstream, gamma: float) -> TransferCheck:
     """Downstream-loss decrease after one GD step on the training set vs. the
-    first-order prediction gamma * <grad L_train, grad L_downstream>."""
+    first-order prediction gamma * <grad L_train, grad L_downstream>; tests check
+    with it the paper's claim that gradient alignment drives transfer."""
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     theta = as_params(theta, ts.dim)

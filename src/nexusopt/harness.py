@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -348,6 +349,22 @@ def _run_caught(cfg: ExperimentConfig):
         return exc
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Worker initializer: on Linux the kernel SIGKILLs the worker when the thread
+    that forked it, the one consuming run_many, exits."""
+    import ctypes
+    import signal
+
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        libc.prctl.restype = ctypes.c_int
+        if libc.prctl(1, signal.SIGKILL, 0, 0, 0) != 0:  # 1 = PR_SET_PDEATHSIG
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent_pid:  # the parent died before the prctl call
+        os._exit(1)
+
+
 def run_many(configs, workers: int = 1):
     """Run each config; yield its RunRecord, or the NexusError it raised, in input order.
 
@@ -355,8 +372,9 @@ def run_many(configs, workers: int = 1):
     more than there are configs), started with fork rather than the
     platform's default method: a forked worker inherits the modules already
     imported and the environment, OPENBLAS_NUM_THREADS included, and the
-    program starts no threads that a fork could copy mid-operation. Any other
-    exception propagates at its run's position, after the results before it.
+    program starts no threads that a fork could copy mid-operation. Workers
+    exit when the process consuming this generator dies. Any other exception
+    propagates at its run's position, after the results before it.
     """
     configs = list(configs)
     workers = min(workers, len(configs))
@@ -367,7 +385,8 @@ def run_many(configs, workers: int = 1):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
         yield from pool.map(_run_caught, configs)
 
 

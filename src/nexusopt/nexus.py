@@ -116,7 +116,8 @@ def nexus_outer_step(opt_state, theta: np.ndarray, ghat, lr: float):
     """Feed a pseudo-gradient to the outer optimizer exactly as if it were a gradient.
 
     ``opt_state`` of None means plain SGD; an AdamWState means decoupled AdamW.
-    Returns (new_opt_state, new_theta).
+    Returns (new_opt_state, new_theta). Tests check with it that the outer step
+    sees only the displacement's value, as the paper's outer loop requires.
     """
     value = ghat.value if isinstance(ghat, PseudoGradient) else as_params(ghat)
     theta = as_params(theta)

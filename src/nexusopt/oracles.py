@@ -3,7 +3,9 @@
 Exact expected pseudo-gradients by sequence enumeration, closed-form
 similarity gradients, Taylor expansions of the inner-loop expectation,
 error-bound constants, generalization-gap formulas, and convergence
-contractions.
+contractions. Each expansion term evaluates each task's gradient (and, at
+third order, its Hessian and third-derivative tensor) once per call; its pair
+and triple contractions reuse those values.
 
 Two distinct "similarity gradient" objects appear and are easy to conflate:
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,31 +120,53 @@ def second_order_error_bound(c: SmoothnessConstants, K: int, gamma: float) -> fl
     return (4.0 * c.hessian_bound**2 + c.hessian_lipschitz * c.grad_lower) / c.grad_lower**2 * K**3 * gamma**3 / 6.0
 
 
-def third_order_error_bound(c: SmoothnessConstants, K: int, gamma: float) -> float:
-    """Residual bound after the third-order term; vanishes with the third-derivative bound."""
-    m3, L, g = c.third_bound, c.hessian_bound, c.grad_lower
-    return (m3 / 24.0 + m3 * L / (8.0 * g)) * K**4 * gamma**4 + m3 * L**2 / (40.0 * g**2) * K**5 * gamma**5
-
-
-def directional_sharpness_weight(K: int) -> float:
-    """Weight of the generalized directional-sharpness term in the implicit
-    third-order objective: (K-1)(2K-1) / (12 K^2)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return (K - 1) * (2 * K - 1) / (12.0 * K**2)
-
-
 # --------------------------------------------------------------------------
 # Normalized-gradient field derivatives
 # --------------------------------------------------------------------------
 
 
-def _unit_gradient(task, theta, floor=1e-12):
+class _Local(NamedTuple):
+    """A task's gradient norm n, unit gradient h and, at third order, Hessian H and tensor T at theta."""
+
+    task: object
+    n: float
+    h: np.ndarray
+    H: np.ndarray | None = None
+    T: np.ndarray | None = None
+
+
+def _local(task, theta: np.ndarray, floor: float, curvature: bool = False) -> _Local:
     g = task.grad(theta)
     n = float(np.linalg.norm(g))
     if n < floor:
         raise DegenerateGradient(f"gradient norm {n:g} below floor {floor:g}")
-    return g, n, g / n
+    extra = (task.hessian_at(theta), task.third_tensor()) if curvature else ()
+    return _Local(task, n, g / n, *extra)
+
+
+def _proj(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x - (h @ x) * h
+
+
+def _jacobian_apply(loc: _Local, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J v, J the Jacobian of theta -> grad L / ||grad L||, by H @ v if the record holds H."""
+    Hv = loc.task.hvp(theta, v) if loc.H is None else loc.H @ v
+    return _proj(loc.h, Hv) / loc.n
+
+
+def _tensor_contraction(loc: _Local, u: np.ndarray, v: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """weight * proj(T[u, v]) / ||g||; weighting before the division fixes the sums' rounding."""
+    return weight * _proj(loc.h, np.einsum("abc,b,c->a", loc.T, u, v)) / loc.n
+
+
+def _second_derivative(loc: _Local, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    H, h, n = loc.H, loc.h, loc.n
+    Hu, Hv = H @ u, H @ v
+    out = -((h @ Hv) * _proj(h, Hu) + (h @ Hu) * _proj(h, Hv)) / n**2
+    out = out - h * float(v @ H @ _proj(h, Hu)) / n**2
+    if loc.T is not None:
+        out = out + _tensor_contraction(loc, u, v)
+    return out
 
 
 def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -152,30 +177,21 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) ->
     zero when the two gradients are parallel.
     """
     theta = as_params(theta)
-    g_i, n_i, h_i = _unit_gradient(task_i, theta, floor)
-    g_j, n_j, h_j = _unit_gradient(task_j, theta, floor)
-    proj_j = h_j - (h_i @ h_j) * h_i
-    proj_i = h_i - (h_j @ h_i) * h_j
-    term_i = task_i.hvp(theta, proj_j) / n_i if np.linalg.norm(proj_j) > 0 else np.zeros_like(theta)
-    term_j = task_j.hvp(theta, proj_i) / n_j if np.linalg.norm(proj_i) > 0 else np.zeros_like(theta)
+    loc_i, loc_j = _local(task_i, theta, floor), _local(task_j, theta, floor)
+    proj_j = _proj(loc_i.h, loc_j.h)
+    proj_i = _proj(loc_j.h, loc_i.h)
+    term_i = task_i.hvp(theta, proj_j) / loc_i.n if np.linalg.norm(proj_j) > 0 else np.zeros_like(theta)
+    term_j = task_j.hvp(theta, proj_i) / loc_j.n if np.linalg.norm(proj_i) > 0 else np.zeros_like(theta)
     return term_i + term_j
-
-
-def grad_jacobian_apply(task, theta: np.ndarray, v: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """J v where J is the Jacobian of theta -> grad L / ||grad L||."""
-    theta = as_params(theta)
-    _, n, h = _unit_gradient(task, theta, floor)
-    Hv = task.hvp(theta, v)
-    return (Hv - (h @ Hv) * h) / n
 
 
 def alignment_pair_direction(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """J_i h_j + J_j h_i: the per-pair alignment direction produced by the
-    inner-loop dynamics (diagonal pairs i == j included by callers)."""
+    inner-loop dynamics (diagonal pairs i == j included by callers); tests
+    check the (K-1)/(4K) coefficient of second_order_direction against it."""
     theta = as_params(theta)
-    _, _, h_i = _unit_gradient(task_i, theta, floor)
-    _, _, h_j = _unit_gradient(task_j, theta, floor)
-    return grad_jacobian_apply(task_i, theta, h_j, floor) + grad_jacobian_apply(task_j, theta, h_i, floor)
+    loc_i, loc_j = _local(task_i, theta, floor), _local(task_j, theta, floor)
+    return _jacobian_apply(loc_i, theta, loc_j.h) + _jacobian_apply(loc_j, theta, loc_i.h)
 
 
 def normalized_grad_second_derivative(task, theta: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -183,16 +199,7 @@ def normalized_grad_second_derivative(task, theta: np.ndarray, u: np.ndarray, v:
     """D^2 of the normalized-gradient field along (u, v); needs the Hessian and,
     for cubic tasks, the constant third-derivative tensor."""
     theta = as_params(theta)
-    _, n, h = _unit_gradient(task, theta, floor)
-    H = task.hessian_at(theta)
-    Hu, Hv = H @ u, H @ v
-    proj = lambda x: x - (h @ x) * h
-    out = -((h @ Hv) * proj(Hu) + (h @ Hu) * proj(Hv)) / n**2
-    out = out - h * float(v @ H @ proj(Hu)) / n**2
-    T = task.third_tensor()
-    if T is not None:
-        out = out + proj(np.einsum("abc,b,c->a", T, u, v)) / n
-    return out
+    return _second_derivative(_local(task, theta, floor, curvature=True), u, v)
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +234,8 @@ def expected_pseudo_gradient_exact(
 def monte_carlo_pseudo_gradient(
     ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, rng: RngStream, n_draws: int
 ) -> tuple:
-    """Monte-Carlo estimate of E[pseudo-gradient]; returns (mean, per-coordinate SE)."""
+    """Monte-Carlo estimate of E[pseudo-gradient]; returns (mean, per-coordinate SE).
+    Tests check against it that the exact enumeration computes the expectation."""
     theta = as_params(theta, ts.dim)
     samples = np.empty((n_draws, ts.dim))
     for i in range(n_draws):
@@ -244,10 +252,19 @@ def first_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> n
     total = np.zeros(ts.dim)
     for t in ts.tasks:
         if cfg.variant == "cosine":
-            total += _unit_gradient(t, theta, cfg.grad_floor)[2]
+            total += _local(t, theta, cfg.grad_floor).h
         else:
             total += t.grad(theta)
     return cfg.gamma * (M / n) * total
+
+
+def _jacobian_sum(locs: list, theta: np.ndarray) -> np.ndarray:
+    """sum_a J_a s with s = sum_b h_b: the cosine pair sum over all ordered pairs."""
+    s = np.sum([loc.h for loc in locs], axis=0)
+    total = np.zeros(len(theta))
+    for loc in locs:
+        total += _jacobian_apply(loc, theta, s)
+    return total
 
 
 def interaction_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
@@ -258,17 +275,12 @@ def interaction_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.nda
     by the caller.
     """
     theta = as_params(theta, ts.dim)
-    total = np.zeros(ts.dim)
     if cfg.variant == "cosine":
-        units = [_unit_gradient(t, theta, cfg.grad_floor)[2] for t in ts.tasks]
-        s = np.sum(units, axis=0)
-        for t in ts.tasks:
-            total += grad_jacobian_apply(t, theta, s, cfg.grad_floor)
-    else:
-        grads = [t.grad(theta) for t in ts.tasks]
-        s = np.sum(grads, axis=0)
-        for t in ts.tasks:
-            total += t.hvp(theta, s)
+        return _jacobian_sum([_local(t, theta, cfg.grad_floor) for t in ts.tasks], theta)
+    s = np.sum([t.grad(theta) for t in ts.tasks], axis=0)
+    total = np.zeros(ts.dim)
+    for t in ts.tasks:
+        total += t.hvp(theta, s)
     return total
 
 
@@ -282,9 +294,38 @@ def second_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> 
     contribution does not vanish); see the module docstring for why the pair
     direction is J_i h_j + J_j h_i rather than the similarity-map gradient.
     """
+    return _second_order(ts, theta, cfg, interaction_term(ts, theta, cfg))
+
+
+def _second_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, pairs: np.ndarray) -> np.ndarray:
     n, M = len(ts), cfg.inner_steps
     weight = M * (M - 1) / (2.0 * n**2)
-    return first_order_direction(ts, theta, cfg) - cfg.gamma**2 * weight * interaction_term(ts, theta, cfg)
+    return first_order_direction(ts, theta, cfg) - cfg.gamma**2 * weight * pairs
+
+
+def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
+    """(third_order_term, cosine pair sum sum_b J_b s) from one record per task."""
+    if cfg.variant != "cosine":
+        raise ValueError("third_order_term is defined for the cosine variant")
+    theta = as_params(theta, ts.dim)
+    n, M = len(ts), cfg.inner_steps
+    locs = [_local(t, theta, cfg.grad_floor, curvature=True) for t in ts.tasks]
+    units = [loc.h for loc in locs]
+    js = _jacobian_sum(locs, theta)
+    total = np.zeros(ts.dim)
+    c_diag = M * (M - 1) / (4.0 * n**2)
+    for loc in locs:
+        for h in units:
+            total += c_diag * _second_derivative(loc, h, h)
+    c_off = M * (M - 1) * (M - 2) / (6.0 * n**3)
+    if c_off > 0:
+        # the nested-Jacobian triple sum factorizes through s = sum_c h_c
+        for loc in locs:
+            total += c_off * _jacobian_apply(loc, theta, js)
+            for hb in units:
+                for hc in units:
+                    total += c_off * _second_derivative(loc, hb, hc)
+    return total, js
 
 
 def third_order_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
@@ -296,29 +337,7 @@ def third_order_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.nda
     do, which is why the diagonal and off-diagonal pieces carry different
     weights).
     """
-    if cfg.variant != "cosine":
-        raise ValueError("third_order_term is defined for the cosine variant")
-    theta = as_params(theta, ts.dim)
-    n, M = len(ts), cfg.inner_steps
-    units = [_unit_gradient(t, theta, cfg.grad_floor)[2] for t in ts.tasks]
-    total = np.zeros(ts.dim)
-    c_diag = M * (M - 1) / (4.0 * n**2)
-    for a, ta in enumerate(ts.tasks):
-        for b in range(n):
-            total += c_diag * normalized_grad_second_derivative(ta, theta, units[b], units[b], cfg.grad_floor)
-    c_off = M * (M - 1) * (M - 2) / (6.0 * n**3)
-    if c_off > 0:
-        # the nested-Jacobian triple sum factorizes through s = sum_c h_c
-        s = np.sum(units, axis=0)
-        js = np.zeros(ts.dim)
-        for tb in ts.tasks:
-            js += grad_jacobian_apply(tb, theta, s, cfg.grad_floor)
-        for a, ta in enumerate(ts.tasks):
-            total += c_off * grad_jacobian_apply(ta, theta, js, cfg.grad_floor)
-            for b in range(n):
-                for c in range(n):
-                    total += c_off * normalized_grad_second_derivative(ta, theta, units[b], units[c], cfg.grad_floor)
-    return total
+    return _third_order(ts, theta, cfg)[0]
 
 
 def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
@@ -329,27 +348,27 @@ def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) ->
     """
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
-    units = [_unit_gradient(t, theta, cfg.grad_floor)[2] for t in ts.tasks]
+    locs = [_local(t, theta, cfg.grad_floor, curvature=True) for t in ts.tasks]
+    units = [loc.h for loc in locs]
     total = np.zeros(ts.dim)
     c_diag = M * (M - 1) / (4.0 * n**2)
     c_off = M * (M - 1) * (M - 2) / (6.0 * n**3)
-    for a, ta in enumerate(ts.tasks):
-        T = ta.third_tensor()
-        if T is None:
+    for loc in locs:
+        if loc.T is None:
             continue
-        g, nrm, h = _unit_gradient(ta, theta, cfg.grad_floor)
-        proj = lambda x: x - (h @ x) * h
-        for b in range(n):
-            total += c_diag * proj(np.einsum("abc,b,c->a", T, units[b], units[b])) / nrm
+        for hb in units:
+            total += _tensor_contraction(loc, hb, hb, c_diag)
             if c_off > 0:
-                for c in range(n):
-                    total += c_off * proj(np.einsum("abc,b,c->a", T, units[b], units[c])) / nrm
+                for hc in units:
+                    total += _tensor_contraction(loc, hb, hc, c_off)
     return total
 
 
 def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """Three-term expansion: second-order direction plus the exact gamma^3 term."""
-    return second_order_direction(ts, theta, cfg) + cfg.gamma**3 * third_order_term(ts, theta, cfg)
+    """Three-term expansion: second_order_direction plus gamma^3 * third_order_term,
+    sharing one Hessian and tensor per task and the pair sum between the two."""
+    third, pairs = _third_order(ts, theta, cfg)
+    return _second_order(ts, theta, cfg, pairs) + cfg.gamma**3 * third
 
 
 def gamma2_coefficient_from_enumeration(

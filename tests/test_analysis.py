@@ -4,11 +4,9 @@ from numpy.testing import assert_allclose
 
 from nexusopt.analysis import (
     closeness,
-    cosine_matrix,
     first_order_transfer,
     flatness_closeness_bound,
     gradient_cosines,
-    locate_task_minimizer,
     mean_pairwise_cosine,
     newton_minimize,
 )
@@ -28,7 +26,7 @@ from nexusopt.tasks import (
 
 def test_cosine_matrix_identical_tasks():
     task = QuadraticTask(np.eye(2), np.ones(2))
-    S = cosine_matrix(TaskSet([task, task]), np.zeros(2))
+    S = gradient_cosines(task_grads(TaskSet([task, task]), np.zeros(2)))
     assert_allclose(S, np.ones((2, 2)), atol=1e-14)
 
 
@@ -37,7 +35,7 @@ def test_cosine_matrix_orthogonal_gradients():
         QuadraticTask(np.eye(2), np.array([1.0, 0.0])),
         QuadraticTask(np.eye(2), np.array([0.0, 1.0])),
     ])
-    S = cosine_matrix(ts, np.zeros(2))
+    S = gradient_cosines(task_grads(ts, np.zeros(2)))
     assert_allclose(S[0, 1], 0.0, atol=1e-15)
     assert_allclose(np.diag(S), 1.0)
 
@@ -50,7 +48,7 @@ def test_cosine_matrix_matches_brute_force():
     ]
     ts = TaskSet(tasks)
     theta = rng.generator.standard_normal(4)
-    S = cosine_matrix(ts, theta)
+    S = gradient_cosines(task_grads(ts, theta))
     grads = [t.grad(theta) for t in tasks]
     for i in range(5):
         for j in range(5):
@@ -75,14 +73,13 @@ def test_gradient_cosines_equal_the_per_pair_formula_bitwise(task_sets):
     for name, ts, theta in task_sets:
         expected = per_pair_cosines(ts, theta)
         assert np.array_equal(gradient_cosines(task_grads(ts, theta)), expected), name
-        assert np.array_equal(cosine_matrix(ts, theta), expected), name
 
 
 def test_cosine_matrix_degenerate_gradient_names_task():
     task = QuadraticTask(np.eye(2), np.zeros(2))
     other = QuadraticTask(np.eye(2), np.ones(2))
     with pytest.raises(DegenerateGradient) as err:
-        cosine_matrix(TaskSet([other, task]), np.zeros(2))
+        gradient_cosines(task_grads(TaskSet([other, task]), np.zeros(2)))
     assert err.value.task_index == 1
 
 
@@ -129,29 +126,6 @@ def test_closeness_needs_minimizers_for_non_analytic_tasks():
     task = MLPTask(spec, DataSource(np.ones((4, 2)), np.zeros((4, 1))))
     with pytest.raises(MissingMinimizer):
         closeness(np.zeros(spec.n_params), TaskSet([task]))
-
-
-def test_locate_minimizer_reaches_quadratic_optimum():
-    rng = rng_root(3)
-    task = QuadraticTask(random_spd_matrix(2, rng, (0.5, 2.0)), np.array([0.3, -0.2]))
-    for offset in (np.array([0.01, -0.02]), np.array([-0.3, 0.4])):
-        result = locate_task_minimizer(task, task.minimizer + offset)
-        assert result.converged
-        assert np.linalg.norm(result.theta - task.minimizer) <= 1e-6
-        assert np.linalg.norm(task.grad(result.theta)) <= 1e-8
-
-
-def test_locate_minimizer_immediate_at_optimum():
-    task = QuadraticTask(np.eye(2), np.ones(2))
-    result = locate_task_minimizer(task, np.ones(2))
-    assert result.converged and result.steps == 0
-
-
-def test_locate_minimizer_reports_non_convergence():
-    task = QuadraticTask(np.eye(2), np.zeros(2))
-    result = locate_task_minimizer(task, np.array([5.0, 5.0]), max_steps=10)
-    assert not result.converged
-    assert result.steps == 10
 
 
 def test_newton_minimize_cubic():

@@ -1,11 +1,17 @@
+import contextlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nexusopt.analysis import cosine_matrix, mean_pairwise_cosine
+import nexusopt
+from nexusopt.analysis import gradient_cosines, mean_pairwise_cosine
 from nexusopt.config import SCHEMA, parse_config_text
 from nexusopt.errors import ConfigError, DegenerateGradient
 from nexusopt.harness import (
@@ -20,7 +26,7 @@ from nexusopt.harness import (
 from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
-from nexusopt.tasks import train_loss
+from nexusopt.tasks import task_grads, train_loss
 
 
 def make_cfg(extra=""):
@@ -188,7 +194,7 @@ def test_summary_equals_a_fresh_measurement_at_the_final_theta():
     assert rec.rows[-1].step == 7
     assert rec.summary["train_loss"] == train_loss(ts, theta)
     assert rec.summary["ood_loss"] == problem.ood_task.loss(theta)
-    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(cosine_matrix(ts, theta))
+    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(gradient_cosines(task_grads(ts, theta)))
 
 
 def test_zero_step_summary_is_measured_at_theta0():
@@ -197,7 +203,9 @@ def test_zero_step_summary_is_measured_at_theta0():
     problem = build_problem(cfg, rng_root(cfg["seed"]))
     assert rec.rows == []
     assert rec.summary["train_loss"] == train_loss(problem.taskset, problem.theta0)
-    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(cosine_matrix(problem.taskset, problem.theta0))
+    assert rec.summary["mean_pairwise_cos"] == mean_pairwise_cosine(
+        gradient_cosines(task_grads(problem.taskset, problem.theta0))
+    )
 
 
 @pytest.mark.parametrize("kind", ["nsgd_adamw", "nexus_adamw"])
@@ -382,6 +390,54 @@ def test_run_many_caps_workers_at_the_number_of_configs(monkeypatch):
     assert started == [2]
     assert list(run_many(configs[:1], workers=16))[0].summary == run(configs[0]).summary
     assert started == [2]  # a single config runs in this process
+
+
+def _child_pids(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return [int(c) for c in f.read().split()]
+
+
+def _running(pid):
+    """True unless pid has exited; an unreaped zombie counts as exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs Linux /proc child lists")
+def test_run_many_workers_exit_when_the_parent_is_killed():
+    slow = make_cfg().with_overrides({"optimizer.kind": "nexus_adamw", "total_steps": 10**8, "metric_cadence": 10**8})
+    script = (
+        "from nexusopt.config import parse_config_text\n"
+        "from nexusopt.harness import run_many\n"
+        f"cfg = parse_config_text({slow.to_text()!r})\n"
+        "list(run_many([cfg, cfg.with_overrides({'seed': 1})], workers=2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nexusopt.__file__)))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _child_pids(parent.pid)
+        assert len(workers) == 2
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=10)
+        for pid in filter(_running, workers):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_parallel_sweep_writes_the_serial_outputs(tmp_path):

@@ -13,7 +13,6 @@ from nexusopt.oracles import (
     common_minimizer_taskset,
     convergence_contraction,
     cosgrad_analytic,
-    directional_sharpness_weight,
     expected_pseudo_gradient_exact,
     first_order_direction,
     gamma2_coefficient_from_enumeration,
@@ -33,7 +32,7 @@ from nexusopt.oracles import (
     third_order_direction,
     third_order_tensor_term,
 )
-from nexusopt.tasks import QuadraticTask, TaskFamily, TaskSet, random_cubic_task
+from nexusopt.tasks import CubicTask, QuadraticTask, TaskFamily, TaskSet, random_cubic_task
 
 
 def test_cosgrad_parallel_gradients_vanish():
@@ -78,7 +77,8 @@ def test_cosgrad_on_mlp_tasks_via_fd_hvps():
     assert np.linalg.norm(analytic - fd) <= 1e-3 * max(1.0, np.linalg.norm(fd))
 
 
-def test_second_derivative_matches_fd_of_unit_gradient():
+@pytest.mark.parametrize("case", ["same", "mixed"])
+def test_second_derivative_matches_fd_of_unit_gradient(case):
     rng = rng_root(3)
     task = random_cubic_task(3, rng, third_bound=0.5)
     theta = random_probe_point(TaskSet([task]), rng_substream(rng, "p"))
@@ -89,9 +89,22 @@ def test_second_derivative_matches_fd_of_unit_gradient():
         g = task.grad(x)
         return g / np.linalg.norm(g)
 
-    s = 1e-5
-    fd = (unit_grad(theta + s * u) - 2 * unit_grad(theta) + unit_grad(theta - s * u)) / s**2
-    analytic = normalized_grad_second_derivative(task, theta, u, u)
+    if case == "same":
+        s = 1e-5
+        fd = (unit_grad(theta + s * u) - 2 * unit_grad(theta) + unit_grad(theta - s * u)) / s**2
+        analytic = normalized_grad_second_derivative(task, theta, u, u)
+    else:
+        # the (h_b, h_c), b != c contractions of third_order_term
+        v = rng.generator.standard_normal(3)
+        v /= np.linalg.norm(v)
+        s = 1e-4
+        fd = (
+            unit_grad(theta + s * u + s * v)
+            - unit_grad(theta + s * u - s * v)
+            - unit_grad(theta - s * u + s * v)
+            + unit_grad(theta - s * u - s * v)
+        ) / (4 * s**2)
+        analytic = normalized_grad_second_derivative(task, theta, u, v)
     assert np.linalg.norm(analytic - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
 
 
@@ -174,12 +187,6 @@ def test_error_bounds_are_monotone():
         assert second_order_error_bound(SmoothnessConstants(g_min, g_min + 1, L + 0.5, rho), K, gamma) >= base
         assert second_order_error_bound(c, K + 1, gamma) >= base
         assert second_order_error_bound(c, K, gamma * 1.5) >= base
-        c3 = SmoothnessConstants(g_min, g_min + 1, L, rho, third_bound=0.5)
-        from nexusopt.oracles import third_order_error_bound
-
-        base3 = third_order_error_bound(c3, K, gamma)
-        bigger = SmoothnessConstants(g_min, g_min + 1, L, rho, third_bound=1.0)
-        assert third_order_error_bound(bigger, K, gamma) >= base3
 
 
 def test_lipschitz_constants():
@@ -221,11 +228,6 @@ def test_third_order_tensor_term_zero_for_quadratics():
     assert np.linalg.norm(term) == 0.0
 
 
-def test_sharpness_weight_values():
-    assert directional_sharpness_weight(1) == 0.0
-    assert_allclose(directional_sharpness_weight(2), 1.0 / 16.0)
-
-
 def test_third_order_direction_beats_second_order_on_cubics():
     rng = rng_root(12)
     ts = TaskSet([random_cubic_task(3, rng_substream(rng, str(j)), 0.5) for j in range(2)])
@@ -255,6 +257,29 @@ def test_third_order_direction_k3():
         r3.append(np.linalg.norm(exact - third_order_direction(ts, theta, cfg)))
     slope3 = np.polyfit(np.log(gammas), np.log(r3), 1)[0]
     assert 3.8 <= slope3 <= 4.2
+
+
+def test_third_order_direction_evaluates_each_task_once(monkeypatch):
+    calls = {"grad": 0, "hessian_at": 0, "third_tensor": 0}
+
+    def counted(name):
+        method = getattr(CubicTask, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    rng = rng_root(22)
+    ts = TaskSet([random_cubic_task(5, rng_substream(rng, str(j)), 0.5) for j in range(3)])
+    theta = random_probe_point(ts, rng_substream(rng, "p"))
+    for name in calls:
+        monkeypatch.setattr(CubicTask, name, counted(name))
+    third_order_direction(ts, theta, NexusConfig(0.05, 3))
+    assert calls["grad"] <= 9
+    assert calls["hessian_at"] <= 3
+    assert calls["third_tensor"] <= 3
 
 
 def test_closeness_chain_hand_example():
