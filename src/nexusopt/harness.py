@@ -8,9 +8,10 @@ ends, any old summary.json is removed, then metrics.csv is written and
 fsync'd before the new summary.json is renamed into place, so an output
 directory without a summary marks an incomplete write.
 
-A metrics emit computes each per-task gradient once, as one (K, d) matrix
-that gives both the training-gradient norm and the pairwise cosines; the
-summary reuses the row emitted at the last step.
+A metrics emit runs one forward and one backward pass per task
+(``losses_and_grads``): the K losses average to the training loss, and the
+(K, d) gradient matrix gives both the training-gradient norm and the pairwise
+cosines; the summary reuses the row emitted at the last step.
 
 Every training mode takes the same outer step: the mode supplies a direction
 (the full training gradient for adamw and sgd, the inner-loop pseudo-gradient
@@ -40,13 +41,12 @@ from .tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    losses_and_grads,
     mean_grad,
     random_cubic_task,
     sample_family,
-    task_grads,
     taskset_from_json,
     train_grad,
-    train_loss,
 )
 
 DUAL_LOOP_MODES = ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
@@ -196,10 +196,10 @@ def train(
         return value if np.isfinite(value) else None
 
     def emit(step: int) -> MetricsRow:
-        # one (K, d) matrix of per-task gradients gives grad_norm and the cosines
+        # one forward pass per task gives its loss and its row of G, which gives grad_norm and the cosines
         lr = schedule_lr(schedule, step)
-        tl = train_loss(ts, theta)
-        G = task_grads(ts, theta)
+        losses, G = losses_and_grads(ts, theta)
+        tl = sum(losses) / len(ts)
         ood = ood_task.loss(theta) if ood_task is not None else None
         return MetricsRow(step, lr, tl, ood, pairwise_cos(G), float(np.linalg.norm(mean_grad(G))), last_pg_norm)
 

@@ -3,16 +3,19 @@
 The network is fully connected with a linear output layer; hidden activations
 are tanh (default), relu, or identity. Losses are weighted mean squared error
 per data source, giving a smooth non-quadratic landscape at desk scale.
-One forward pass (``_layer_outputs``) serves prediction, loss and gradient;
-gradients are closed-form backprop over its cached layer outputs, and
-Hessian-vector products use central differences of those exact gradients
-(tolerance 1e-4 wherever they are consumed).
+One forward pass (``_layer_outputs``) serves prediction, loss and gradient:
+``loss_and_grad`` takes both from a single pass. Gradients are closed-form
+backprop over its cached layer outputs, written into views of one flat vector
+laid out by ``MLPSpec.layout`` (computed once per spec); the forward and
+backward passes add biases and apply activations and their derivatives in
+place. Hessian-vector products use central differences of those exact
+gradients (tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,28 +41,24 @@ class MLPSpec:
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
 
-    @property
+    @cached_property
     def n_params(self) -> int:
-        total = 0
-        for fan_in, fan_out in zip(self.layer_widths[:-1], self.layer_widths[1:]):
-            total += fan_in * fan_out + fan_out
-        return total
+        return self.layout[-1][1]
 
-    def shapes(self) -> list:
-        out = []
+    @cached_property
+    def layout(self) -> tuple:
+        """(start, stop, shape) of each weight matrix and bias vector in the flat parameter vector."""
+        out, pos = [], 0
         for fan_in, fan_out in zip(self.layer_widths[:-1], self.layer_widths[1:]):
-            out.append((fan_in, fan_out))
-            out.append((fan_out,))
-        return out
+            out.append((pos, pos + fan_in * fan_out, (fan_in, fan_out)))
+            pos += fan_in * fan_out
+            out.append((pos, pos + fan_out, (fan_out,)))
+            pos += fan_out
+        return tuple(out)
 
     def unflatten(self, theta: np.ndarray) -> list:
-        theta = as_params(theta, self.n_params)
-        arrays, pos = [], 0
-        for shape in self.shapes():
-            size = math.prod(shape)
-            arrays.append(theta[pos : pos + size].reshape(shape))
-            pos += size
-        return arrays
+        """Views of theta, one per weight matrix and bias vector."""
+        return _views(as_params(theta, self.n_params), self.layout)
 
     def flatten(self, arrays: list) -> np.ndarray:
         return np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
@@ -100,17 +99,22 @@ class DataSource:
         return DataSource(self.inputs[idx], self.targets[idx], self.source_id)
 
 
+def _views(flat: np.ndarray, layout: tuple) -> list:
+    return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+
+
 def _layer_outputs(spec: MLPSpec, arrays: list, x: np.ndarray) -> list:
     """The input followed by each layer's output (post-activation; the last is linear)."""
     hs = [np.asarray(x, dtype=np.float64)]
     n_layers = len(spec.layer_widths) - 1
     for layer in range(n_layers):
-        h = hs[-1] @ arrays[2 * layer] + arrays[2 * layer + 1]
+        h = hs[-1] @ arrays[2 * layer]
+        h += arrays[2 * layer + 1]
         if layer < n_layers - 1:
             if spec.activation == "tanh":
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             elif spec.activation == "relu":
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         hs.append(h)
     return hs
 
@@ -145,23 +149,36 @@ class MLPTask:
         return float(self.weight * np.mean(err**2))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        arrays = self.spec.unflatten(theta)
-        hs = _layer_outputs(self.spec, arrays, self.source.inputs)
-        err = hs[-1] - self.source.targets
+        return self._backprop(theta, with_loss=False)[1]
+
+    def loss_and_grad(self, theta: np.ndarray) -> tuple:
+        """(loss(theta), grad(theta)) from one forward pass."""
+        return self._backprop(theta, with_loss=True)
+
+    def _backprop(self, theta: np.ndarray, with_loss: bool) -> tuple:
+        """(loss or None, gradient): the one gradient path, written into views of one flat vector."""
+        spec = self.spec
+        arrays = spec.unflatten(theta)
+        hs = _layer_outputs(spec, arrays, self.source.inputs)
+        err = hs.pop()
+        err -= self.source.targets
+        loss = float(self.weight * np.mean(err**2)) if with_loss else None
         # delta is dLoss/d(pre-activation) of the current layer, whose input is hs[layer]
-        delta = self.weight * (2.0 / err.size) * err
-        grads = [None] * len(arrays)
-        for layer in reversed(range(len(self.spec.layer_widths) - 1)):
-            grads[2 * layer] = hs[layer].T @ delta
-            grads[2 * layer + 1] = delta.sum(axis=0)
+        delta = err
+        delta *= self.weight * (2.0 / err.size)
+        flat = np.empty(spec.n_params)
+        grads = _views(flat, spec.layout)
+        for layer in reversed(range(len(hs))):
+            np.matmul(hs[layer].T, delta, out=grads[2 * layer])
+            delta.sum(axis=0, out=grads[2 * layer + 1])
             if layer > 0:
                 h = hs[layer]
                 delta = delta @ arrays[2 * layer].T
-                if self.spec.activation == "tanh":
-                    delta = delta * (1.0 - h**2)
-                elif self.spec.activation == "relu":
-                    delta = delta * (h > 0.0)
-        return self.spec.flatten(grads)
+                if spec.activation == "tanh":
+                    delta *= 1.0 - h**2
+                elif spec.activation == "relu":
+                    delta *= h > 0.0
+        return loss, flat
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         return fd_hvp(self.grad, theta, v)

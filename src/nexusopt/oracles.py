@@ -248,14 +248,20 @@ def monte_carlo_pseudo_gradient(
 def first_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
     """gamma * (M/n) * sum of unit gradients (cosine) or raw gradients (dot)."""
     theta = as_params(theta, ts.dim)
-    n, M = len(ts), cfg.inner_steps
+    if cfg.variant == "cosine":
+        return _first_order(ts, cfg, [loc.h for loc in _locals(ts, theta, cfg)])
+    return _first_order(ts, cfg, [t.grad(theta) for t in ts.tasks])
+
+
+def _locals(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, curvature: bool = False) -> list:
+    return [_local(t, theta, cfg.grad_floor, curvature) for t in ts.tasks]
+
+
+def _first_order(ts: TaskSet, cfg: NexusConfig, vectors: list) -> np.ndarray:
     total = np.zeros(ts.dim)
-    for t in ts.tasks:
-        if cfg.variant == "cosine":
-            total += _local(t, theta, cfg.grad_floor).h
-        else:
-            total += t.grad(theta)
-    return cfg.gamma * (M / n) * total
+    for v in vectors:
+        total += v
+    return cfg.gamma * (cfg.inner_steps / len(ts)) * total
 
 
 def _jacobian_sum(locs: list, theta: np.ndarray) -> np.ndarray:
@@ -276,7 +282,7 @@ def interaction_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.nda
     """
     theta = as_params(theta, ts.dim)
     if cfg.variant == "cosine":
-        return _jacobian_sum([_local(t, theta, cfg.grad_floor) for t in ts.tasks], theta)
+        return _jacobian_sum(_locals(ts, theta, cfg), theta)
     s = np.sum([t.grad(theta) for t in ts.tasks], axis=0)
     total = np.zeros(ts.dim)
     for t in ts.tasks:
@@ -293,23 +299,28 @@ def second_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> 
     (repeated draws of the same task are perfectly correlated, and their
     contribution does not vanish); see the module docstring for why the pair
     direction is J_i h_j + J_j h_i rather than the similarity-map gradient.
+    The cosine variant takes both terms from one record per task.
     """
-    return _second_order(ts, theta, cfg, interaction_term(ts, theta, cfg))
+    if cfg.variant != "cosine":
+        return _second_order(ts, cfg, first_order_direction(ts, theta, cfg), interaction_term(ts, theta, cfg))
+    theta = as_params(theta, ts.dim)
+    locs = _locals(ts, theta, cfg)
+    return _second_order(ts, cfg, _first_order(ts, cfg, [loc.h for loc in locs]), _jacobian_sum(locs, theta))
 
 
-def _second_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, pairs: np.ndarray) -> np.ndarray:
+def _second_order(ts: TaskSet, cfg: NexusConfig, first: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     n, M = len(ts), cfg.inner_steps
     weight = M * (M - 1) / (2.0 * n**2)
-    return first_order_direction(ts, theta, cfg) - cfg.gamma**2 * weight * pairs
+    return first - cfg.gamma**2 * weight * pairs
 
 
 def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
-    """(third_order_term, cosine pair sum sum_b J_b s) from one record per task."""
+    """(third_order_term, cosine pair sum sum_b J_b s, unit gradients) from one record per task."""
     if cfg.variant != "cosine":
         raise ValueError("third_order_term is defined for the cosine variant")
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
-    locs = [_local(t, theta, cfg.grad_floor, curvature=True) for t in ts.tasks]
+    locs = _locals(ts, theta, cfg, curvature=True)
     units = [loc.h for loc in locs]
     js = _jacobian_sum(locs, theta)
     total = np.zeros(ts.dim)
@@ -325,7 +336,7 @@ def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
             for hb in units:
                 for hc in units:
                     total += c_off * _second_derivative(loc, hb, hc)
-    return total, js
+    return total, js, units
 
 
 def third_order_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
@@ -348,7 +359,7 @@ def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) ->
     """
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
-    locs = [_local(t, theta, cfg.grad_floor, curvature=True) for t in ts.tasks]
+    locs = _locals(ts, theta, cfg, curvature=True)
     units = [loc.h for loc in locs]
     total = np.zeros(ts.dim)
     c_diag = M * (M - 1) / (4.0 * n**2)
@@ -366,9 +377,9 @@ def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) ->
 
 def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
     """Three-term expansion: second_order_direction plus gamma^3 * third_order_term,
-    sharing one Hessian and tensor per task and the pair sum between the two."""
-    third, pairs = _third_order(ts, theta, cfg)
-    return _second_order(ts, theta, cfg, pairs) + cfg.gamma**3 * third
+    sharing one record per task and the pair sum between the two."""
+    third, pairs, units = _third_order(ts, theta, cfg)
+    return _second_order(ts, cfg, _first_order(ts, cfg, units), pairs) + cfg.gamma**3 * third
 
 
 def gamma2_coefficient_from_enumeration(

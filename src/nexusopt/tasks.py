@@ -1,8 +1,10 @@
 """Analytic task families: quadratic and cubic losses with exact derivatives.
 
-A task is anything exposing ``loss``, ``grad``, ``hvp`` and a ``dim`` attribute;
-the analytic kinds here additionally expose Hessians, third-derivative tensors
-and closed-form minimizers, which the theorem oracles rely on.
+A task is anything exposing ``loss``, ``grad``, ``loss_and_grad``, ``hvp`` and
+a ``dim`` attribute. ``loss_and_grad`` returns the same bits as ``loss`` and
+``grad`` from one evaluation; ``losses_and_grads`` calls it once per task. The
+analytic kinds here additionally expose Hessians, third-derivative tensors and
+closed-form minimizers, which the theorem oracles rely on.
 
 Mixture weights are folded multiplicatively into the task objects at
 ``TaskSet`` construction (a weighted quadratic is again a quadratic), so all
@@ -72,12 +74,17 @@ class QuadraticTask:
         return self.minimizer.shape[0]
 
     def loss(self, theta: np.ndarray) -> float:
-        delta = as_params(theta, self.dim) - self.minimizer
-        return 0.5 * float(delta @ self.hessian @ delta) + self.offset
+        return self._loss(as_params(theta, self.dim) - self.minimizer)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
+        return self.hessian @ (as_params(theta, self.dim) - self.minimizer)
+
+    def loss_and_grad(self, theta: np.ndarray) -> tuple:
         delta = as_params(theta, self.dim) - self.minimizer
-        return self.hessian @ delta
+        return self._loss(delta), self.hessian @ delta
+
+    def _loss(self, delta: np.ndarray) -> float:
+        return 0.5 * float(delta @ self.hessian @ delta) + self.offset
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = as_params(v, self.dim)
@@ -127,13 +134,21 @@ class CubicTask:
         return self.minimizer.shape[0]
 
     def loss(self, theta: np.ndarray) -> float:
+        return self._loss(as_params(theta, self.dim) - self.minimizer)
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        return self._grad(as_params(theta, self.dim) - self.minimizer)
+
+    def loss_and_grad(self, theta: np.ndarray) -> tuple:
         delta = as_params(theta, self.dim) - self.minimizer
+        return self._loss(delta), self._grad(delta)
+
+    def _loss(self, delta: np.ndarray) -> float:
         quad = 0.5 * float(delta @ self.hessian @ delta)
         cubic = float(np.einsum("abc,a,b,c->", self.third, delta, delta, delta)) / 6.0
         return quad + cubic + self.offset
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        delta = as_params(theta, self.dim) - self.minimizer
+    def _grad(self, delta: np.ndarray) -> np.ndarray:
         return self.hessian @ delta + 0.5 * np.einsum("abc,b,c->a", self.third, delta, delta)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -263,6 +278,16 @@ class TaskSet:
 
 def train_loss(ts: TaskSet, theta: np.ndarray) -> float:
     return sum(t.loss(theta) for t in ts.tasks) / len(ts)
+
+
+def losses_and_grads(ts: TaskSet, theta: np.ndarray) -> tuple:
+    """(list of K task losses, (K, d) task_grads matrix) from one loss_and_grad call per task."""
+    losses = []
+    G = np.empty((len(ts), ts.dim))
+    for k, t in enumerate(ts.tasks):
+        loss, G[k] = t.loss_and_grad(theta)
+        losses.append(loss)
+    return losses, G
 
 
 def task_grads(ts: TaskSet, theta: np.ndarray) -> np.ndarray:

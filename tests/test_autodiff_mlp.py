@@ -69,12 +69,16 @@ def test_grad_matches_fd_on_random_configs(activation, depth, weight):
         )
         task, spec = random_task(rng, widths, n=int(gen.integers(4, 20)), activation=activation, weight=weight)
         theta = 0.7 * gen.standard_normal(spec.n_params)
+        analytic = task.grad(theta)
+        # loss_and_grad shares grad's backprop: the same bits, kinks included
+        loss, grad = task.loss_and_grad(theta)
+        assert loss == task.loss(theta)
+        assert np.array_equal(grad, analytic) and np.array_equal(np.signbit(grad), np.signbit(analytic))
         if activation == "relu":
             # central differences straddling a kink measure no derivative
             nearest_kink = min(np.abs(z).min() for z in hidden_preactivations(spec, theta, task.source.inputs))
             if nearest_kink <= 10 * FD_EPS:
                 continue
-        analytic = task.grad(theta)
         numeric = fd_gradient(task.loss, theta, eps=FD_EPS)
         denom = max(np.linalg.norm(numeric), 1e-10)
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-5

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -11,8 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nexusopt
+from nexusopt import harness, mlp
 from nexusopt.analysis import gradient_cosines, mean_pairwise_cosine
-from nexusopt.config import SCHEMA, parse_config_text
+from nexusopt.config import SCHEMA, load_config, parse_config_text
 from nexusopt.errors import ConfigError, DegenerateGradient
 from nexusopt.harness import (
     build_problem,
@@ -53,6 +55,26 @@ def test_run_is_deterministic_and_cadenced(tmp_path):
     assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
     assert (dir_a / "summary.json").exists()
     assert (dir_a / "config.resolved.json").exists()
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# metrics.csv sha256 of 60-step iid_uniform runs of the shipped MLP config, as
+# recorded in CHANGES.md; a refactor of the training path must keep every byte
+MLP_60_STEP_DIGESTS = {
+    "adamw": "047b8911260c7f273870903057cc00d95416f91ae856df9c575a5e3dd1350a75",
+    "nsgd_adamw": "f3bb8dfa3fe4be84944826ba7f4d9a8719999527429f6c5132b3029528149470",
+    "nexus_adamw": "25ffdec633f2514eda1d58100d195a556caf51c2630a41638b21fdb0d6d7b7b1",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MLP_60_STEP_DIGESTS))
+def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, tmp_path):
+    cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).with_overrides(
+        {"total_steps": 60, "optimizer.kind": kind, "nexus.sampling": "iid_uniform"}
+    )
+    write_outputs(run(cfg), tmp_path)
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == MLP_60_STEP_DIGESTS[kind]
 
 
 def test_zero_steps_leaves_theta_and_metrics_empty():
@@ -171,19 +193,32 @@ def test_mlp_problem_runs_and_reports_ood():
 
 
 def test_emit_computes_each_task_gradient_once(monkeypatch):
-    calls = []
-    grad = MLPTask.grad
+    counts = {"grad": 0, "forward": 0}
 
-    def counted(self, theta):
-        calls.append(1)
-        return grad(self, theta)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(MLPTask, "grad", counted)
+        return wrapper
+
+    def counted_train(*args, **kwargs):
+        counts.update(grad=0, forward=0)  # count over train(), not the problem build's teacher passes
+        return train(*args, **kwargs)
+
+    train = harness.train
+    monkeypatch.setattr(harness, "train", counted_train)
+    # _backprop is the one MLP gradient path, under both grad and loss_and_grad
+    monkeypatch.setattr(MLPTask, "_backprop", counted("grad", MLPTask._backprop))
+    monkeypatch.setattr(mlp, "_layer_outputs", counted("forward", mlp._layer_outputs))
     cfg = make_mlp_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "metric_cadence": 1, "total_steps": 6})
     rec = run(cfg)
+    K = cfg["problem.k"]
     # one gradient per nsgd_adamw step, K per emitted row, none for the summary
     assert len(rec.rows) == 7
-    assert len(calls) == 6 + cfg["problem.k"] * len(rec.rows)
+    assert counts["grad"] == 6 + K * len(rec.rows)
+    # each emit: one pass per task for its loss and gradient, plus the held-out loss
+    assert counts["forward"] == 6 + (K + 1) * len(rec.rows)
 
 
 def test_summary_equals_a_fresh_measurement_at_the_final_theta():

@@ -277,7 +277,7 @@ def test_third_order_direction_evaluates_each_task_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(CubicTask, name, counted(name))
     third_order_direction(ts, theta, NexusConfig(0.05, 3))
-    assert calls["grad"] <= 9
+    assert calls["grad"] <= 3
     assert calls["hessian_at"] <= 3
     assert calls["third_tensor"] <= 3
 

@@ -9,6 +9,7 @@ from nexusopt.tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    losses_and_grads,
     mean_grad,
     random_cubic_task,
     random_spd_matrix,
@@ -118,6 +119,24 @@ def test_task_grads_stacks_each_task_gradient(task_sets):
         G = task_grads(ts, theta)
         assert G.shape == (len(ts), ts.dim), name
         assert np.array_equal(G, np.stack([t.grad(theta) for t in ts.tasks])), name
+
+
+def test_loss_and_grad_returns_loss_and_grad_bitwise(task_sets):
+    for name, ts, theta in task_sets:
+        for t in ts.tasks:
+            loss, g = t.loss_and_grad(theta)
+            expected = t.grad(theta)
+            assert loss == t.loss(theta), name
+            assert np.array_equal(g, expected), name
+            assert np.array_equal(np.signbit(g), np.signbit(expected)), name
+
+
+def test_losses_and_grads_give_train_loss_and_task_grads_bitwise(task_sets):
+    for name, ts, theta in task_sets:
+        losses, G = losses_and_grads(ts, theta)
+        assert losses == [t.loss(theta) for t in ts.tasks], name
+        assert sum(losses) / len(ts) == train_loss(ts, theta), name
+        assert np.array_equal(G, task_grads(ts, theta)), name
 
 
 def test_train_grad_equals_the_sequential_sum(task_sets):
