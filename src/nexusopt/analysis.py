@@ -101,18 +101,6 @@ def closeness(theta: np.ndarray, ts: TaskSet, minimizers=None) -> ClosenessRepor
     return ClosenessReport(distances, float(np.mean(distances**2)), floor)
 
 
-def newton_minimize(task, theta_init: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
-    """Newton descent for tasks exposing hessian_at; used where analytic
-    curvature is available and the basin is locally convex."""
-    theta = as_params(theta_init, task.dim).copy()
-    for _ in range(max_iter):
-        g = task.grad(theta)
-        if float(np.linalg.norm(g)) <= tol:
-            return theta
-        theta = theta - np.linalg.solve(task.hessian_at(theta), g)
-    return theta
-
-
 class TransferCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -150,10 +138,8 @@ def flatness_closeness_bound(theta_train: np.ndarray, downstream, minimizer=None
     theta_train = as_params(theta_train)
     if minimizer is not None:
         theta_star = as_params(minimizer, len(theta_train))
-    elif isinstance(downstream, QuadraticTask):
+    elif isinstance(downstream, (QuadraticTask, CubicTask)):
         theta_star = downstream.minimizer
-    elif isinstance(downstream, CubicTask):
-        theta_star = newton_minimize(downstream, downstream.minimizer)
     else:
         raise MissingMinimizer("supply a located minimizer for non-analytic downstream tasks")
     delta = theta_train - theta_star

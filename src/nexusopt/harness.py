@@ -17,6 +17,9 @@ Every training mode takes the same outer step: the mode supplies a direction
 (the full training gradient for adamw and sgd, the inner-loop pseudo-gradient
 for the dual-loop kinds), the direction is clipped when clip_norm > 0, and the
 outer optimizer consumes it. nsgd_adamw is the dual loop with one inner step.
+Each outer step of a dual-loop mode chooses its inner steps' task indices here,
+drawn i.i.d. from the run's "tasks" stream or walked round-robin, and
+``inner_loop`` returns the pseudo-gradient as an array.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
-from .config import OPTIMIZER_KINDS, ExperimentConfig
+from .config import OPTIMIZER_KINDS, SAMPLING_KINDS, ExperimentConfig
 from .errors import ConfigError, DegenerateGradient, MissingField, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
@@ -149,7 +152,7 @@ def make_nexus_config(cfg: ExperimentConfig) -> NexusConfig:
     kind = cfg["optimizer.kind"]
     inner_steps = 1 if kind == "nsgd_adamw" else cfg["nexus.inner_steps"]
     variant = "dot" if kind == "nexus_dot_adamw" else "cosine"
-    return NexusConfig(cfg["nexus.gamma"], inner_steps, cfg["nexus.sampling"], variant, cfg["nexus.grad_floor"])
+    return NexusConfig(cfg["nexus.gamma"], inner_steps, variant, cfg["nexus.grad_floor"])
 
 
 def train(
@@ -160,6 +163,7 @@ def train(
     rng: RngStream,
     theta0: np.ndarray,
     nexus_cfg: NexusConfig | None = None,
+    sampling: str = "iid_uniform",
     ood_task=None,
     metric_cadence: int = 1,
     adamw_kwargs: dict | None = None,
@@ -169,8 +173,10 @@ def train(
 
     Modes: adamw and sgd step along the full training gradient; the
     DUAL_LOOP_MODES step along the pseudo-gradient of ``nexus_cfg`` (nsgd_adamw
-    being its one-inner-step case). fixed_sequence sampling walks the tasks
-    round-robin across outer steps. Any direction is clipped to ``clip_norm``
+    being its one-inner-step case). Their inner steps take task indices drawn
+    uniformly with replacement from the "tasks" substream of ``rng`` under
+    iid_uniform ``sampling``; fixed_sequence walks the tasks round-robin
+    across outer steps. Any direction is clipped to ``clip_norm``
     when that is > 0; the pseudo_grad_norm column is taken before clipping.
     """
     theta = np.array(theta0, dtype=np.float64)
@@ -179,6 +185,8 @@ def train(
     opt_state = None if mode == "sgd" else AdamWState.init(len(theta), **adamw_kwargs)
     if mode not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {OPTIMIZER_KINDS}")
+    if sampling not in SAMPLING_KINDS:
+        raise ValueError(f"unknown sampling {sampling!r}; expected one of {SAMPLING_KINDS}")
     dual_loop = mode in DUAL_LOOP_MODES
     if dual_loop and nexus_cfg is None:
         raise ValueError(f"mode {mode} requires a NexusConfig")
@@ -209,12 +217,13 @@ def train(
     for step in range(1, total_steps + 1):
         lr = schedule_lr(schedule, step)
         if dual_loop:
-            sequence = None
-            if nexus_cfg.sampling == "fixed_sequence":
-                base = (step - 1) * nexus_cfg.inner_steps
-                sequence = [(base + m) % len(ts) for m in range(nexus_cfg.inner_steps)]
+            M = nexus_cfg.inner_steps
+            if sampling == "fixed_sequence":
+                sequence = [((step - 1) * M + m) % len(ts) for m in range(M)]
+            else:
+                sequence = task_rng.generator.integers(0, len(ts), size=M)
             try:
-                direction = inner_loop(theta, ts, nexus_cfg, rng=task_rng, sequence=sequence).value
+                direction = inner_loop(theta, ts, nexus_cfg, sequence)
             except DegenerateGradient as exc:
                 raise DegenerateGradient(
                     f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index, step
@@ -275,6 +284,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         rng,
         problem.theta0,
         nexus_cfg=nexus_cfg,
+        sampling=cfg["nexus.sampling"],
         ood_task=problem.ood_task,
         metric_cadence=cfg["metric_cadence"],
         adamw_kwargs={

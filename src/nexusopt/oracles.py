@@ -31,7 +31,7 @@ verifying the similarity-gradient formula itself against finite differences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -224,22 +224,22 @@ def expected_pseudo_gradient_exact(
     count = n**M
     if count > enumeration_cap:
         raise EnumerationTooLarge(f"{n}^{M} = {count} sequences exceed cap {enumeration_cap}")
-    fixed = NexusConfig(cfg.gamma, cfg.inner_steps, "fixed_sequence", cfg.variant, cfg.grad_floor)
     total = np.zeros(ts.dim)
     for seq in itertools.product(range(n), repeat=M):
-        total += inner_loop(theta, ts, fixed, sequence=seq).value
+        total += inner_loop(theta, ts, cfg, seq)
     return total / count
 
 
 def monte_carlo_pseudo_gradient(
     ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, rng: RngStream, n_draws: int
 ) -> tuple:
-    """Monte-Carlo estimate of E[pseudo-gradient]; returns (mean, per-coordinate SE).
+    """Monte-Carlo estimate of E[pseudo-gradient] over i.i.d. uniform index
+    sequences drawn from ``rng``; returns (mean, per-coordinate SE).
     Tests check against it that the exact enumeration computes the expectation."""
     theta = as_params(theta, ts.dim)
     samples = np.empty((n_draws, ts.dim))
     for i in range(n_draws):
-        samples[i] = inner_loop(theta, ts, cfg, rng=rng).value
+        samples[i] = inner_loop(theta, ts, cfg, rng.generator.integers(0, len(ts), size=cfg.inner_steps))
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)
     return mean, se
@@ -273,23 +273,6 @@ def _jacobian_sum(locs: list, theta: np.ndarray) -> np.ndarray:
     return total
 
 
-def interaction_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """The order-gamma^2 coefficient's direction sum.
-
-    cosine: sum over all ordered pairs (i, j), diagonal included, of J_i h_j;
-    dot:    same with H_i g_j. The expansion weight M(M-1)/(2 n^2) is applied
-    by the caller.
-    """
-    theta = as_params(theta, ts.dim)
-    if cfg.variant == "cosine":
-        return _jacobian_sum(_locals(ts, theta, cfg), theta)
-    s = np.sum([t.grad(theta) for t in ts.tasks], axis=0)
-    total = np.zeros(ts.dim)
-    for t in ts.tasks:
-        total += t.hvp(theta, s)
-    return total
-
-
 def second_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
     """Two-term expansion of the expected pseudo-gradient.
 
@@ -299,13 +282,19 @@ def second_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> 
     (repeated draws of the same task are perfectly correlated, and their
     contribution does not vanish); see the module docstring for why the pair
     direction is J_i h_j + J_j h_i rather than the similarity-map gradient.
-    The cosine variant takes both terms from one record per task.
+    The dot variant's pair sum is sum_{i,j} H_i g_j. Both variants take the
+    two terms from one gradient evaluation per task.
     """
-    if cfg.variant != "cosine":
-        return _second_order(ts, cfg, first_order_direction(ts, theta, cfg), interaction_term(ts, theta, cfg))
     theta = as_params(theta, ts.dim)
-    locs = _locals(ts, theta, cfg)
-    return _second_order(ts, cfg, _first_order(ts, cfg, [loc.h for loc in locs]), _jacobian_sum(locs, theta))
+    if cfg.variant == "cosine":
+        locs = _locals(ts, theta, cfg)
+        return _second_order(ts, cfg, _first_order(ts, cfg, [loc.h for loc in locs]), _jacobian_sum(locs, theta))
+    grads = [t.grad(theta) for t in ts.tasks]
+    s = np.sum(grads, axis=0)
+    pairs = np.zeros(ts.dim)
+    for t in ts.tasks:
+        pairs += t.hvp(theta, s)
+    return _second_order(ts, cfg, _first_order(ts, cfg, grads), pairs)
 
 
 def _second_order(ts: TaskSet, cfg: NexusConfig, first: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -398,10 +387,7 @@ def gamma2_coefficient_from_enumeration(
     nodes = np.asarray(nodes, dtype=np.float64)
     if len(nodes) < M:
         raise ValueError(f"need at least {M} nodes for a degree-{M} polynomial")
-    values = []
-    for g in nodes:
-        cfg_g = NexusConfig(float(g), cfg.inner_steps, cfg.sampling, cfg.variant, cfg.grad_floor)
-        values.append(expected_pseudo_gradient_exact(ts, theta, cfg_g))
+    values = [expected_pseudo_gradient_exact(ts, theta, replace(cfg, gamma=float(g))) for g in nodes]
     V = np.vander(nodes, N=len(nodes) + 1, increasing=True)[:, 1:]  # columns gamma^1 .. gamma^len
     coeffs, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
     return coeffs[1]
@@ -581,14 +567,13 @@ def nsgd_nexus_identity_check(
     order = rng.generator.integers(0, len(ts), size=2 * n_pairs)
     theta_nsgd = theta0.copy()
     theta_nexus = theta0.copy()
-    cfg = NexusConfig(gamma, 2, "fixed_sequence", "cosine")
+    cfg = NexusConfig(gamma, 2)
     max_div = 0.0
     for p in range(n_pairs):
         pair = order[2 * p : 2 * p + 2]
         for k in pair:
             theta_nsgd = nsgd_step(theta_nsgd, ts[int(k)].grad(theta_nsgd), gamma)
-        pg = inner_loop(theta_nexus, ts, cfg, sequence=pair)
-        theta_nexus = sgd_step(theta_nexus, pg.value, 1.0)
+        theta_nexus = sgd_step(theta_nexus, inner_loop(theta_nexus, ts, cfg, pair), 1.0)
         max_div = max(max_div, float(np.linalg.norm(theta_nsgd - theta_nexus)))
     return max_div
 

@@ -58,23 +58,30 @@ def test_run_is_deterministic_and_cadenced(tmp_path):
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# metrics.csv sha256 of 60-step iid_uniform runs of the shipped MLP config, as
-# recorded in CHANGES.md; a refactor of the training path must keep every byte
+# metrics.csv sha256 of 60-step runs of the shipped MLP config, keyed by
+# optimizer.kind and nexus.sampling, as recorded in CHANGES.md; a refactor of
+# the training path must keep every byte
 MLP_60_STEP_DIGESTS = {
-    "adamw": "047b8911260c7f273870903057cc00d95416f91ae856df9c575a5e3dd1350a75",
-    "nsgd_adamw": "f3bb8dfa3fe4be84944826ba7f4d9a8719999527429f6c5132b3029528149470",
-    "nexus_adamw": "25ffdec633f2514eda1d58100d195a556caf51c2630a41638b21fdb0d6d7b7b1",
+    ("adamw", "iid_uniform"): "047b8911260c7f273870903057cc00d95416f91ae856df9c575a5e3dd1350a75",
+    ("nsgd_adamw", "iid_uniform"): "f3bb8dfa3fe4be84944826ba7f4d9a8719999527429f6c5132b3029528149470",
+    ("nexus_adamw", "iid_uniform"): "25ffdec633f2514eda1d58100d195a556caf51c2630a41638b21fdb0d6d7b7b1",
+    ("nexus_dot_adamw", "iid_uniform"): "fe8396f66a935e98d9f9a3021e7d149a9105addf811898337068bab1ba14172e",
+    ("nexus_adamw", "fixed_sequence"): "fc792e048e5d63b2e1f60f355c0023fd5d69fd940b83c45734bfb70c5884777e",
+    ("nsgd_adamw", "fixed_sequence"): "3c1bbc8367b7731f9e46dea0c912069e653688342f91c9b7fdd896050d7e1841",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MLP_60_STEP_DIGESTS))
-def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, tmp_path):
+@pytest.mark.parametrize("kind, sampling", [
+    pytest.param(kind, sampling, id=kind if sampling == "iid_uniform" else f"{kind}-{sampling}")
+    for kind, sampling in sorted(MLP_60_STEP_DIGESTS)
+])
+def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, sampling, tmp_path):
     cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).with_overrides(
-        {"total_steps": 60, "optimizer.kind": kind, "nexus.sampling": "iid_uniform"}
+        {"total_steps": 60, "optimizer.kind": kind, "nexus.sampling": sampling}
     )
     write_outputs(run(cfg), tmp_path)
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-    assert digest == MLP_60_STEP_DIGESTS[kind]
+    assert digest == MLP_60_STEP_DIGESTS[kind, sampling]
 
 
 def test_zero_steps_leaves_theta_and_metrics_empty():
@@ -169,6 +176,14 @@ def test_fixed_sequence_sampling_is_round_robin_deterministic():
     rec_a = run(cfg)
     rec_b = run(cfg)
     assert np.array_equal(rec_a.final_theta, rec_b.final_theta)
+
+
+def test_train_rejects_unknown_sampling():
+    cfg = make_cfg().with_overrides({"optimizer.kind": "nexus_adamw"})
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    with pytest.raises(ValueError, match="unknown sampling"):
+        harness.train(problem.taskset, 2, "nexus_adamw", make_schedule(cfg), rng_root(1), problem.theta0,
+                      nexus_cfg=harness.make_nexus_config(cfg), sampling="round_robin")
 
 
 def make_mlp_cfg():

@@ -145,8 +145,8 @@ def test_expected_pseudo_gradient_k1_is_deterministic_step():
     ts = random_quadratic_taskset(2, 1, rng)
     theta = random_probe_point(ts, rng_substream(rng, "p"))
     cfg = NexusConfig(0.02, 1)
-    pg = inner_loop(theta, ts, NexusConfig(0.02, 1, "fixed_sequence"), sequence=[0])
-    assert_allclose(expected_pseudo_gradient_exact(ts, theta, cfg), pg.value, rtol=0, atol=0)
+    pg = inner_loop(theta, ts, cfg, [0])
+    assert_allclose(expected_pseudo_gradient_exact(ts, theta, cfg), pg, rtol=0, atol=0)
 
 
 def test_enumeration_cap():
@@ -280,6 +280,23 @@ def test_third_order_direction_evaluates_each_task_once(monkeypatch):
     assert calls["grad"] <= 3
     assert calls["hessian_at"] <= 3
     assert calls["third_tensor"] <= 3
+
+
+def test_dot_second_order_direction_evaluates_each_gradient_once(monkeypatch):
+    rng = rng_root(22)
+    ts = TaskSet([random_cubic_task(5, rng_substream(rng, str(j)), 0.5) for j in range(3)])
+    theta = random_probe_point(ts, rng_substream(rng, "p"))
+    cfg = NexusConfig(0.05, 3, variant="dot")
+    s = np.sum([t.grad(theta) for t in ts.tasks], axis=0)
+    pairs = np.zeros(5)
+    for t in ts.tasks:
+        pairs += t.hvp(theta, s)
+    expected = first_order_direction(ts, theta, cfg) - 0.05**2 * (3 * 2 / (2.0 * 3**2)) * pairs
+    grad = CubicTask.grad
+    calls = []
+    monkeypatch.setattr(CubicTask, "grad", lambda self, x: calls.append(1) or grad(self, x))
+    assert np.array_equal(second_order_direction(ts, theta, cfg), expected)
+    assert len(calls) == 3
 
 
 def test_closeness_chain_hand_example():

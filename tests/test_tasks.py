@@ -216,6 +216,8 @@ def test_analytic_derivatives_match_fd_over_random_triples():
         assert np.linalg.norm(g_fd - task.grad(theta)) <= 1e-7 * max(1.0, np.linalg.norm(g_fd))
         h_fd = fd_hvp(task.grad, theta, v)
         assert np.linalg.norm(h_fd - task.hvp(theta, v)) <= 1e-6 * max(1.0, np.linalg.norm(h_fd))
+        # both kinds are stationary at minimizer, so flatness_closeness_bound needs no search
+        assert np.array_equal(task.grad(task.minimizer), np.zeros(d))
 
 
 def test_weights_fold_into_losses():
