@@ -26,7 +26,9 @@ def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
 
     Each entry is its own dot product over the two norms; a single G @ G.T
-    may sum in another order and move the entries in the last bits.
+    may sum in another order and move the entries in the last bits. The dot
+    product and the product of norms commute exactly, so the lower triangle
+    mirrors the upper one.
     """
     norms = [float(np.linalg.norm(g)) for g in G]
     for k, n in enumerate(norms):
@@ -35,8 +37,8 @@ def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     K = len(G)
     S = np.empty((K, K))
     for i in range(K):
-        for j in range(K):
-            S[i, j] = float(G[i] @ G[j]) / (norms[i] * norms[j])
+        for j in range(i, K):
+            S[i, j] = S[j, i] = float(G[i] @ G[j]) / (norms[i] * norms[j])
     return S
 
 

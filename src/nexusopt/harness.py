@@ -11,7 +11,10 @@ directory without a summary marks an incomplete write.
 A metrics emit runs one forward and one backward pass per task
 (``losses_and_grads``): the K losses average to the training loss, and the
 (K, d) gradient matrix gives both the training-gradient norm and the pairwise
-cosines; the summary reuses the row emitted at the last step.
+cosines; the summary reuses the row emitted at the last step. The outer step
+right after an emit starts from the emit's parameters, so it takes its
+gradients from the emit's matrix: adamw and sgd its mean, the dual-loop kinds
+the first inner step's. The matrix is dropped as soon as the parameters move.
 
 Every training mode takes the same outer step: the mode supplies a direction
 (the full training gradient for adamw and sgd, the inner-loop pseudo-gradient
@@ -203,17 +206,22 @@ def train(
             return None
         return value if np.isfinite(value) else None
 
-    def emit(step: int) -> MetricsRow:
+    def emit(step: int) -> tuple:
+        """(the row measured at theta, the gradient matrix G it was measured from)."""
         # one forward pass per task gives its loss and its row of G, which gives grad_norm and the cosines
         lr = schedule_lr(schedule, step)
         losses, G = losses_and_grads(ts, theta)
         tl = sum(losses) / len(ts)
         ood = ood_task.loss(theta) if ood_task is not None else None
-        return MetricsRow(step, lr, tl, ood, pairwise_cos(G), float(np.linalg.norm(mean_grad(G))), last_pg_norm)
+        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), float(np.linalg.norm(mean_grad(G))), last_pg_norm)
+        return row, G
 
     start = time.perf_counter()
+    # the gradient matrix of the row emitted at the current theta; None once theta moves
+    G = None
     if total_steps > 0:
-        record.rows.append(emit(0))
+        row, G = emit(0)
+        record.rows.append(row)
     for step in range(1, total_steps + 1):
         lr = schedule_lr(schedule, step)
         if dual_loop:
@@ -223,14 +231,17 @@ def train(
             else:
                 sequence = task_rng.generator.integers(0, len(ts), size=M)
             try:
-                direction = inner_loop(theta, ts, nexus_cfg, sequence)
+                direction = inner_loop(
+                    theta, ts, nexus_cfg, sequence, first_grad=None if G is None else G[sequence[0]]
+                )
             except DegenerateGradient as exc:
                 raise DegenerateGradient(
                     f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index, step
                 ) from exc
             last_pg_norm = float(np.linalg.norm(direction))
         else:
-            direction = train_grad(ts, theta)
+            direction = train_grad(ts, theta) if G is None else mean_grad(G)
+        G = None
         if clip_norm > 0:
             direction = clip_grad(direction, clip_norm)
         if opt_state is None:
@@ -238,11 +249,12 @@ def train(
         else:
             opt_state, theta = adamw_step(opt_state, theta, direction, lr)
         if step % metric_cadence == 0 or step == total_steps:
-            record.rows.append(emit(step))
+            row, G = emit(step)
+            record.rows.append(row)
     record.wall_clock = time.perf_counter() - start
     record.final_theta = theta
     # the row of step total_steps was measured at the final theta
-    final = record.rows[-1] if record.rows else emit(0)
+    final = record.rows[-1] if record.rows else emit(0)[0]
     record.summary = {
         "train_loss": final.train_loss,
         "ood_loss": final.ood_loss,

@@ -8,8 +8,12 @@ One forward pass (``_layer_outputs``) serves prediction, loss and gradient:
 backprop over its cached layer outputs, written into views of one flat vector
 laid out by ``MLPSpec.layout`` (computed once per spec); the forward and
 backward passes add biases and apply activations and their derivatives in
-place. Hessian-vector products use central differences of those exact
-gradients (tolerance 1e-4 wherever they are consumed).
+place. The backward pass avoids numpy calls that cost more than their
+arithmetic at this scale, but each choice keeps the bits of the plain
+expressions (``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``,
+``1 - h**2``); a test compares it bitwise with that reference. Hessian-vector
+products use central differences of those exact gradients (tolerance 1e-4
+wherever they are consumed).
 """
 
 from __future__ import annotations
@@ -146,7 +150,11 @@ class MLPTask:
 
     def loss(self, theta: np.ndarray) -> float:
         err = mlp_forward(self.spec, theta, self.source.inputs) - self.source.targets
-        return float(self.weight * np.mean(err**2))
+        return self._mse(err)
+
+    def _mse(self, err: np.ndarray) -> float:
+        # the bits of weight * np.mean(err**2), without np.mean's per-call overhead
+        return float(self.weight * (np.square(err).sum() / err.size))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self._backprop(theta, with_loss=False)[1]
@@ -162,7 +170,7 @@ class MLPTask:
         hs = _layer_outputs(spec, arrays, self.source.inputs)
         err = hs.pop()
         err -= self.source.targets
-        loss = float(self.weight * np.mean(err**2)) if with_loss else None
+        loss = self._mse(err) if with_loss else None
         # delta is dLoss/d(pre-activation) of the current layer, whose input is hs[layer]
         delta = err
         delta *= self.weight * (2.0 / err.size)
@@ -170,12 +178,23 @@ class MLPTask:
         grads = _views(flat, spec.layout)
         for layer in reversed(range(len(hs))):
             np.matmul(hs[layer].T, delta, out=grads[2 * layer])
-            delta.sum(axis=0, out=grads[2 * layer + 1])
+            # einsum adds the rows one by one, as .sum(axis=0) does on more than
+            # one column but with less overhead; a single column is contiguous,
+            # so .sum pairwise-sums it and einsum would not
+            if delta.shape[1] > 1:
+                np.einsum("ij->j", delta, out=grads[2 * layer + 1])
+            else:
+                delta.sum(axis=0, out=grads[2 * layer + 1])
             if layer > 0:
-                h = hs[layer]
-                delta = delta @ arrays[2 * layer].T
+                h = hs[layer]  # not read again: tanh' overwrites it
+                # a contiguous W.T multiplies faster; a single row goes through
+                # gemv, whose summation order follows the layout, so it keeps the view
+                w_t = arrays[2 * layer].T
+                delta = delta @ (w_t.copy() if len(delta) > 1 else w_t)
                 if spec.activation == "tanh":
-                    delta *= 1.0 - h**2
+                    np.square(h, out=h)
+                    np.subtract(1.0, h, out=h)
+                    delta *= h
                 elif spec.activation == "relu":
                     delta *= h > 0.0
         return loss, flat

@@ -60,18 +60,21 @@ class NexusConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence) -> np.ndarray:
+def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence, first_grad=None) -> np.ndarray:
     """One inner step on ts[k] for each k in ``sequence``; returns the
     pseudo-gradient, the sum of the step vectors d of the steps theta <- theta - d.
 
     The length of ``sequence``, not ``cfg.inner_steps``, sets the number of
-    steps. A DegenerateGradient from a cosine step carries k as its task index.
+    steps. ``first_grad``, when given, is the gradient of ts[sequence[0]] at
+    theta, already computed by the caller; the first step uses it instead of
+    evaluating it again, and a cosine step still checks it against the floor.
+    A DegenerateGradient from a cosine step carries k as its task index.
     """
     current = as_params(theta)
     ghat = np.zeros_like(current)
-    for k in sequence:
+    for i, k in enumerate(sequence):
         k = int(k)
-        g = ts[k].grad(current)
+        g = first_grad if i == 0 and first_grad is not None else ts[k].grad(current)
         if cfg.variant == "cosine":
             d = nsgd_direction(g, cfg.gamma, cfg.grad_floor, task_index=k)
         else:

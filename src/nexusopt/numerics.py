@@ -28,7 +28,7 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
         theta = theta.reshape(-1)
     if dim is not None and theta.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {theta.shape[0]}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NonFiniteValue("parameter vector contains NaN/Inf")
     return theta
 

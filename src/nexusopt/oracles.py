@@ -379,14 +379,17 @@ def gamma2_coefficient_from_enumeration(
     For the dot variant on quadratics the expectation is a degree-M polynomial
     in gamma with zero constant term, so interpolation at M distinct nodes is
     exact; for the cosine variant the same extraction carries an O(gamma)
-    contamination, which is itself invariant under loss rescaling.
+    contamination, which is itself invariant under loss rescaling. The fit
+    needs a gamma^2 column, so it takes at least two nodes; the default is
+    max(M, 2) evenly spaced nodes up to cfg.gamma. With M = 1 the expectation
+    is linear in gamma and the coefficient is 0 up to rounding.
     """
-    M = cfg.inner_steps
+    n_nodes = max(cfg.inner_steps, 2)
     if nodes is None:
-        nodes = [cfg.gamma * (k + 1) / M for k in range(M)]
+        nodes = [cfg.gamma * (k + 1) / n_nodes for k in range(n_nodes)]
     nodes = np.asarray(nodes, dtype=np.float64)
-    if len(nodes) < M:
-        raise ValueError(f"need at least {M} nodes for a degree-{M} polynomial")
+    if len(nodes) < n_nodes:
+        raise ValueError(f"need at least {n_nodes} nodes to fit the gamma^1..gamma^{n_nodes} polynomial")
     values = [expected_pseudo_gradient_exact(ts, theta, replace(cfg, gamma=float(g))) for g in nodes]
     V = np.vander(nodes, N=len(nodes) + 1, increasing=True)[:, 1:]  # columns gamma^1 .. gamma^len
     coeffs, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)

@@ -235,3 +235,55 @@ def test_forward_matches_task_internal_path():
     pred = mlp_forward(spec, theta, task.source.inputs)
     expected_loss = float(np.mean((pred - task.source.targets) ** 2))
     assert_allclose(task.loss(theta), expected_loss, rtol=1e-15)
+
+
+def reference_loss_and_grad(task, theta):
+    """The closed-form backprop as first written: np.mean for the loss, column
+    sums by .sum(axis=0), the transposed weight view and 1 - h**2 for tanh'."""
+    spec, weight = task.spec, task.weight
+    arrays = [theta[start:stop].reshape(shape) for start, stop, shape in spec.layout]
+    hs = [task.source.inputs]
+    n_layers = len(spec.layer_widths) - 1
+    for layer in range(n_layers):
+        h = hs[-1] @ arrays[2 * layer]
+        h += arrays[2 * layer + 1]
+        if layer < n_layers - 1:
+            if spec.activation == "tanh":
+                np.tanh(h, out=h)
+            elif spec.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+        hs.append(h)
+    err = hs.pop()
+    err -= task.source.targets
+    loss = float(weight * np.mean(err**2))
+    delta = err
+    delta *= weight * (2.0 / err.size)
+    flat = np.empty(spec.n_params)
+    grads = [flat[start:stop].reshape(shape) for start, stop, shape in spec.layout]
+    for layer in reversed(range(len(hs))):
+        np.matmul(hs[layer].T, delta, out=grads[2 * layer])
+        delta.sum(axis=0, out=grads[2 * layer + 1])
+        if layer > 0:
+            h = hs[layer]
+            delta = delta @ arrays[2 * layer].T
+            if spec.activation == "tanh":
+                delta *= 1.0 - h**2
+            elif spec.activation == "relu":
+                delta *= h > 0.0
+    return loss, flat
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 512])
+@pytest.mark.parametrize("widths", [(3, 1, 2, 1), (4, 6, 1), (5, 2, 3), (2, 1), (8, 16, 8, 1)])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_loss_and_grad_equal_the_reference_backprop_bitwise(activation, widths, n):
+    rng = rng_root(4711)
+    task, spec = random_task(rng_substream(rng, "task"), widths, n, activation, weight=1.7)
+    for trial in range(3):
+        theta = rng_substream(rng, f"theta/{trial}").generator.standard_normal(spec.n_params)
+        ref_loss, ref_grad = reference_loss_and_grad(task, theta)
+        loss, grad = task.loss_and_grad(theta)
+        # bytes, so that signed zeros must agree too
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert task.grad(theta).tobytes() == ref_grad.tobytes()
+        assert loss == ref_loss == task.loss(theta)

@@ -84,6 +84,38 @@ def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, sampling, tmp_pa
     assert digest == MLP_60_STEP_DIGESTS[kind, sampling]
 
 
+# the same for 60-step runs with further overrides: a metrics row after every
+# step, so each step starts where a row was just emitted, and a relu network
+MLP_60_STEP_OVERRIDE_DIGESTS = {
+    "sgd-cadence1": (
+        {"optimizer.kind": "sgd", "metric_cadence": 1},
+        "5f8a0c9452f1e258068bfa37bfb7636646a1d820219a551cdd757e8e0014caac",
+    ),
+    "adamw-cadence1": (
+        {"optimizer.kind": "adamw", "metric_cadence": 1},
+        "19ec53fab42e7ea475f786096c93e54ed7bb9e71dc063e3186f1278844fe41d4",
+    ),
+    "nsgd_adamw-cadence1": (
+        {"optimizer.kind": "nsgd_adamw", "metric_cadence": 1},
+        "193097f541ff71902dd3cf6ec8c12bc118dd5039a2d11b6f7bb288d506dc16d5",
+    ),
+    "nexus_adamw-relu": (
+        {"optimizer.kind": "nexus_adamw", "problem.activation": "relu"},
+        "547b66ddb793279bdfeaac3fcc0a91c71ebce410155ea76f92941275dfd05236",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MLP_60_STEP_OVERRIDE_DIGESTS))
+def test_seeded_mlp_runs_with_overrides_write_the_recorded_metrics_bytes(name, tmp_path):
+    overrides, expected = MLP_60_STEP_OVERRIDE_DIGESTS[name]
+    cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).with_overrides(
+        {"total_steps": 60, **overrides}
+    )
+    write_outputs(run(cfg), tmp_path)
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == expected
+
+
 def test_zero_steps_leaves_theta_and_metrics_empty():
     cfg = make_cfg().with_overrides({"total_steps": 0})
     rec = run(cfg)
@@ -226,14 +258,16 @@ def test_emit_computes_each_task_gradient_once(monkeypatch):
     # _backprop is the one MLP gradient path, under both grad and loss_and_grad
     monkeypatch.setattr(MLPTask, "_backprop", counted("grad", MLPTask._backprop))
     monkeypatch.setattr(mlp, "_layer_outputs", counted("forward", mlp._layer_outputs))
-    cfg = make_mlp_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "metric_cadence": 1, "total_steps": 6})
-    rec = run(cfg)
-    K = cfg["problem.k"]
-    # one gradient per nsgd_adamw step, K per emitted row, none for the summary
-    assert len(rec.rows) == 7
-    assert counts["grad"] == 6 + K * len(rec.rows)
-    # each emit: one pass per task for its loss and gradient, plus the held-out loss
-    assert counts["forward"] == 6 + (K + 1) * len(rec.rows)
+    for kind in ("nsgd_adamw", "adamw"):
+        cfg = make_mlp_cfg().with_overrides({"optimizer.kind": kind, "metric_cadence": 1, "total_steps": 6})
+        rec = run(cfg)
+        K = cfg["problem.k"]
+        # K gradients per emitted row, none for the summary; every step starts
+        # where a row was just emitted and steps along that row's gradients
+        assert len(rec.rows) == 7
+        assert counts["grad"] == K * len(rec.rows), kind
+        # each emit: one pass per task for its loss and gradient, plus the held-out loss
+        assert counts["forward"] == (K + 1) * len(rec.rows), kind
 
 
 def test_summary_equals_a_fresh_measurement_at_the_final_theta():

@@ -18,6 +18,18 @@ def shifted_quadratics(rng, K=3, dim=3):
     return TaskSet(tasks)
 
 
+class CountedTask:
+    """A task that appends to calls on every gradient evaluation."""
+
+    def __init__(self, task, calls):
+        self.task, self.calls = task, calls
+        self.dim = task.dim
+
+    def grad(self, theta):
+        self.calls.append(1)
+        return self.task.grad(theta)
+
+
 def draw_sequence(rng, ts, M):
     return rng.generator.integers(0, len(ts), size=M)
 
@@ -114,6 +126,30 @@ def test_degenerate_gradient_propagates_task_index():
     with pytest.raises(DegenerateGradient) as err:
         inner_loop(task_ok.minimizer, ts, cfg, [0])
     assert err.value.task_index == 0
+
+
+@pytest.mark.parametrize("variant", ["cosine", "dot"])
+def test_given_first_gradient_replaces_only_the_first_evaluation(variant):
+    rng = rng_root(8)
+    ts = shifted_quadratics(rng, K=3)
+    theta = rng.generator.standard_normal(3)
+    cfg = NexusConfig(0.05, 4, variant=variant)
+    sequence = draw_sequence(rng_substream(rng, "seq"), ts, 4)
+    calls = []
+    counted = TaskSet([CountedTask(t, calls) for t in ts.tasks])
+    expected = inner_loop(theta, counted, cfg, sequence)
+    assert len(calls) == 4
+    calls.clear()
+    given = inner_loop(theta, counted, cfg, sequence, first_grad=ts[sequence[0]].grad(theta))
+    assert len(calls) == 3
+    assert given.tobytes() == expected.tobytes()
+
+
+def test_given_first_gradient_is_still_checked_against_the_floor():
+    ts = TaskSet([QuadraticTask(np.eye(2), np.ones(2)), QuadraticTask(np.eye(2), np.zeros(2))])
+    with pytest.raises(DegenerateGradient) as err:
+        inner_loop(np.ones(2), ts, NexusConfig(0.1, 2), [1, 0], first_grad=np.zeros(2))
+    assert err.value.task_index == 1
 
 
 def test_dot_variant_uses_raw_gradients():

@@ -406,6 +406,26 @@ def test_cosine_variant_is_scale_invariant():
     assert np.linalg.norm(c2_scaled - c2) <= 1e-8
 
 
+@pytest.mark.parametrize("variant", ["cosine", "dot"])
+def test_gamma2_coefficient_of_one_inner_step_is_zero(variant):
+    # one inner step is linear in gamma: the fit at the default two nodes finds no gamma^2 term
+    rng = rng_root(22)
+    ts = random_quadratic_taskset(3, 3, rng)
+    theta = random_probe_point(ts, rng_substream(rng, "p"))
+    cfg = NexusConfig(0.05, 1, variant=variant)
+    c1 = expected_pseudo_gradient_exact(ts, theta, cfg) / cfg.gamma
+    c2 = gamma2_coefficient_from_enumeration(ts, theta, cfg)
+    assert c2.shape == (3,)
+    assert np.linalg.norm(c2) <= 1e-9 * np.linalg.norm(c1)
+
+
+def test_gamma2_coefficient_rejects_a_single_node():
+    rng = rng_root(22)
+    ts = random_quadratic_taskset(3, 2, rng)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        gamma2_coefficient_from_enumeration(ts, np.ones(3), NexusConfig(0.05, 1), nodes=[0.05])
+
+
 def test_region_constants_are_safe_bounds():
     rng = rng_root(21)
     ts = random_quadratic_taskset(3, 2, rng)
