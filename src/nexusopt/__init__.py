@@ -18,7 +18,9 @@ Submodules:
   validate    theorem-validation suites
   config      strict flat dotted-key experiment configs
   harness     training driver (samples the inner-loop tasks), metric records,
-              outputs, process-parallel sweeps
+              outputs, sweeps (runs in worker processes through parallel)
+  parallel    an ordered map over forked worker processes, for sweep runs and
+              validate suites
   svgplot     dependency-free SVG charts
   cli         the `nexusopt` command
 """

@@ -41,7 +41,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = validate_theorems(args.suite, gamma_override=args.gamma)
+    results = validate_theorems(args.suite, gamma_override=args.gamma, workers=worker_count())
     report = report_to_dict(results)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -62,8 +62,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def sweep_workers() -> int:
-    """Worker processes for a sweep: the usable cores, capped by NEXUS_OPT_THREADS when it is set."""
+def worker_count() -> int:
+    """Worker processes for a sweep's runs or validate's suites: the usable
+    cores, capped by NEXUS_OPT_THREADS when it is set."""
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     raw = os.environ.get("NEXUS_OPT_THREADS")
     if raw is None:
@@ -87,7 +88,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
         overrides[key.strip()] = [_parse_override_value(v) for v in values.split(",")]
-    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=sweep_workers())
+    results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, record.summary["error"]) for label, record in results if "error" in record.summary]
     for label, error in failed:

@@ -171,8 +171,3 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())

@@ -1,5 +1,6 @@
 """Experiment execution: problem construction, the training loop, metric
-records, on-disk outputs, and runs of many configs in worker processes.
+records, on-disk outputs, and runs of many configs, in forked worker processes
+through ``parallel.map_in_workers`` when more than one worker is asked for.
 
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
@@ -30,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +43,7 @@ from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, rng_root, rng_substream
 from .optimizers import AdamWState, Schedule, adamw_step, clip_grad, schedule_lr, sgd_step
+from .parallel import map_in_workers
 from .tasks import (
     QuadraticTask,
     TaskFamily,
@@ -371,45 +372,15 @@ def _run_caught(cfg: ExperimentConfig):
         return exc
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """Worker initializer: on Linux the kernel SIGKILLs the worker when the thread
-    that forked it, the one consuming run_many, exits."""
-    import ctypes
-    import signal
-
-    if sys.platform.startswith("linux"):
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-        libc.prctl.restype = ctypes.c_int
-        if libc.prctl(1, signal.SIGKILL, 0, 0, 0) != 0:  # 1 = PR_SET_PDEATHSIG
-            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent_pid:  # the parent died before the prctl call
-        os._exit(1)
-
-
 def run_many(configs, workers: int = 1):
     """Run each config; yield its RunRecord, or the NexusError it raised, in input order.
 
-    With workers > 1 the runs execute in that many worker processes (never
-    more than there are configs), started with fork rather than the
-    platform's default method: a forked worker inherits the modules already
-    imported and the environment, OPENBLAS_NUM_THREADS included, and the
-    program starts no threads that a fork could copy mid-operation. Workers
-    exit when the process consuming this generator dies. Any other exception
-    propagates at its run's position, after the results before it.
+    The runs go through ``map_in_workers``: with workers > 1 they execute in
+    that many forked worker processes, never more than there are configs. Any
+    other exception propagates at its run's position, after the results
+    before it.
     """
-    configs = list(configs)
-    workers = min(workers, len(configs))
-    if workers <= 1:
-        yield from map(_run_caught, configs)
-        return
-    # imported here: they add about 30 ms to every start of the program
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
-        yield from pool.map(_run_caught, configs)
+    return map_in_workers(_run_caught, configs, workers)
 
 
 def derive_sweep_seeds(root_seed: int, count: int) -> list:

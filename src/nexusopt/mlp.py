@@ -99,9 +99,6 @@ class DataSource:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def batch(self, idx: np.ndarray) -> "DataSource":
-        return DataSource(self.inputs[idx], self.targets[idx], self.source_id)
-
 
 def _views(flat: np.ndarray, layout: tuple) -> list:
     return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
@@ -201,9 +198,6 @@ class MLPTask:
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         return fd_hvp(self.grad, theta, v)
-
-    def minibatch(self, idx: np.ndarray) -> "MLPTask":
-        return MLPTask(self.spec, self.source.batch(idx), self.weight)
 
     def scaled(self, alpha: float) -> "MLPTask":
         return MLPTask(self.spec, self.source, self.weight * alpha)

@@ -4,6 +4,11 @@ Each check runs deterministic seeded fixtures, compares a measured quantity
 against an analytic bound or tolerance, and reports one record per check:
 {check_name, status, measured, bound, tolerance}. The acceptance tests reuse
 these entry points with the full-strength settings.
+
+The suites are independent and separately seeded, so ``validate_theorems``
+runs them in forked worker processes through ``parallel.map_in_workers``, as
+many as it is given (the CLI passes the sweep's worker count), and joins
+their results in table order: the report is the same bytes for any count.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .oracles import (
     third_order_direction,
     third_order_tensor_term,
 )
+from .parallel import map_in_workers
 from .tasks import TaskFamily, TaskSet, random_cubic_task, random_spd_matrix
 
 SUITES = ("all", "second_order", "third_order", "closeness", "convergence", "nsgd_identity", "generalization")
@@ -292,19 +298,28 @@ _SUITE_FNS = {
 }
 
 
-def validate_theorems(suite: str = "all", gamma_override: float | None = None) -> list:
-    """Run one suite (or all) and return the list of CheckResults."""
+def _run_suite(job) -> list:
+    """The CheckResults of one suite; job is (name, gamma_override), and the
+    override reaches only second_order."""
+    name, gamma_override = job
+    fn = _SUITE_FNS[name]
+    if name == "second_order" and gamma_override is not None:
+        return fn(gamma_override=gamma_override)
+    return fn()
+
+
+def validate_theorems(suite: str = "all", gamma_override: float | None = None, workers: int = 1) -> list:
+    """Run one suite (or all, in ``_SUITE_FNS`` order) and return the list of CheckResults.
+
+    The suites run through ``map_in_workers``, in up to ``workers`` forked
+    worker processes (one suite runs in this process); each suite seeds its
+    own fixtures, so the results are the same bits for any worker count.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     names = list(_SUITE_FNS) if suite == "all" else [suite]
-    results = []
-    for name in names:
-        fn = _SUITE_FNS[name]
-        if name == "second_order" and gamma_override is not None:
-            results.extend(fn(gamma_override=gamma_override))
-        else:
-            results.extend(fn())
-    return results
+    jobs = [(name, gamma_override) for name in names]
+    return [check for checks in map_in_workers(_run_suite, jobs, workers) for check in checks]
 
 
 def report_to_dict(results) -> dict:

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from nexusopt.mlp import MLPSpec, MLPTask, make_synthetic_sources
@@ -25,3 +27,17 @@ def task_sets():
         ("cubic", cubic, gen.standard_normal(cubic.dim)),
         ("mlp", mlp, gen.standard_normal(mlp.dim)),
     ]
+
+
+@pytest.fixture()
+def started_pools(monkeypatch):
+    """The max_workers of every ProcessPoolExecutor started while the test runs."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return started

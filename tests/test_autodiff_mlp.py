@@ -125,7 +125,7 @@ def test_sample_order_is_irrelevant():
     task, spec = random_task(rng, n=9)
     theta = rng.generator.standard_normal(spec.n_params)
     perm = rng.generator.permutation(9)
-    shuffled = task.minibatch(perm)
+    shuffled = MLPTask(spec, DataSource(task.source.inputs[perm], task.source.targets[perm]), task.weight)
     assert_allclose(shuffled.loss(theta), task.loss(theta), rtol=1e-14)
     assert_allclose(shuffled.grad(theta), task.grad(theta), rtol=1e-12, atol=1e-16)
 

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from nexusopt.cli import main, sweep_workers
+from nexusopt.cli import main, worker_count as sweep_workers
 from nexusopt.errors import EmptyData, FieldMissing
 from nexusopt.svgplot import plot
 
@@ -78,6 +79,33 @@ def test_cli_validate_negative_control(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert any(c["measured"] > c["bound"] for c in failed)
+
+
+VALIDATE_ALL_SHA256 = "e0039a72bd78282394126aeacaa5ac940f3eec7fecc6021c67483ed08e4683e3"
+
+
+def test_cli_validate_all_in_two_workers_writes_the_recorded_report(tmp_path, monkeypatch, started_pools):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "2")
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--suite", "all", "--out", str(report_path)]) == 0
+    assert started_pools == ([2] if len(os.sched_getaffinity(0)) >= 2 else [])
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == VALIDATE_ALL_SHA256
+
+
+def test_cli_validate_one_suite_starts_no_worker_pool(tmp_path, monkeypatch, started_pools):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "2")
+    report_path = tmp_path / "r.json"
+    assert main(["validate", "--suite", "second_order", "--gamma", "10", "--out", str(report_path)]) == 1
+    assert json.loads(report_path.read_text())["all_passed"] is False
+    assert started_pools == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
+def test_cli_validate_rejects_a_bad_thread_cap(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", value)
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--suite", "all", "--out", str(report_path)]) == 2
+    assert not report_path.exists()
 
 
 def test_cli_sweep(tmp_path, config_file):

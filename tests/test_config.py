@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 import nexusopt
-from nexusopt.config import SCHEMA, load_config, parse_config_text, save_config
+from nexusopt.config import SCHEMA, load_config, parse_config_text
 from nexusopt.errors import MissingField, ParseError, UnknownKey
 
 MINIMAL = "seed = 42\n"
@@ -20,7 +20,7 @@ def test_minimal_config_gets_defaults():
 def test_round_trip_through_file(tmp_path):
     cfg = parse_config_text("seed = 7\nnexus.gamma = 0.05\nname = \"trial\"\n")
     path = tmp_path / "exp.cfg"
-    save_config(cfg, path)
+    path.write_text(cfg.to_text(), encoding="utf-8")
     again = load_config(path)
     assert again.values == cfg.values
 
