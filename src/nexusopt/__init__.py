@@ -12,7 +12,7 @@ Submodules:
   tasks       quadratic/cubic task families, task sets, serialization
   mlp         tiny MLP regression tasks, closed-form backprop, synthetic sources
   optimizers  SGD, normalized SGD, decoupled AdamW, lr schedules, clipping
-  nexus       the inner loop over a given task sequence, its accumulation adaptation
+  nexus       the inner loop over a given task sequence
   analysis    similarity matrices, closeness, transfer, flatness bounds
   oracles     exact expectations, expansions, error bounds, gap formulas
   validate    theorem-validation suites
@@ -25,14 +25,12 @@ Submodules:
   cli         the `nexusopt` command
 """
 
-from .nexus import NexusConfig, inner_loop, nexus_accum_run, nexus_outer_step
+from .nexus import NexusConfig, inner_loop
 from .tasks import CubicTask, QuadraticTask, TaskFamily, TaskSet
 
 __all__ = [
     "NexusConfig",
     "inner_loop",
-    "nexus_accum_run",
-    "nexus_outer_step",
     "QuadraticTask",
     "CubicTask",
     "TaskFamily",

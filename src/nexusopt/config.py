@@ -48,7 +48,8 @@ def _fraction(v):
 
 
 def _int_list(v):
-    if not isinstance(v, list) or not all(isinstance(x, int) and x > 0 for x in v):
+    # type() rather than isinstance: a bool is an int, and [8, true, 1] must not parse as [8, 1, 1]
+    if not isinstance(v, list) or not all(type(x) is int and x > 0 for x in v):
         raise ValueError(f"must be a list of positive integers, got {v!r}")
     return [int(x) for x in v]
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
 from .config import OPTIMIZER_KINDS, SAMPLING_KINDS, ExperimentConfig
-from .errors import ConfigError, DegenerateGradient, MissingField, NexusError
+from .errors import ConfigError, DegenerateGradient, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, rng_root, rng_substream
@@ -132,10 +132,12 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         theta0 = cfg["problem.init_scale"] * spec.init_params(init_rng)
         return Problem(ts, theta0, ood)
     if kind == "custom_taskset_file":
-        if not cfg["problem.path"]:
-            raise MissingField("problem.path required for custom_taskset_file", "problem.path")
-        with open(cfg["problem.path"], "r", encoding="utf-8") as fh:
-            ts = taskset_from_json(fh.read())
+        path = cfg["problem.path"]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                ts = taskset_from_json(fh.read())
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
         analytic = all(isinstance(t, QuadraticTask) for t in ts.tasks)
         return Problem(ts, theta0, None, has_analytic_minimizers=analytic)

@@ -9,7 +9,8 @@ optimizer as if it were a gradient.
 of an explicit index sequence and returns the pseudo-gradient as a plain
 array; the caller chooses the sequence (the harness draws it i.i.d. from its
 task stream or walks the tasks round-robin, the oracles enumerate or sample
-it).
+it) and feeds the result to an outer optimizer of ``optimizers``
+(``sgd_step``, ``adamw_step``) in place of a gradient.
 
 Sign convention: the pseudo-gradient is start minus end of the inner
 trajectory, accumulated as the sum of the individual step vectors. The sum
@@ -17,29 +18,16 @@ form equals the endpoint difference in exact arithmetic and keeps a
 one-inner-step trajectory bit-identical to feeding normalized gradients
 straight to the outer optimizer. An outer plain-SGD step with lr 1 therefore
 lands on the inner endpoint.
-
-The gradient-accumulation adaptation runs the inner loop over windows of a
-minibatch stream: one inner step per minibatch, and every inner_steps
-minibatches the window's pseudo-gradient feeds the outer optimizer, after
-which the next window starts from the new parameters. Its forward/backward
-count equals standard training on the same stream.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import as_params
-from .optimizers import (
-    DEFAULT_GRAD_FLOOR,
-    AdamWState,
-    adamw_step,
-    nsgd_direction,
-    sgd_step,
-)
+from .optimizers import DEFAULT_GRAD_FLOOR, nsgd_direction
 
 VARIANTS = ("cosine", "dot")
 
@@ -69,6 +57,9 @@ def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence, first_grad=Non
     theta, already computed by the caller; the first step uses it instead of
     evaluating it again, and a cosine step still checks it against the floor.
     A DegenerateGradient from a cosine step carries k as its task index.
+    Run over a window of minibatch tasks with ``sequence = range(len(window))``,
+    it is the gradient-accumulation form, with one gradient evaluation per
+    minibatch as in standard training.
     """
     current = as_params(theta)
     ghat = np.zeros_like(current)
@@ -82,60 +73,3 @@ def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence, first_grad=Non
         current = current - d
         ghat = ghat + d
     return ghat
-
-
-def nexus_outer_step(opt_state, theta: np.ndarray, ghat: np.ndarray, lr: float):
-    """Feed a pseudo-gradient to the outer optimizer exactly as if it were a gradient.
-
-    ``opt_state`` of None means plain SGD; an AdamWState means decoupled AdamW.
-    Returns (new_opt_state, new_theta).
-    """
-    if opt_state is None:
-        return None, sgd_step(theta, ghat, lr)
-    if isinstance(opt_state, AdamWState):
-        return adamw_step(opt_state, theta, ghat, lr)
-    raise TypeError(f"unsupported outer optimizer state: {type(opt_state).__name__}")
-
-
-@dataclass
-class AccumRunResult:
-    """Trajectory of the gradient-accumulation adaptation."""
-
-    theta: np.ndarray
-    outer_thetas: list = field(default_factory=list)
-    pseudo_gradients: list = field(default_factory=list)
-    grad_evals: int = 0
-    outer_state: object = None
-
-
-def nexus_accum_run(
-    model_theta: np.ndarray,
-    minibatch_stream,
-    cfg: NexusConfig,
-    outer_state,
-    outer_lr=0.0,
-) -> AccumRunResult:
-    """Inner-model gradient accumulation over a stream of minibatch tasks.
-
-    The stream is cut into windows of ``cfg.inner_steps`` minibatches. Each
-    window runs through ``inner_loop`` from the current parameters, one inner
-    step per minibatch, and its pseudo-gradient feeds one outer step. A
-    trailing partial window is still stepped and counted in ``grad_evals``
-    but produces no outer step. A DegenerateGradient names the minibatch's
-    position in its window as the task index. ``outer_lr`` may be a float or
-    a callable of the outer step index.
-    """
-    theta = as_params(model_theta).copy()
-    result = AccumRunResult(theta, outer_state=outer_state)
-    stream = iter(minibatch_stream)
-    while window := list(itertools.islice(stream, cfg.inner_steps)):
-        ghat = inner_loop(theta, window, cfg, range(len(window)))
-        result.grad_evals += len(window)
-        if len(window) < cfg.inner_steps:
-            break
-        lr = outer_lr(len(result.outer_thetas)) if callable(outer_lr) else outer_lr
-        result.outer_state, theta = nexus_outer_step(result.outer_state, theta, ghat, lr)
-        result.pseudo_gradients.append(ghat)
-        result.outer_thetas.append(theta.copy())
-    result.theta = theta
-    return result

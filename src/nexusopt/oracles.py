@@ -3,9 +3,12 @@
 Exact expected pseudo-gradients by sequence enumeration, closed-form
 similarity gradients, Taylor expansions of the inner-loop expectation,
 error-bound constants, generalization-gap formulas, and convergence
-contractions. Each expansion term evaluates each task's gradient (and, at
-third order, its Hessian and third-derivative tensor) once per call; its pair
-and triple contractions reuse those values.
+contractions. The expansions are public as the two- and three-term directions
+(and the gamma^3 tensor piece); their first-order term, gamma^3 coefficient
+and normalized-gradient derivatives are private helpers. Each expansion
+evaluates each task's gradient (and, at third order, its Hessian and
+third-derivative tensor) once per call; its pair and triple contractions
+reuse those values.
 
 Two distinct "similarity gradient" objects appear and are easy to conflate:
 
@@ -194,14 +197,6 @@ def alignment_pair_direction(task_i, task_j, theta: np.ndarray, floor: float = 1
     return _jacobian_apply(loc_i, theta, loc_j.h) + _jacobian_apply(loc_j, theta, loc_i.h)
 
 
-def normalized_grad_second_derivative(task, theta: np.ndarray, u: np.ndarray, v: np.ndarray,
-                                      floor: float = 1e-12) -> np.ndarray:
-    """D^2 of the normalized-gradient field along (u, v); needs the Hessian and,
-    for cubic tasks, the constant third-derivative tensor."""
-    theta = as_params(theta)
-    return _second_derivative(_local(task, theta, floor, curvature=True), u, v)
-
-
 # --------------------------------------------------------------------------
 # Exact expectation and its Taylor expansions
 # --------------------------------------------------------------------------
@@ -228,29 +223,6 @@ def expected_pseudo_gradient_exact(
     for seq in itertools.product(range(n), repeat=M):
         total += inner_loop(theta, ts, cfg, seq)
     return total / count
-
-
-def monte_carlo_pseudo_gradient(
-    ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, rng: RngStream, n_draws: int
-) -> tuple:
-    """Monte-Carlo estimate of E[pseudo-gradient] over i.i.d. uniform index
-    sequences drawn from ``rng``; returns (mean, per-coordinate SE).
-    Tests check against it that the exact enumeration computes the expectation."""
-    theta = as_params(theta, ts.dim)
-    samples = np.empty((n_draws, ts.dim))
-    for i in range(n_draws):
-        samples[i] = inner_loop(theta, ts, cfg, rng.generator.integers(0, len(ts), size=cfg.inner_steps))
-    mean = samples.mean(axis=0)
-    se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)
-    return mean, se
-
-
-def first_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """gamma * (M/n) * sum of unit gradients (cosine) or raw gradients (dot)."""
-    theta = as_params(theta, ts.dim)
-    if cfg.variant == "cosine":
-        return _first_order(ts, cfg, [loc.h for loc in _locals(ts, theta, cfg)])
-    return _first_order(ts, cfg, [t.grad(theta) for t in ts.tasks])
 
 
 def _locals(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, curvature: bool = False) -> list:
@@ -304,9 +276,17 @@ def _second_order(ts: TaskSet, cfg: NexusConfig, first: np.ndarray, pairs: np.nd
 
 
 def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
-    """(third_order_term, cosine pair sum sum_b J_b s, unit gradients) from one record per task."""
+    """(gamma^3 coefficient, cosine pair sum sum_b J_b s, unit gradients) from one record per task.
+
+    The coefficient is the exact gamma^3 term of the expected pseudo-gradient
+    (cosine variant). Three pieces: nested Jacobian products J_a J_b h_c over
+    strictly ordered triples, and second-derivative contractions Q_a[h_b, h_c]
+    split by whether the two earlier draws coincide (they are perfectly
+    correlated when they do, which is why the diagonal and off-diagonal pieces
+    carry different weights).
+    """
     if cfg.variant != "cosine":
-        raise ValueError("third_order_term is defined for the cosine variant")
+        raise ValueError("third_order_direction is defined for the cosine variant")
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
     locs = _locals(ts, theta, cfg, curvature=True)
@@ -326,18 +306,6 @@ def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
                 for hc in units:
                     total += c_off * _second_derivative(loc, hb, hc)
     return total, js, units
-
-
-def third_order_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """The exact gamma^3 coefficient of the expected pseudo-gradient (cosine variant).
-
-    Three pieces: nested Jacobian products J_a J_b h_c over strictly ordered
-    triples, and second-derivative contractions Q_a[h_b, h_c] split by whether
-    the two earlier draws coincide (they are perfectly correlated when they
-    do, which is why the diagonal and off-diagonal pieces carry different
-    weights).
-    """
-    return _third_order(ts, theta, cfg)[0]
 
 
 def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
@@ -365,8 +333,9 @@ def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) ->
 
 
 def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """Three-term expansion: second_order_direction plus gamma^3 * third_order_term,
-    sharing one record per task and the pair sum between the two."""
+    """Three-term expansion: second_order_direction plus gamma^3 times the
+    coefficient of ``_third_order``, sharing one record per task and the pair
+    sum between the two."""
     third, pairs, units = _third_order(ts, theta, cfg)
     return _second_order(ts, cfg, _first_order(ts, cfg, units), pairs) + cfg.gamma**3 * third
 
@@ -416,9 +385,6 @@ class ClosenessChainReport:
     @property
     def second_slack(self) -> float:
         return self.cossim_bound - self.inner_product_bound
-
-    def holds(self, slack: float = -1e-10) -> bool:
-        return self.first_slack >= slack and self.second_slack >= slack
 
 
 def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> ClosenessChainReport:

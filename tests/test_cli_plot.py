@@ -133,6 +133,43 @@ def test_cli_sweep_exits_1_when_a_run_fails(tmp_path, config_file, capsys):
     assert "run grad_floor=1000000000.0-kind=nexus_adamw failed: DegenerateGradient" in capsys.readouterr().err
 
 
+def test_cli_run_with_a_malformed_taskset_file_records_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG_TEXT + f"problem.kind = \"custom_taskset_file\"\nproblem.path = {json.dumps(str(bad))}\n")
+    out = tmp_path / "failout"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith("ConfigError: cannot read task set")
+    assert not (out / "metrics.csv").exists()
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_cli_sweep_with_a_bad_taskset_path_finishes_the_other_runs(tmp_path, monkeypatch, capsys):
+    from nexusopt.numerics import rng_root
+    from nexusopt.oracles import random_quadratic_taskset
+    from nexusopt.tasks import taskset_to_json
+
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    good = tmp_path / "good.json"
+    good.write_text(taskset_to_json(random_quadratic_taskset(2, 2, rng_root(9))))
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(CONFIG_TEXT + f"problem.kind = \"custom_taskset_file\"\nproblem.path = {json.dumps(str(good))}\n")
+    out = tmp_path / "sweepout"
+    missing = tmp_path / "nope" / "b.json"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out), "--set", f"problem.path={good},{missing}"])
+    assert code == 1
+    good_label, bad_label = (f"path={p}".replace("/", "_") for p in (good, missing))
+    index = json.loads((out / "sweep.json").read_text())
+    assert sorted(index) == sorted([good_label, bad_label])
+    assert "error" not in index[good_label]
+    assert index[bad_label]["error"].startswith("ConfigError: cannot read task set")
+    assert (out / good_label / "metrics.csv").exists()
+    assert not (out / bad_label / "metrics.csv").exists()
+    assert f"run {bad_label} failed: ConfigError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
 def test_cli_sweep_rejects_a_bad_thread_cap(tmp_path, config_file, monkeypatch, value):
     monkeypatch.setenv("NEXUS_OPT_THREADS", value)

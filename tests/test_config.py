@@ -61,6 +61,12 @@ def test_enum_values_validated():
         parse_config_text("seed = 1\noptimizer.kind = \"sgdm\"\n")
 
 
+def test_widths_reject_booleans():
+    with pytest.raises(ParseError) as err:
+        parse_config_text("seed = 1\nproblem.widths = [8, true, 1]\n")
+    assert err.value.path == "problem.widths"
+
+
 def test_custom_taskset_requires_path():
     with pytest.raises(MissingField) as err:
         parse_config_text("seed = 1\nproblem.kind = \"custom_taskset_file\"\n")

@@ -399,15 +399,36 @@ def test_sweep_keeps_going_past_a_failed_run_in_workers(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_crash_keeps_the_runs_before_it_on_disk(tmp_path, workers):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    cfg = make_cfg(f"problem.path = {json.dumps(str(bad))}\n")
+def test_sweep_crash_keeps_the_runs_before_it_on_disk(tmp_path, monkeypatch, workers):
+    # a crash that is not a NexusError, in the second run; forked workers inherit the patch
+    build = harness.build_problem
+
+    def crash_on_custom(cfg, rng):
+        if cfg["problem.kind"] == "custom_taskset_file":
+            raise RuntimeError("crash")
+        return build(cfg, rng)
+
+    monkeypatch.setattr(harness, "build_problem", crash_on_custom)
     out = tmp_path / "out"
-    with pytest.raises(ValueError):
-        sweep(cfg, str(out), {"problem.kind": ["quadratic_family", "custom_taskset_file"]}, workers=workers)
+    with pytest.raises(RuntimeError):
+        sweep(make_cfg(), str(out), {"problem.kind": ["quadratic_family", "custom_taskset_file"]}, workers=workers)
     assert sorted(os.listdir(out)) == ["kind=quadratic_family"]
     assert sorted(os.listdir(out / "kind=quadratic_family")) == ["config.resolved.json", "metrics.csv", "summary.json"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", "[]", '{"tasks": [{"kind": "quadratic"}]}'],
+    ids=["missing", "not_json", "not_an_object", "no_fields"],
+)
+def test_unreadable_taskset_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "tasks.json"
+    if content is not None:
+        path.write_text(content)
+    cfg = make_cfg().with_overrides({"problem.kind": "custom_taskset_file", "problem.path": str(path)})
+    with pytest.raises(ConfigError) as err:
+        build_problem(cfg, rng_root(1))
+    assert err.value.path == "problem.path"
 
 
 def test_sweep_seed_axis_derives_independent_seeds(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt.errors import DegenerateGradient
-from nexusopt.nexus import NexusConfig, inner_loop, nexus_accum_run, nexus_outer_step
+from nexusopt.nexus import NexusConfig, inner_loop
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, nsgd_step, sgd_step
 from nexusopt.tasks import QuadraticTask, TaskSet, random_spd_matrix
@@ -95,14 +95,15 @@ def test_outer_sgd_unit_step_lands_on_inner_endpoint():
     cfg = NexusConfig(0.05, 4)
     seq = draw_sequence(rng_substream(rng, "draws"), ts, 4)
     pg = inner_loop(theta, ts, cfg, seq)
-    _, theta_next = nexus_outer_step(None, theta, pg, 1.0)
+    theta_next = sgd_step(theta, pg, 1.0)
     assert_allclose(theta_next, nsgd_trajectory(theta, ts, 0.05, seq)[-1], atol=1e-14)
 
 
 def test_zero_pseudo_gradient_is_a_fixed_point():
     theta = np.array([0.7, -0.1])
+    assert_allclose(sgd_step(theta, np.zeros(2), 0.3), theta)
     state = AdamWState.init(2, weight_decay=0.0)
-    _, theta_next = nexus_outer_step(state, theta, np.zeros(2), 0.3)
+    _, theta_next = adamw_step(state, theta, np.zeros(2), 0.3)
     assert_allclose(theta_next, theta)
 
 
@@ -161,93 +162,41 @@ def test_dot_variant_uses_raw_gradients():
     assert_allclose(pg, 0.05 * ts[0].grad(theta), rtol=1e-15)
 
 
-def test_accum_run_matches_inner_loop_on_fixed_order():
-    rng = rng_root(8)
-    ts = shifted_quadratics(rng, K=4)
-    theta = 0.5 * rng.generator.standard_normal(3)
-    cfg = NexusConfig(0.02, 4)
-    order = [2, 0, 3, 1]
-    pg = inner_loop(theta, ts, cfg, order)
-    result = nexus_accum_run(theta, [ts[k] for k in order], cfg, None, outer_lr=1.0)
-    assert len(result.pseudo_gradients) == 1
-    assert np.array_equal(result.pseudo_gradients[0], pg)
-
-
-def test_accum_steps_one_matches_nsgd_feed():
-    # the accumulation path sums the step vectors like inner_loop, so a
-    # one-step window feeds the normalized step to AdamW bit for bit
-    rng = rng_root(9)
+def k1_feeds_match(make_outer):
+    """Whether one-inner-step pseudo-gradients and the normalized step vectors
+    themselves drive two fresh outer optimizers from make_outer() along
+    bit-identical paths."""
+    rng = rng_root(13)
     ts = shifted_quadratics(rng, K=3)
-    theta0 = rng.generator.standard_normal(3)
-    order = list(rng.generator.integers(0, 3, size=12))
-    cfg = NexusConfig(0.05, 1)
-    state = AdamWState.init(3)
-    result = nexus_accum_run(theta0, [ts[k] for k in order], cfg, state, outer_lr=0.01)
-
-    theta = theta0.copy()
-    state2 = AdamWState.init(3)
+    theta_a = rng.generator.standard_normal(3)
+    theta_b = theta_a.copy()
+    outer_a, outer_b = make_outer(), make_outer()
+    order = rng.generator.integers(0, 3, size=50)
+    cfg = NexusConfig(0.04, 1)
     for k in order:
-        d = nsgd_direction(ts[k].grad(theta), 0.05)
-        state2, theta = adamw_step(state2, theta, d, 0.01)
-    assert np.array_equal(result.theta, theta)
-
-
-def test_accum_run_counts_one_grad_eval_per_minibatch():
-    rng = rng_root(10)
-    ts = shifted_quadratics(rng, K=2)
-    theta = rng.generator.standard_normal(3)
-    stream = [ts[i % 2] for i in range(10)]
-    cfg = NexusConfig(0.01, 4)
-    result = nexus_accum_run(theta, stream, cfg, None, outer_lr=1.0)
-    assert result.grad_evals == 10
-    # 10 minibatches, windows of 4: two outer steps; the trailing partial window is stepped but makes none
-    assert len(result.outer_thetas) == 2
-
-
-def test_accum_run_degenerate_gradient_names_window_position():
-    theta = np.array([1.0, 2.0])
-    first = QuadraticTask(np.eye(2), np.zeros(2))
-    cfg = NexusConfig(0.1, 2)
-    # the second minibatch's minimizer is the point after the first inner step
-    after_first = theta - nsgd_direction(first.grad(theta), 0.1)
-    with pytest.raises(DegenerateGradient) as err:
-        nexus_accum_run(theta, [first, QuadraticTask(np.eye(2), after_first)], cfg, None, outer_lr=1.0)
-    assert err.value.task_index == 1
-    # a trailing partial window is stepped too: with outer lr 0 it starts at theta
-    with pytest.raises(DegenerateGradient) as err:
-        nexus_accum_run(theta, [first, first, QuadraticTask(np.eye(2), theta)], cfg, None, outer_lr=0.0)
-    assert err.value.task_index == 0
-
-
-def test_accum_run_accepts_scheduled_outer_lr():
-    rng = rng_root(12)
-    ts = shifted_quadratics(rng, K=2)
-    theta = rng.generator.standard_normal(3)
-    stream = [ts[i % 2] for i in range(8)]
-    cfg = NexusConfig(0.01, 2)
-    lrs = [0.5, 0.0, 0.5, 0.0]
-    result = nexus_accum_run(theta, stream, cfg, None, outer_lr=lambda t: lrs[t])
-    # zero-lr outer steps leave the parameters unchanged
-    assert np.array_equal(result.outer_thetas[0], result.outer_thetas[1])
-    assert np.array_equal(result.outer_thetas[2], result.outer_thetas[3])
-    assert not np.array_equal(result.outer_thetas[1], result.outer_thetas[2])
+        theta_a = outer_a(theta_a, inner_loop(theta_a, ts, cfg, [int(k)]))
+        theta_b = outer_b(theta_b, nsgd_direction(ts[int(k)].grad(theta_b), 0.04))
+    return np.array_equal(theta_a, theta_b)
 
 
 def test_k1_bit_identity_holds_for_sgd_outer_too():
     # one-inner-step pseudo-gradients must feed ANY outer optimizer exactly
     # like the normalized step vector itself
-    rng = rng_root(13)
-    ts = shifted_quadratics(rng, K=3)
-    theta_a = rng.generator.standard_normal(3)
-    theta_b = theta_a.copy()
-    order = rng.generator.integers(0, 3, size=50)
-    cfg = NexusConfig(0.04, 1)
-    for k in order:
-        pg = inner_loop(theta_a, ts, cfg, [int(k)])
-        _, theta_a = nexus_outer_step(None, theta_a, pg, 0.7)
-        d = nsgd_direction(ts[int(k)].grad(theta_b), 0.04)
-        theta_b = sgd_step(theta_b, d, 0.7)
-    assert np.array_equal(theta_a, theta_b)
+    assert k1_feeds_match(lambda: lambda theta, d: sgd_step(theta, d, 0.7))
+
+
+def test_k1_bit_identity_holds_for_adamw_outer_too():
+    def make_adamw():
+        state = AdamWState.init(3)
+
+        def step(theta, d):
+            nonlocal state
+            state, theta = adamw_step(state, theta, d, 0.01)
+            return theta
+
+        return step
+
+    assert k1_feeds_match(make_adamw)
 
 
 def test_trajectories_replay_deterministically():
