@@ -3,20 +3,23 @@
 One assignment per line, ``key.path = value``, ``#`` comments allowed. Values
 are JSON literals (numbers, strings, booleans, lists). The schema is closed:
 unknown keys are rejected with their exact path, and the seed is mandatory --
-hyperparameter provenance is the point of the harness.
+hyperparameter provenance is the point of the harness. SCHEMA's last column
+names the kinds under which each key takes effect; a run records only those
+keys (``ExperimentConfig.resolved``) as its config.resolved.json.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, MissingField, ParseError, UnknownKey
+from .errors import MissingField, ParseError, UnknownKey
+from .mlp import ACTIVATIONS
+from .optimizers import SCHEDULE_KINDS
 
 PROBLEM_KINDS = ("quadratic_family", "mlp_multisource", "cubic_set", "custom_taskset_file")
 OPTIMIZER_KINDS = ("adamw", "sgd", "nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
-SCHEDULE_KINDS = ("constant", "cosine", "wsd")
+DUAL_LOOP_MODES = ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
 SAMPLING_KINDS = ("iid_uniform", "fixed_sequence")
 
 
@@ -54,42 +57,49 @@ def _int_list(v):
     return [int(x) for x in v]
 
 
-# key -> (type, required, default, validator)
+# The kinds under which a key takes effect: (selector key, its kinds), or ALWAYS.
+ALWAYS = None
+_QUADRATIC = ("problem.kind", ("quadratic_family",))
+_MLP = ("problem.kind", ("mlp_multisource",))
+_ADAMW = ("optimizer.kind", tuple(kind for kind in OPTIMIZER_KINDS if kind != "sgd"))
+_DUAL_LOOP = ("optimizer.kind", DUAL_LOOP_MODES)
+
+# key -> (type, required, default, validator, applies under)
 SCHEMA = {
-    "name": (str, False, "run", None),
-    "seed": (int, True, None, None),
-    "total_steps": (int, False, 100, _non_negative),
-    "metric_cadence": (int, False, 1, _positive),
-    "output_dir": (str, False, "", None),
-    "problem.kind": (str, False, "quadratic_family", _choice(PROBLEM_KINDS)),
-    "problem.k": (int, False, 4, _positive),
-    "problem.dim": (int, False, 4, _positive),
-    "problem.curvature": (float, False, 1.0, _positive),
-    "problem.variance": (float, False, 1.0, _non_negative),
-    "problem.depth": (float, False, 0.0, None),
-    "problem.third_bound": (float, False, 0.3, _non_negative),
-    "problem.d_in": (int, False, 8, _positive),
-    "problem.d_out": (int, False, 1, _positive),
-    "problem.n_per_source": (int, False, 512, _positive),
-    "problem.shared_fraction": (float, False, 0.5, _fraction),
-    "problem.widths": (list, False, [8, 16, 8, 1], _int_list),
-    "problem.activation": (str, False, "tanh", _choice(("tanh", "relu", "identity"))),
-    "problem.path": (str, False, "", None),
-    "problem.init_scale": (float, False, 1.0, _positive),
-    "optimizer.kind": (str, False, "adamw", _choice(OPTIMIZER_KINDS)),
-    "optimizer.beta1": (float, False, 0.9, _fraction),
-    "optimizer.beta2": (float, False, 0.95, _fraction),
-    "optimizer.eps": (float, False, 1e-10, _positive),
-    "optimizer.weight_decay": (float, False, 0.0, _non_negative),
-    "optimizer.clip_norm": (float, False, 0.0, _non_negative),  # 0 disables clipping
-    "schedule.kind": (str, False, "constant", _choice(SCHEDULE_KINDS)),
-    "schedule.base_lr": (float, False, 0.01, _non_negative),
-    "schedule.warmup_steps": (int, False, 0, _non_negative),
-    "schedule.decay_steps": (int, False, 0, _non_negative),
-    "nexus.gamma": (float, False, 0.01, _positive),
-    "nexus.inner_steps": (int, False, 4, _positive),
-    "nexus.sampling": (str, False, "iid_uniform", _choice(SAMPLING_KINDS)),
-    "nexus.grad_floor": (float, False, 1e-12, _positive),
+    "name": (str, False, "run", None, ALWAYS),
+    "seed": (int, True, None, None, ALWAYS),
+    "total_steps": (int, False, 100, _non_negative, ALWAYS),
+    "metric_cadence": (int, False, 1, _positive, ALWAYS),
+    "output_dir": (str, False, "", None, ALWAYS),
+    "problem.kind": (str, False, "quadratic_family", _choice(PROBLEM_KINDS), ALWAYS),
+    "problem.k": (int, False, 4, _positive, ("problem.kind", ("quadratic_family", "mlp_multisource", "cubic_set"))),
+    "problem.dim": (int, False, 4, _positive, ("problem.kind", ("quadratic_family", "cubic_set"))),
+    "problem.curvature": (float, False, 1.0, _positive, _QUADRATIC),
+    "problem.variance": (float, False, 1.0, _non_negative, _QUADRATIC),
+    "problem.depth": (float, False, 0.0, None, _QUADRATIC),
+    "problem.third_bound": (float, False, 0.3, _non_negative, ("problem.kind", ("cubic_set",))),
+    "problem.d_in": (int, False, 8, _positive, _MLP),
+    "problem.d_out": (int, False, 1, _positive, _MLP),
+    "problem.n_per_source": (int, False, 512, _positive, _MLP),
+    "problem.shared_fraction": (float, False, 0.5, _fraction, _MLP),
+    "problem.widths": (list, False, [8, 16, 8, 1], _int_list, _MLP),
+    "problem.activation": (str, False, "tanh", _choice(ACTIVATIONS), _MLP),
+    "problem.path": (str, False, "", None, ("problem.kind", ("custom_taskset_file",))),
+    "problem.init_scale": (float, False, 1.0, _positive, ALWAYS),
+    "optimizer.kind": (str, False, "adamw", _choice(OPTIMIZER_KINDS), ALWAYS),
+    "optimizer.beta1": (float, False, 0.9, _fraction, _ADAMW),
+    "optimizer.beta2": (float, False, 0.95, _fraction, _ADAMW),
+    "optimizer.eps": (float, False, 1e-10, _positive, _ADAMW),
+    "optimizer.weight_decay": (float, False, 0.0, _non_negative, _ADAMW),
+    "optimizer.clip_norm": (float, False, 0.0, _non_negative, ALWAYS),  # 0 disables clipping
+    "schedule.kind": (str, False, "constant", _choice(SCHEDULE_KINDS), ALWAYS),
+    "schedule.base_lr": (float, False, 0.01, _non_negative, ALWAYS),
+    "schedule.warmup_steps": (int, False, 0, _non_negative, ("schedule.kind", ("cosine", "wsd"))),
+    "schedule.decay_steps": (int, False, 0, _non_negative, ("schedule.kind", ("wsd",))),
+    "nexus.gamma": (float, False, 0.01, _positive, _DUAL_LOOP),
+    "nexus.inner_steps": (int, False, 4, _positive, ("optimizer.kind", ("nexus_adamw", "nexus_dot_adamw"))),
+    "nexus.sampling": (str, False, "iid_uniform", _choice(SAMPLING_KINDS), _DUAL_LOOP),
+    "nexus.grad_floor": (float, False, 1e-12, _positive, ("optimizer.kind", ("nsgd_adamw", "nexus_adamw"))),
 }
 
 
@@ -110,6 +120,15 @@ class ExperimentConfig:
             merged[key] = _validate_one(key, value)
         return ExperimentConfig(merged)
 
+    def resolved(self) -> dict:
+        """The keys that take effect under this config's kinds, by SCHEMA's last column."""
+        resolved = {}
+        for key, value in self.values.items():
+            applies = SCHEMA[key][4]
+            if applies is ALWAYS or self.values[applies[0]] in applies[1]:
+                resolved[key] = value
+        return resolved
+
     def to_text(self) -> str:
         lines = [f"{key} = {json.dumps(self.values[key])}" for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
@@ -126,7 +145,7 @@ def _coerce(key: str, raw, expected_type):
 
 
 def _validate_one(key: str, raw):
-    expected_type, _, _, validator = SCHEMA[key]
+    expected_type, _, _, validator, _ = SCHEMA[key]
     try:
         value = _coerce(key, raw, expected_type)
         if validator is not None:
@@ -156,16 +175,11 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
         values[key] = _validate_one(key, parsed)
-    for key, (_, required, default, _) in SCHEMA.items():
+    for key, (_, required, default, _, _) in SCHEMA.items():
         if key not in values:
             if required:
                 raise MissingField(f"required config key {key!r} missing", key)
             values[key] = default
-    if values["problem.kind"] == "custom_taskset_file":
-        if not values["problem.path"]:
-            raise MissingField("problem.path required when problem.kind = custom_taskset_file", "problem.path")
-        if not os.path.exists(values["problem.path"]):
-            raise ConfigError(f"referenced file does not exist: {values['problem.path']}", "problem.path")
     return ExperimentConfig(values)
 
 

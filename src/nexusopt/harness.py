@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
-from .config import OPTIMIZER_KINDS, SAMPLING_KINDS, ExperimentConfig
-from .errors import ConfigError, DegenerateGradient, NexusError
+from .config import DUAL_LOOP_MODES, OPTIMIZER_KINDS, SAMPLING_KINDS, ExperimentConfig
+from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, rng_root, rng_substream
@@ -56,7 +56,6 @@ from .tasks import (
     train_grad,
 )
 
-DUAL_LOOP_MODES = ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
 CSV_HEADER = "step,lr,train_loss,ood_loss,mean_pairwise_cos,grad_norm,pseudo_grad_norm"
 
 
@@ -136,7 +135,7 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 ts = taskset_from_json(fh.read())
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
         analytic = all(isinstance(t, QuadraticTask) for t in ts.tasks)
@@ -267,23 +266,6 @@ def train(
     return record
 
 
-def _effective_config(cfg: ExperimentConfig) -> dict:
-    """The config keys that take effect under cfg's optimizer.kind.
-
-    nexus.* reach only the dual-loop modes, nsgd_adamw fixes one inner step,
-    and sgd uses none of AdamW's settings. Every problem.* key stays.
-    """
-    mode = cfg["optimizer.kind"]
-    ignored = set()
-    if mode not in DUAL_LOOP_MODES:
-        ignored.update(key for key in cfg.values if key.startswith("nexus."))
-    elif mode == "nsgd_adamw":
-        ignored.add("nexus.inner_steps")
-    if mode == "sgd":
-        ignored.update(("optimizer.beta1", "optimizer.beta2", "optimizer.eps", "optimizer.weight_decay"))
-    return {key: value for key, value in cfg.values.items() if key not in ignored}
-
-
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute one experiment described by a validated config."""
     rng = rng_root(cfg["seed"])
@@ -310,7 +292,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         },
         clip_norm=cfg["optimizer.clip_norm"],
     )
-    record.config = _effective_config(cfg)
+    record.config = cfg.resolved()
     if problem.has_analytic_minimizers and record.final_theta is not None:
         report = closeness(record.final_theta, problem.taskset)
         record.summary["closeness_mean_sq"] = report.mean_sq
@@ -432,7 +414,7 @@ def sweep(
     for (label, cfg), outcome in zip(jobs, run_many([cfg for _, cfg in jobs], workers)):
         run_dir = os.path.join(out_dir, label)
         if isinstance(outcome, NexusError):
-            record = RunRecord(config=_effective_config(cfg), summary=write_error_summary(outcome, run_dir))
+            record = RunRecord(config=cfg.resolved(), summary=write_error_summary(outcome, run_dir))
         else:
             record = outcome
             write_outputs(record, run_dir)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .numerics import RngStream, as_params, fd_hvp, rng_substream
 
-_ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "relu", "identity")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class MLPSpec:
             raise ValueError("need at least input and output widths")
         if any(w < 1 for w in self.layer_widths):
             raise ValueError("layer widths must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     @cached_property
     def n_params(self) -> int:

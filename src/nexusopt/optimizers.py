@@ -20,6 +20,7 @@ from .errors import DegenerateGradient, StepOutOfRange
 from .numerics import as_params, check_same_dim
 
 DEFAULT_GRAD_FLOOR = 1e-12
+SCHEDULE_KINDS = ("constant", "cosine", "wsd")
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -125,7 +126,7 @@ class Schedule:
     decay_steps: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "cosine", "wsd"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.base_lr < 0:
             raise ValueError("base_lr must be >= 0")

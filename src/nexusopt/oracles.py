@@ -56,18 +56,17 @@ DEFAULT_ENUMERATION_CAP = 256
 @dataclass(frozen=True)
 class SmoothnessConstants:
     """Region-dependent constants: gradient bounds, Hessian bound and
-    Lipschitz constant, third-derivative bound."""
+    Lipschitz constant."""
 
     grad_lower: float
     grad_upper: float
     hessian_bound: float
     hessian_lipschitz: float = 0.0
-    third_bound: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.grad_lower <= self.grad_upper:
             raise ValueError("need 0 < grad_lower <= grad_upper")
-        if self.hessian_bound <= 0 or self.hessian_lipschitz < 0 or self.third_bound < 0:
+        if self.hessian_bound <= 0 or self.hessian_lipschitz < 0:
             raise ValueError("invalid smoothness constants")
 
 
@@ -107,7 +106,7 @@ def quadratic_smoothness_constants(ts: TaskSet, theta: np.ndarray, radius: float
         h_bound = max(h_bound, lam_max)
     if g_lower <= 0:
         raise DegenerateGradient(f"gradient lower bound {g_lower:g} not positive over the probed region")
-    return SmoothnessConstants(g_lower, g_upper, h_bound, 0.0, 0.0)
+    return SmoothnessConstants(g_lower, g_upper, h_bound, 0.0)
 
 
 def lipschitz_constants(c: SmoothnessConstants) -> tuple:

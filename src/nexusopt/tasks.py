@@ -234,6 +234,16 @@ class TaskFamily:
         return QuadraticTask(A, self.sample_minimizer(rng), self.depth)
 
 
+def _checked_weights(weights, K: int) -> np.ndarray:
+    """weights as a float array, after checking that they are K finite, non-negative numbers."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (K,):
+        raise DimensionMismatch("one weight per task required")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
+    return weights
+
+
 @dataclass
 class TaskSet:
     """K tasks plus the (already folded) mixture weights; L_train is the plain average."""
@@ -250,11 +260,7 @@ class TaskSet:
         if self.weights is None:
             self.weights = np.ones(len(self.tasks))
         else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (len(self.tasks),):
-                raise DimensionMismatch("one weight per task required")
-            if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-                raise ValueError("weights must be finite and non-negative")
+            self.weights = _checked_weights(self.weights, len(self.tasks))
             if not np.allclose(self.weights, 1.0):
                 self.tasks = [t.scaled(w) for t, w in zip(self.tasks, self.weights)]
 
@@ -274,10 +280,6 @@ class TaskSet:
     def scaled(self, alpha: float) -> "TaskSet":
         """Scale every task loss by alpha (used by the scale-pathology checks)."""
         return TaskSet([t.scaled(alpha) for t in self.tasks])
-
-
-def train_loss(ts: TaskSet, theta: np.ndarray) -> float:
-    return sum(t.loss(theta) for t in ts.tasks) / len(ts)
 
 
 def losses_and_grads(ts: TaskSet, theta: np.ndarray) -> tuple:
@@ -415,5 +417,6 @@ def taskset_from_json(text: str) -> TaskSet:
     tasks = [task_from_dict(t) for t in doc["tasks"]]
     ts = TaskSet(tasks)
     if "folded_weights" in doc:
-        ts.weights = np.asarray(doc["folded_weights"], dtype=np.float64)
+        # the file's tasks are already folded, so the weights are only recorded
+        ts.weights = _checked_weights(doc["folded_weights"], len(ts))
     return ts

@@ -218,13 +218,17 @@ def test_plot_empty_csv(tmp_path):
 
 
 def test_cli_rejects_missing_referenced_file(tmp_path):
-    # referenced files are checked at config load time
+    # the run reads the task set, so a missing file fails it as a malformed one does
     cfg = tmp_path / "fail.cfg"
     cfg.write_text(
         "seed = 1\ntotal_steps = 5\nproblem.kind = \"custom_taskset_file\"\n"
         f"problem.path = {json.dumps(str(tmp_path / 'missing.json'))}\n"
     )
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "failout")]) == 2
+    out = tmp_path / "failout"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith("ConfigError: cannot read task set")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_cli_run_failure_records_error(tmp_path):

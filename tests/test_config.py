@@ -4,7 +4,9 @@ import pytest
 
 import nexusopt
 from nexusopt.config import SCHEMA, load_config, parse_config_text
-from nexusopt.errors import MissingField, ParseError, UnknownKey
+from nexusopt.errors import ConfigError, MissingField, ParseError, UnknownKey
+from nexusopt.harness import build_problem
+from nexusopt.numerics import rng_root
 
 MINIMAL = "seed = 42\n"
 
@@ -68,8 +70,9 @@ def test_widths_reject_booleans():
 
 
 def test_custom_taskset_requires_path():
-    with pytest.raises(MissingField) as err:
-        parse_config_text("seed = 1\nproblem.kind = \"custom_taskset_file\"\n")
+    cfg = parse_config_text("seed = 1\nproblem.kind = \"custom_taskset_file\"\nproblem.path = \"\"\n")
+    with pytest.raises(ConfigError) as err:
+        build_problem(cfg, rng_root(1))
     assert err.value.path == "problem.path"
 
 

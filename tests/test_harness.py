@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -14,9 +15,10 @@ from numpy.testing import assert_allclose
 import nexusopt
 from nexusopt import harness, mlp
 from nexusopt.analysis import gradient_cosines, mean_pairwise_cosine
-from nexusopt.config import SCHEMA, load_config, parse_config_text
-from nexusopt.errors import ConfigError, DegenerateGradient
+from nexusopt.config import OPTIMIZER_KINDS, PROBLEM_KINDS, SCHEMA, SCHEDULE_KINDS, load_config, parse_config_text
+from nexusopt.errors import ConfigError, DegenerateGradient, NexusError
 from nexusopt.harness import (
+    CSV_HEADER,
     build_problem,
     derive_sweep_seeds,
     make_schedule,
@@ -28,7 +30,13 @@ from nexusopt.harness import (
 from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
-from nexusopt.tasks import task_grads, train_loss
+from nexusopt.oracles import random_quadratic_taskset
+from nexusopt.tasks import task_grads, taskset_to_json
+
+
+def train_loss(ts, theta):
+    """L_train, the plain average of the task losses, summed in task order."""
+    return sum(t.loss(theta) for t in ts.tasks) / len(ts)
 
 
 def make_cfg(extra=""):
@@ -306,19 +314,105 @@ def test_degenerate_gradient_names_outer_step_and_task(kind):
 ADAMW_ONLY = {"optimizer.beta1", "optimizer.beta2", "optimizer.eps", "optimizer.weight_decay"}
 NEXUS_KEYS = {key for key in SCHEMA if key.startswith("nexus.")}
 
+# for each key that some kind drops: a value that changes the run wherever the key applies
+# (problem.path gets a second task-set file)
+CHANGED = {
+    "problem.k": 2,
+    "problem.dim": 2,
+    "problem.curvature": 3.0,
+    "problem.variance": 0.2,
+    "problem.depth": 0.7,
+    "problem.third_bound": 0.9,
+    "problem.d_in": 3,
+    "problem.d_out": 2,
+    "problem.n_per_source": 9,
+    "problem.shared_fraction": 0.1,
+    "problem.widths": [4, 3, 1],
+    "problem.activation": "relu",
+    "optimizer.beta1": 0.5,
+    "optimizer.beta2": 0.7,
+    "optimizer.eps": 1e-3,
+    "optimizer.weight_decay": 0.1,
+    "schedule.warmup_steps": 2,
+    "schedule.decay_steps": 3,
+    "nexus.gamma": 0.5,
+    "nexus.inner_steps": 2,
+    "nexus.sampling": "fixed_sequence",
+    "nexus.grad_floor": 1e9,
+}
+
+
+def combination_cfg(tmp_path, problem_kind, optimizer_kind, schedule_kind):
+    """A six-step run of the given kinds; the returned dict of changed values
+    holds CHANGED plus a second task-set file for problem.path."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(taskset_to_json(random_quadratic_taskset(3, 3, rng_root(9))))
+    second.write_text(taskset_to_json(random_quadratic_taskset(3, 2, rng_root(10))))
+    cfg = parse_config_text(
+        "seed = 3\ntotal_steps = 6\nproblem.k = 3\nproblem.dim = 3\nproblem.d_in = 4\n"
+        "problem.n_per_source = 16\nproblem.widths = [4, 6, 1]\nschedule.base_lr = 0.05\n"
+        "schedule.warmup_steps = 1\nschedule.decay_steps = 2\nnexus.inner_steps = 3\n"
+        f"problem.path = {json.dumps(str(first))}\n"
+    ).with_overrides({"problem.kind": problem_kind, "optimizer.kind": optimizer_kind, "schedule.kind": schedule_kind})
+    return cfg, {**CHANGED, "problem.path": str(second)}
+
+
+def csv_rows(cfg):
+    """run(cfg)'s metrics.csv rows, or the NexusError it raised."""
+    try:
+        return [row.to_csv() for row in run(cfg).rows]
+    except NexusError as exc:
+        return exc
+
 
 @pytest.mark.parametrize("kind, dropped", [
     ("adamw", NEXUS_KEYS),
     ("sgd", NEXUS_KEYS | ADAMW_ONLY),
     ("nsgd_adamw", {"nexus.inner_steps"}),
     ("nexus_adamw", set()),
-    ("nexus_dot_adamw", set()),
+    ("nexus_dot_adamw", {"nexus.grad_floor"}),
 ])
 def test_resolved_config_records_only_keys_that_take_effect(tmp_path, kind, dropped):
-    rec = run(make_cfg().with_overrides({"optimizer.kind": kind, "total_steps": 2}))
-    assert set(rec.config) == set(SCHEMA) - dropped
-    write_outputs(rec, tmp_path)
-    assert json.loads((tmp_path / "config.resolved.json").read_text()) == rec.config
+    # under every problem and schedule kind, changing every key the record
+    # drops leaves metrics.csv byte-identical
+    for problem_kind, schedule_kind in itertools.product(PROBLEM_KINDS, SCHEDULE_KINDS):
+        cfg, changed = combination_cfg(tmp_path, problem_kind, kind, schedule_kind)
+        rec = run(cfg)
+        unrecorded = set(SCHEMA) - set(rec.config)
+        assert {key for key in unrecorded if key.startswith(("optimizer.", "nexus."))} == dropped
+        rec_changed = run(cfg.with_overrides({key: changed[key] for key in unrecorded}))
+        out = tmp_path / f"{problem_kind}-{schedule_kind}"
+        write_outputs(rec_changed, out)
+        expected = CSV_HEADER + "\n" + "".join(row.to_csv() + "\n" for row in rec.rows)
+        assert (out / "metrics.csv").read_bytes() == expected.encode(), (problem_kind, schedule_kind)
+        assert rec_changed.config == rec.config
+        assert json.loads((out / "config.resolved.json").read_text()) == rec_changed.config
+
+
+def test_each_changed_value_changes_a_run_where_its_key_applies(tmp_path):
+    # so the byte-identical rows above come from the table, not from values that change nothing
+    kinds = itertools.product(PROBLEM_KINDS, OPTIMIZER_KINDS, SCHEDULE_KINDS)
+    combos = [combination_cfg(tmp_path, *combo) for combo in kinds]
+    for key, value in combos[0][1].items():
+        cfg = next(cfg for cfg, _ in combos if key in cfg.resolved())
+        assert csv_rows(cfg.with_overrides({key: value})) != csv_rows(cfg), key
+
+
+def test_shipped_configs_record_only_the_keys_that_take_effect():
+    quadratic = load_config(os.path.join(REPO_ROOT, "configs", "quadratic_baseline.cfg")).resolved()
+    mlp_cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).resolved()
+    mlp_only = {
+        "problem.d_in", "problem.d_out", "problem.n_per_source",
+        "problem.shared_fraction", "problem.widths", "problem.activation",
+    }
+    quadratic_only = {"problem.curvature", "problem.variance", "problem.depth"}
+    assert set(SCHEMA) - set(quadratic) == (
+        NEXUS_KEYS | mlp_only | {"problem.third_bound", "problem.path", "schedule.decay_steps"}
+    )
+    assert set(SCHEMA) - set(mlp_cfg) == (
+        quadratic_only | {"problem.dim", "problem.third_bound", "problem.path", "schedule.decay_steps"}
+    )
+    assert (len(quadratic), len(mlp_cfg)) == (21, 27)
 
 
 def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
@@ -340,9 +434,6 @@ def test_failed_rewrite_removes_the_previous_summary(tmp_path):
 
 
 def test_custom_taskset_round_trip(tmp_path):
-    from nexusopt.oracles import random_quadratic_taskset
-    from nexusopt.tasks import taskset_to_json
-
     ts = random_quadratic_taskset(3, 2, rng_root(9))
     path = tmp_path / "tasks.json"
     path.write_text(taskset_to_json(ts))
@@ -416,10 +507,16 @@ def test_sweep_crash_keeps_the_runs_before_it_on_disk(tmp_path, monkeypatch, wor
     assert sorted(os.listdir(out / "kind=quadratic_family")) == ["config.resolved.json", "metrics.csv", "summary.json"]
 
 
+def two_task_file_with_weights(weights):
+    doc = json.loads(taskset_to_json(random_quadratic_taskset(2, 2, rng_root(9))))
+    doc["folded_weights"] = weights
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, "not json", "[]", '{"tasks": [{"kind": "quadratic"}]}'],
-    ids=["missing", "not_json", "not_an_object", "no_fields"],
+    [None, "not json", "[]", '{"tasks": [{"kind": "quadratic"}]}', two_task_file_with_weights([5.0, -1.0, 7.0])],
+    ids=["missing", "not_json", "not_an_object", "no_fields", "bad_folded_weights"],
 )
 def test_unreadable_taskset_file_is_a_config_error(tmp_path, content):
     path = tmp_path / "tasks.json"

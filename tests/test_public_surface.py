@@ -1,9 +1,12 @@
 """Every public function, class and method in the package has a program caller.
 
 A name counts as called when some module of ``src/nexusopt`` other than
-``__init__.py`` refers to it, as a Name or an Attribute, outside the name's
-own definition. Tests do not count. The names below are the only exceptions;
-each one leaves this list when it gains a caller, so the list only shrinks.
+``__init__.py`` refers to it outside the name's own definition. A top-level
+function or class is referred to by a loaded Name, a ``from ... import``
+alias or a ``<module>.<name>`` attribute; a field or an attribute of the same
+spelling does not count. A method is referred to by any Attribute of its
+name. Tests do not count. The names below are the only exceptions; each one
+leaves this list when it gains a caller, so the list only shrinks.
 """
 
 import ast
@@ -38,25 +41,33 @@ def public_definitions(trees):
 
 
 def references(trees):
-    """name -> ids of the Name and Attribute nodes that refer to it, outside __init__.py."""
-    refs = {}
+    """(top-level refs, method refs): each maps a name to the ids of the nodes
+    that refer to it, outside __init__.py."""
+    modules = {path.stem for path in trees}
+    top_level, methods = {}, {}
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append(id(node))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                top_level.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    top_level.setdefault(alias.name, []).append(id(alias))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append(id(node))
-    return refs
+                methods.setdefault(node.attr, []).append(id(node))
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    top_level.setdefault(node.attr, []).append(id(node))
+    return top_level, methods
 
 
 def test_every_public_name_has_a_program_caller():
     src = pathlib.Path(nexusopt.__file__).parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
-    refs = references(trees)
+    top_level, methods = references(trees)
     uncalled = set()
     for qual, name, definition in public_definitions(trees):
+        refs = methods if "." in qual else top_level
         inside = {id(n) for n in ast.walk(definition)}
         if all(ref in inside for ref in refs.get(name, [])):
             uncalled.add(qual)

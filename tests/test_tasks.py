@@ -20,8 +20,12 @@ from nexusopt.tasks import (
     taskset_to_json,
     tensor_operator_bound,
     train_grad,
-    train_loss,
 )
+
+
+def train_loss(ts, theta):
+    """L_train, the plain average of the task losses, summed in task order."""
+    return sum(t.loss(theta) for t in ts.tasks) / len(ts)
 
 
 def test_quadratic_identity_hessian():
