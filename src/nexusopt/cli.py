@@ -24,6 +24,20 @@ def _parse_override_value(raw: str):
         return raw  # bare string
 
 
+def _split_override_values(values: str) -> list:
+    """values split at each comma outside [...], so a list value stays whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(values):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(values[start:i])
+            start = i + 1
+    return parts + [values[start:]]
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -87,7 +101,7 @@ def cmd_sweep(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
-        overrides[key.strip()] = [_parse_override_value(v) for v in values.split(",")]
+        overrides[key.strip()] = [_parse_override_value(v) for v in _split_override_values(values)]
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, record.summary["error"]) for label, record in results if "error" in record.summary]
@@ -124,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="directory for the per-run subdirectories")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_sweep.add_argument("--set", action="append", metavar="KEY=V1,V2",
-                         help="override axis (repeatable)")
+                         help="override axis (repeatable); commas inside [...] belong to a list value")
     p_sweep.add_argument("--num-seeds", type=int, default=0,
                          help="add a seed axis of this many derived seeds")
     p_sweep.set_defaults(fn=cmd_sweep)

@@ -78,8 +78,6 @@ SCHEMA = {
     "problem.variance": (float, False, 1.0, _non_negative, _QUADRATIC),
     "problem.depth": (float, False, 0.0, None, _QUADRATIC),
     "problem.third_bound": (float, False, 0.3, _non_negative, ("problem.kind", ("cubic_set",))),
-    "problem.d_in": (int, False, 8, _positive, _MLP),
-    "problem.d_out": (int, False, 1, _positive, _MLP),
     "problem.n_per_source": (int, False, 512, _positive, _MLP),
     "problem.shared_fraction": (float, False, 0.5, _fraction, _MLP),
     "problem.widths": (list, False, [8, 16, 8, 1], _int_list, _MLP),

@@ -2,6 +2,9 @@
 records, on-disk outputs, and runs of many configs, in forked worker processes
 through ``parallel.map_in_workers`` when more than one worker is asked for.
 
+A run reads one validated config: ``build_problem`` reads seed and the
+problem.* keys of its problem.kind, and ``train`` reads the rest (total_steps,
+metric_cadence, name, and the optimizer.*, schedule.* and nexus.* keys).
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
 metric logs. Metric rows are collected in memory during training; after it
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
-from .config import DUAL_LOOP_MODES, OPTIMIZER_KINDS, SAMPLING_KINDS, ExperimentConfig
+from .config import DUAL_LOOP_MODES, ExperimentConfig
 from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
@@ -93,7 +96,6 @@ class Problem:
     taskset: TaskSet
     theta0: np.ndarray
     ood_task: object = None
-    has_analytic_minimizers: bool = False
 
 
 def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
@@ -107,7 +109,7 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         ts = sample_family(family, cfg["problem.k"], rng_substream(prob_rng, "train"))
         ood = family.sample_task(rng_substream(prob_rng, "ood"))
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(cfg["problem.dim"])
-        return Problem(ts, theta0, ood, has_analytic_minimizers=True)
+        return Problem(ts, theta0, ood)
     if kind == "cubic_set":
         tasks = [
             random_cubic_task(cfg["problem.dim"], rng_substream(prob_rng, f"train/{k}"), cfg["problem.third_bound"])
@@ -120,8 +122,8 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         spec = MLPSpec(tuple(cfg["problem.widths"]), cfg["problem.activation"])
         sources, held_out = make_synthetic_sources(
             cfg["problem.k"],
-            cfg["problem.d_in"],
-            cfg["problem.d_out"],
+            spec.layer_widths[0],
+            spec.layer_widths[-1],
             cfg["problem.n_per_source"],
             cfg["problem.shared_fraction"],
             rng_substream(prob_rng, "data"),
@@ -138,19 +140,8 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         except (OSError, KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
-        analytic = all(isinstance(t, QuadraticTask) for t in ts.tasks)
-        return Problem(ts, theta0, None, has_analytic_minimizers=analytic)
+        return Problem(ts, theta0, None)
     raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def make_schedule(cfg: ExperimentConfig) -> Schedule:
-    return Schedule(
-        cfg["schedule.kind"],
-        cfg["schedule.base_lr"],
-        cfg["total_steps"],
-        cfg["schedule.warmup_steps"],
-        cfg["schedule.decay_steps"],
-    )
 
 
 def make_nexus_config(cfg: ExperimentConfig) -> NexusConfig:
@@ -160,43 +151,35 @@ def make_nexus_config(cfg: ExperimentConfig) -> NexusConfig:
     return NexusConfig(cfg["nexus.gamma"], inner_steps, variant, cfg["nexus.grad_floor"])
 
 
-def train(
-    ts: TaskSet,
-    total_steps: int,
-    mode: str,
-    schedule: Schedule,
-    rng: RngStream,
-    theta0: np.ndarray,
-    nexus_cfg: NexusConfig | None = None,
-    sampling: str = "iid_uniform",
-    ood_task=None,
-    metric_cadence: int = 1,
-    adamw_kwargs: dict | None = None,
-    clip_norm: float = 0.0,
-) -> RunRecord:
-    """Deterministic training loop returning per-step metrics.
+def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
+    """Deterministic training loop of a validated config on its built problem.
 
-    Modes: adamw and sgd step along the full training gradient; the
-    DUAL_LOOP_MODES step along the pseudo-gradient of ``nexus_cfg`` (nsgd_adamw
-    being its one-inner-step case). Their inner steps take task indices drawn
-    uniformly with replacement from the "tasks" substream of ``rng`` under
-    iid_uniform ``sampling``; fixed_sequence walks the tasks round-robin
-    across outer steps. Any direction is clipped to ``clip_norm``
-    when that is > 0; the pseudo_grad_norm column is taken before clipping.
+    Reads total_steps, metric_cadence, name, seed (for the "tasks" stream), the
+    schedule.* keys, optimizer.kind and optimizer.clip_norm, the other
+    optimizer.* keys for the AdamW kinds and the nexus.* keys for the
+    DUAL_LOOP_MODES. adamw and sgd step along the full training gradient, the
+    dual-loop kinds along the pseudo-gradient of ``make_nexus_config(cfg)``.
+    Their inner steps take task indices drawn uniformly with replacement from
+    the "tasks" stream under iid_uniform nexus.sampling; fixed_sequence walks
+    the tasks round-robin across outer steps. Any direction is clipped to
+    clip_norm when that is > 0; the pseudo_grad_norm column is taken before
+    clipping. When every task is a QuadraticTask, the summary adds the
+    closeness of the final parameters.
     """
-    theta = np.array(theta0, dtype=np.float64)
-    task_rng = rng_substream(rng, "tasks")
-    adamw_kwargs = adamw_kwargs or {}
-    opt_state = None if mode == "sgd" else AdamWState.init(len(theta), **adamw_kwargs)
-    if mode not in OPTIMIZER_KINDS:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {OPTIMIZER_KINDS}")
-    if sampling not in SAMPLING_KINDS:
-        raise ValueError(f"unknown sampling {sampling!r}; expected one of {SAMPLING_KINDS}")
+    ts, ood_task = problem.taskset, problem.ood_task
+    total_steps, metric_cadence = cfg["total_steps"], cfg["metric_cadence"]
+    mode, clip_norm = cfg["optimizer.kind"], cfg["optimizer.clip_norm"]
+    schedule = Schedule(cfg["schedule.kind"], cfg["schedule.base_lr"], total_steps,
+                        cfg["schedule.warmup_steps"], cfg["schedule.decay_steps"])
+    theta = np.array(problem.theta0, dtype=np.float64)
+    task_rng = rng_substream(rng_root(cfg["seed"]), "tasks")
+    opt_state = None if mode == "sgd" else AdamWState.init(
+        len(theta), cfg["optimizer.beta1"], cfg["optimizer.beta2"], cfg["optimizer.eps"], cfg["optimizer.weight_decay"]
+    )
     dual_loop = mode in DUAL_LOOP_MODES
-    if dual_loop and nexus_cfg is None:
-        raise ValueError(f"mode {mode} requires a NexusConfig")
+    nexus_cfg = make_nexus_config(cfg) if dual_loop else None
 
-    record = RunRecord(config={"mode": mode, "total_steps": total_steps})
+    record = RunRecord(config=cfg.resolved())
     last_pg_norm: float | None = None
 
     def pairwise_cos(G: np.ndarray) -> float | None:
@@ -228,7 +211,7 @@ def train(
         lr = schedule_lr(schedule, step)
         if dual_loop:
             M = nexus_cfg.inner_steps
-            if sampling == "fixed_sequence":
+            if cfg["nexus.sampling"] == "fixed_sequence":
                 sequence = [((step - 1) * M + m) % len(ts) for m in range(M)]
             else:
                 sequence = task_rng.generator.integers(0, len(ts), size=M)
@@ -262,42 +245,16 @@ def train(
         "ood_loss": final.ood_loss,
         "mean_pairwise_cos": final.mean_pairwise_cos,
         "steps": total_steps,
+        "name": cfg["name"],
     }
+    if all(isinstance(t, QuadraticTask) for t in ts.tasks):
+        record.summary["closeness_mean_sq"] = closeness(theta, ts).mean_sq
     return record
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute one experiment described by a validated config."""
-    rng = rng_root(cfg["seed"])
-    problem = build_problem(cfg, rng)
-    schedule = make_schedule(cfg)
-    mode = cfg["optimizer.kind"]
-    nexus_cfg = make_nexus_config(cfg) if mode in DUAL_LOOP_MODES else None
-    record = train(
-        problem.taskset,
-        cfg["total_steps"],
-        mode,
-        schedule,
-        rng,
-        problem.theta0,
-        nexus_cfg=nexus_cfg,
-        sampling=cfg["nexus.sampling"],
-        ood_task=problem.ood_task,
-        metric_cadence=cfg["metric_cadence"],
-        adamw_kwargs={
-            "beta1": cfg["optimizer.beta1"],
-            "beta2": cfg["optimizer.beta2"],
-            "eps": cfg["optimizer.eps"],
-            "weight_decay": cfg["optimizer.weight_decay"],
-        },
-        clip_norm=cfg["optimizer.clip_norm"],
-    )
-    record.config = cfg.resolved()
-    if problem.has_analytic_minimizers and record.final_theta is not None:
-        report = closeness(record.final_theta, problem.taskset)
-        record.summary["closeness_mean_sq"] = report.mean_sq
-    record.summary["name"] = cfg["name"]
-    return record
+    return train(cfg, build_problem(cfg, rng_root(cfg["seed"])))
 
 
 def write_json_atomic(path: str, doc) -> None:
@@ -420,12 +377,9 @@ def sweep(
             write_outputs(record, run_dir)
         results.append((label, record))
 
-    index = {
-        label: {k: v for k, v in record.summary.items() if not isinstance(v, np.ndarray)}
-        for label, record in results
-    }
+    index = {label: record.summary for label, record in results}
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(index, indent=2, sort_keys=True, default=float))
+        fh.write(json.dumps(index, indent=2, sort_keys=True))
     if len(results) == 2:
         (label_a, rec_a), (label_b, rec_b) = results
         diff = {}

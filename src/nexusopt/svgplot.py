@@ -8,6 +8,7 @@ renderer; errors are raised before any file is written.
 from __future__ import annotations
 
 import csv
+import html
 import os
 
 from .errors import EmptyData, FieldMissing
@@ -96,7 +97,7 @@ def plot(metrics_csv_paths, fields, out_svg: str) -> str:
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
         ly = MARGIN_T + 16 * (idx + 1)
         parts.append(f'<rect x="{WIDTH - 230}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
-        parts.append(f'<text x="{WIDTH - 214}" y="{ly}" font-size="12">{label}</text>')
+        parts.append(f'<text x="{WIDTH - 214}" y="{ly}" font-size="12">{html.escape(label)}</text>')
     parts.append("</svg>")
     with open(out_svg, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -175,8 +175,6 @@ def test_a9_mechanism_at_desk_scale():
         "metric_cadence = 5\n"
         "problem.kind = \"mlp_multisource\"\n"
         "problem.k = 8\n"
-        "problem.d_in = 8\n"
-        "problem.d_out = 1\n"
         "problem.n_per_source = 512\n"
         "problem.shared_fraction = 0.5\n"
         "problem.widths = [8, 16, 8, 1]\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from xml.etree import ElementTree
 
 import pytest
 
@@ -119,6 +120,19 @@ def test_cli_sweep(tmp_path, config_file):
     assert len([d for d in os.listdir(out) if (out / d).is_dir()]) == 2
 
 
+def test_cli_sweep_over_widths_lists(tmp_path):
+    cfg = tmp_path / "mlp.cfg"
+    cfg.write_text(
+        "seed = 2\ntotal_steps = 2\nproblem.kind = \"mlp_multisource\"\nproblem.k = 2\n"
+        "problem.n_per_source = 8\nproblem.widths = [4, 1]\n"
+    )
+    out = tmp_path / "sweepout"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out), "--set", "problem.widths=[4,3,1],[4,1]"])
+    assert code == 0
+    assert sorted(d for d in os.listdir(out) if (out / d).is_dir()) == ["widths=[4, 1]", "widths=[4, 3, 1]"]
+    assert json.loads((out / "widths=[4, 3, 1]" / "config.resolved.json").read_text())["problem.widths"] == [4, 3, 1]
+
+
 def test_cli_sweep_exits_1_when_a_run_fails(tmp_path, config_file, capsys):
     out = tmp_path / "sweepout"
     code = main([
@@ -198,6 +212,15 @@ def test_plot_two_runs_share_legend(tmp_path, config_file):
     text = svg.read_text()
     assert "runA:mean_pairwise_cos" in text and "runB:mean_pairwise_cos" in text
     assert text.count("<polyline") == 2
+
+
+def test_plot_escapes_run_names(tmp_path, config_file):
+    out = tmp_path / "a&b"
+    main(["run", "--config", str(config_file), "--out", str(out)])
+    svg = tmp_path / "loss.svg"
+    plot(str(out / "metrics.csv"), ["train_loss"], str(svg))
+    labels = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b:train_loss" in labels
 
 
 def test_plot_missing_field(tmp_path, config_file):

@@ -61,6 +61,9 @@ def test_comments_and_blank_lines_ignored():
 def test_enum_values_validated():
     with pytest.raises(ParseError):
         parse_config_text("seed = 1\noptimizer.kind = \"sgdm\"\n")
+    with pytest.raises(ParseError) as err:
+        parse_config_text("seed = 1\nnexus.sampling = \"round_robin\"\n")
+    assert err.value.path == "nexus.sampling"
 
 
 def test_widths_reject_booleans():
@@ -89,7 +92,9 @@ def test_int_accepted_for_float_fields():
     assert cfg["nexus.gamma"] == 1.0 and isinstance(cfg["nexus.gamma"], float)
 
 
-@pytest.mark.parametrize("key, value", [("accum_steps", "2"), ("nexus.variant", "\"dot\"")])
+@pytest.mark.parametrize("key, value", [
+    ("accum_steps", "2"), ("nexus.variant", "\"dot\""), ("problem.d_in", "8"), ("problem.d_out", "1"),
+])
 def test_removed_keys_are_unknown(key, value):
     with pytest.raises(UnknownKey) as err:
         parse_config_text(f"seed = 1\n{key} = {value}\n")

@@ -21,7 +21,6 @@ from nexusopt.harness import (
     CSV_HEADER,
     build_problem,
     derive_sweep_seeds,
-    make_schedule,
     run,
     run_many,
     sweep,
@@ -29,7 +28,7 @@ from nexusopt.harness import (
 )
 from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
-from nexusopt.optimizers import AdamWState, adamw_step, nsgd_direction, schedule_lr
+from nexusopt.optimizers import AdamWState, Schedule, adamw_step, nsgd_direction, schedule_lr
 from nexusopt.oracles import random_quadratic_taskset
 from nexusopt.tasks import task_grads, taskset_to_json
 
@@ -174,7 +173,7 @@ def nsgd_feed_by_hand(cfg, pick):
     """Final theta of feeding gamma * unit gradient of task pick(step, draws) to AdamW."""
     problem = build_problem(cfg, rng_root(cfg["seed"]))
     draws = rng_substream(rng_root(cfg["seed"]), "tasks")
-    schedule = make_schedule(cfg)
+    schedule = Schedule(cfg["schedule.kind"], cfg["schedule.base_lr"], cfg["total_steps"])
     theta, state = problem.theta0, AdamWState.init(len(problem.theta0))
     for step in range(1, cfg["total_steps"] + 1):
         task = problem.taskset[pick(step, draws)]
@@ -218,21 +217,12 @@ def test_fixed_sequence_sampling_is_round_robin_deterministic():
     assert np.array_equal(rec_a.final_theta, rec_b.final_theta)
 
 
-def test_train_rejects_unknown_sampling():
-    cfg = make_cfg().with_overrides({"optimizer.kind": "nexus_adamw"})
-    problem = build_problem(cfg, rng_root(cfg["seed"]))
-    with pytest.raises(ValueError, match="unknown sampling"):
-        harness.train(problem.taskset, 2, "nexus_adamw", make_schedule(cfg), rng_root(1), problem.theta0,
-                      nexus_cfg=harness.make_nexus_config(cfg), sampling="round_robin")
-
-
 def make_mlp_cfg():
     return parse_config_text(
         "seed = 5\n"
         "total_steps = 4\n"
         "problem.kind = \"mlp_multisource\"\n"
         "problem.k = 3\n"
-        "problem.d_in = 4\n"
         "problem.n_per_source = 32\n"
         "problem.widths = [4, 6, 1]\n"
         "optimizer.kind = \"nexus_adamw\"\n"
@@ -245,6 +235,16 @@ def test_mlp_problem_runs_and_reports_ood():
     rec = run(make_mlp_cfg())
     assert rec.summary["ood_loss"] is not None
     assert rec.rows[-1].mean_pairwise_cos is not None
+
+
+def test_widths_set_the_sources_inputs_and_targets():
+    cfg = make_mlp_cfg().with_overrides({"problem.widths": [4, 6, 2]})
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    for task in [*problem.taskset.tasks, problem.ood_task]:
+        assert task.source.inputs.shape == (32, 4)
+        assert task.source.targets.shape == (32, 2)
+    rec = run(cfg)
+    assert len(rec.rows) == 5 and np.isfinite(rec.summary["train_loss"])
 
 
 def test_emit_computes_each_task_gradient_once(monkeypatch):
@@ -323,8 +323,6 @@ CHANGED = {
     "problem.variance": 0.2,
     "problem.depth": 0.7,
     "problem.third_bound": 0.9,
-    "problem.d_in": 3,
-    "problem.d_out": 2,
     "problem.n_per_source": 9,
     "problem.shared_fraction": 0.1,
     "problem.widths": [4, 3, 1],
@@ -349,7 +347,7 @@ def combination_cfg(tmp_path, problem_kind, optimizer_kind, schedule_kind):
     first.write_text(taskset_to_json(random_quadratic_taskset(3, 3, rng_root(9))))
     second.write_text(taskset_to_json(random_quadratic_taskset(3, 2, rng_root(10))))
     cfg = parse_config_text(
-        "seed = 3\ntotal_steps = 6\nproblem.k = 3\nproblem.dim = 3\nproblem.d_in = 4\n"
+        "seed = 3\ntotal_steps = 6\nproblem.k = 3\nproblem.dim = 3\n"
         "problem.n_per_source = 16\nproblem.widths = [4, 6, 1]\nschedule.base_lr = 0.05\n"
         "schedule.warmup_steps = 1\nschedule.decay_steps = 2\nnexus.inner_steps = 3\n"
         f"problem.path = {json.dumps(str(first))}\n"
@@ -402,8 +400,7 @@ def test_shipped_configs_record_only_the_keys_that_take_effect():
     quadratic = load_config(os.path.join(REPO_ROOT, "configs", "quadratic_baseline.cfg")).resolved()
     mlp_cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).resolved()
     mlp_only = {
-        "problem.d_in", "problem.d_out", "problem.n_per_source",
-        "problem.shared_fraction", "problem.widths", "problem.activation",
+        "problem.n_per_source", "problem.shared_fraction", "problem.widths", "problem.activation",
     }
     quadratic_only = {"problem.curvature", "problem.variance", "problem.depth"}
     assert set(SCHEMA) - set(quadratic) == (
@@ -412,7 +409,7 @@ def test_shipped_configs_record_only_the_keys_that_take_effect():
     assert set(SCHEMA) - set(mlp_cfg) == (
         quadratic_only | {"problem.dim", "problem.third_bound", "problem.path", "schedule.decay_steps"}
     )
-    assert (len(quadratic), len(mlp_cfg)) == (21, 27)
+    assert (len(quadratic), len(mlp_cfg)) == (21, 25)
 
 
 def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
