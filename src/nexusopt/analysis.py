@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGradient, MissingMinimizer
-from .numerics import as_params
+from .numerics import as_params, norm
 from .tasks import CubicTask, QuadraticTask, TaskSet, train_grad
 
 
@@ -30,7 +30,7 @@ def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     product and the product of norms commute exactly, so the lower triangle
     mirrors the upper one.
     """
-    norms = [float(np.linalg.norm(g)) for g in G]
+    norms = [norm(g) for g in G]
     for k, n in enumerate(norms):
         if n < floor:
             raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {floor:g}", k)
@@ -93,7 +93,7 @@ def closeness(theta: np.ndarray, ts: TaskSet, minimizers=None) -> ClosenessRepor
     """Mean squared distance between theta and each task's minimizer."""
     theta = as_params(theta, ts.dim)
     mins = resolve_minimizers(ts, minimizers)
-    distances = np.array([float(np.linalg.norm(theta - m)) for m in mins])
+    distances = np.array([norm(theta - m) for m in mins])
     floor = np.inf
     for t, m, dist in zip(ts.tasks, mins, distances):
         if dist <= 1e-15:
@@ -145,7 +145,7 @@ def flatness_closeness_bound(theta_train: np.ndarray, downstream, minimizer=None
     else:
         raise MissingMinimizer("supply a located minimizer for non-analytic downstream tasks")
     delta = theta_train - theta_star
-    dist = float(np.linalg.norm(delta))
+    dist = norm(delta)
     min_loss = downstream.loss(theta_star)
     if dist <= 1e-15:
         return FlatnessClosenessBound(min_loss, 0.0, 0.0, min_loss)

@@ -44,7 +44,7 @@ from .config import DUAL_LOOP_MODES, ExperimentConfig
 from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
-from .numerics import RngStream, rng_root, rng_substream
+from .numerics import RngStream, norm, rng_root, rng_substream
 from .optimizers import AdamWState, Schedule, adamw_step, clip_grad, schedule_lr, sgd_step
 from .parallel import map_in_workers
 from .tasks import (
@@ -198,7 +198,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
         losses, G = losses_and_grads(ts, theta)
         tl = sum(losses) / len(ts)
         ood = ood_task.loss(theta) if ood_task is not None else None
-        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), float(np.linalg.norm(mean_grad(G))), last_pg_norm)
+        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), norm(mean_grad(G)), last_pg_norm)
         return row, G
 
     start = time.perf_counter()
@@ -223,7 +223,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
                 raise DegenerateGradient(
                     f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index, step
                 ) from exc
-            last_pg_norm = float(np.linalg.norm(direction))
+            last_pg_norm = norm(direction)
         else:
             direction = train_grad(ts, theta) if G is None else mean_grad(G)
         G = None

@@ -13,6 +13,7 @@ in practice.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +32,17 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(theta).all():
         raise NonFiniteValue("parameter vector contains NaN/Inf")
     return theta
+
+
+def norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) for a 1-D float64 vector, bit for bit, without its Python dispatch.
+
+    np.linalg.norm takes the square root of x.ravel(order="K").dot(...) for such
+    a vector; the ravel makes a strided view contiguous, so the dot product sums
+    in the same order here.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -96,10 +108,10 @@ def fd_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray, eps: float 
 
 def default_hvp_eps(theta: np.ndarray, v: np.ndarray) -> float:
     """Step size balancing truncation vs. rounding for directional gradient differences."""
-    vnorm = float(np.linalg.norm(v))
+    vnorm = norm(v)
     if vnorm == 0.0:
         raise ZeroDirection("direction vector has zero norm")
-    return 1e-5 * (1.0 + float(np.linalg.norm(theta))) / vnorm
+    return 1e-5 * (1.0 + norm(theta)) / vnorm
 
 
 def fd_hvp(
@@ -112,7 +124,7 @@ def fd_hvp(
     theta = as_params(theta)
     v = as_params(v)
     check_same_dim(theta, v)
-    if float(np.linalg.norm(v)) == 0.0:
+    if norm(v) == 0.0:
         raise ZeroDirection("direction vector has zero norm")
     if eps is None:
         eps = default_hvp_eps(theta, v)

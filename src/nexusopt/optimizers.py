@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGradient, StepOutOfRange
-from .numerics import as_params, check_same_dim
+from .numerics import as_params, check_same_dim, norm
 
 DEFAULT_GRAD_FLOOR = 1e-12
 SCHEDULE_KINDS = ("constant", "cosine", "wsd")
@@ -45,10 +45,10 @@ def nsgd_direction(
     optimizer.
     """
     grad = as_params(grad)
-    norm = float(np.linalg.norm(grad))
-    if norm < floor:
-        raise DegenerateGradient(f"gradient norm {norm:g} below floor {floor:g}", task_index)
-    return (lr / norm) * grad
+    grad_norm = norm(grad)
+    if grad_norm < floor:
+        raise DegenerateGradient(f"gradient norm {grad_norm:g} below floor {floor:g}", task_index)
+    return (lr / grad_norm) * grad
 
 
 def nsgd_step(
@@ -102,10 +102,10 @@ def clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     grad = as_params(grad)
-    norm = float(np.linalg.norm(grad))
-    if norm <= max_norm:
+    grad_norm = norm(grad)
+    if grad_norm <= max_norm:
         return grad
-    return grad * (max_norm / norm)
+    return grad * (max_norm / grad_norm)
 
 
 @dataclass(frozen=True)

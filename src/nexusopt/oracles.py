@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from .nexus import NexusConfig, inner_loop
-from .numerics import RngStream, as_params
+from .numerics import RngStream, as_params, norm
 from .optimizers import nsgd_step, sgd_step
 from .tasks import QuadraticTask, TaskFamily, TaskSet, stationary_point, train_grad
 
@@ -100,7 +100,7 @@ def quadratic_smoothness_constants(ts: TaskSet, theta: np.ndarray, radius: float
         if not isinstance(t, QuadraticTask):
             raise TypeError("quadratic_smoothness_constants expects quadratic tasks")
         lam_max = float(np.linalg.eigvalsh(t.hessian).max())
-        gnorm = float(np.linalg.norm(t.grad(theta)))
+        gnorm = norm(t.grad(theta))
         g_lower = min(g_lower, gnorm - lam_max * radius)
         g_upper = max(g_upper, gnorm + lam_max * radius)
         h_bound = max(h_bound, lam_max)
@@ -139,7 +139,7 @@ class _Local(NamedTuple):
 
 def _local(task, theta: np.ndarray, floor: float, curvature: bool = False) -> _Local:
     g = task.grad(theta)
-    n = float(np.linalg.norm(g))
+    n = norm(g)
     if n < floor:
         raise DegenerateGradient(f"gradient norm {n:g} below floor {floor:g}")
     extra = (task.hessian_at(theta), task.third_tensor()) if curvature else ()
@@ -182,8 +182,8 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) ->
     loc_i, loc_j = _local(task_i, theta, floor), _local(task_j, theta, floor)
     proj_j = _proj(loc_i.h, loc_j.h)
     proj_i = _proj(loc_j.h, loc_i.h)
-    term_i = task_i.hvp(theta, proj_j) / loc_i.n if np.linalg.norm(proj_j) > 0 else np.zeros_like(theta)
-    term_j = task_j.hvp(theta, proj_i) / loc_j.n if np.linalg.norm(proj_i) > 0 else np.zeros_like(theta)
+    term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros_like(theta)
+    term_j = task_j.hvp(theta, proj_i) / loc_j.n if norm(proj_i) > 0 else np.zeros_like(theta)
     return term_i + term_j
 
 
@@ -388,9 +388,14 @@ class ClosenessChainReport:
 
 def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> ClosenessChainReport:
     """Evaluate the closeness / inner-product / cosine-similarity chain at the
-    stationary point of a quadratic task set."""
+    stationary point of a quadratic task set.
+
+    Each gradient norm and each unordered pair's dot product is computed once
+    (a dot product is the same bits in either order); the sums still run over
+    the ordered pairs, so they round as they always did.
+    """
     theta = stationary_point(ts) if theta is None else as_params(theta, ts.dim)
-    resid = float(np.linalg.norm(train_grad(ts, theta)))
+    resid = norm(train_grad(ts, theta))
     if resid > 1e-9:
         raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at the supplied point")
     K = len(ts)
@@ -398,23 +403,28 @@ def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> Close
     for t in ts.tasks:
         grads.append(t.grad(theta))
         delta = theta - t.minimizer
-        dist = float(np.linalg.norm(delta))
+        dist = norm(delta)
         dists.append(dist)
         if dist > 1e-15:
             u = delta / dist
             curvs.append(float(u @ t.hessian @ u))
     lam = min(curvs) if curvs else np.inf
-    G = max(float(np.linalg.norm(g)) for g in grads)
+    norms = [norm(g) for g in grads]
+    G = max(norms)
     closeness_val = float(np.mean(np.asarray(dists) ** 2))
+    dots = [[0.0] * K for _ in range(K)]
+    for i in range(K):
+        for j in range(i + 1, K):
+            dots[i][j] = dots[j][i] = float(grads[i] @ grads[j])
     cross = 0.0
     one_minus_cos = 0.0
     for i in range(K):
         for j in range(K):
             if i == j:
                 continue
-            dot = float(grads[i] @ grads[j])
+            dot = dots[i][j]
             cross += -dot
-            ni, nj = float(np.linalg.norm(grads[i])), float(np.linalg.norm(grads[j]))
+            ni, nj = norms[i], norms[j]
             if ni > 0 and nj > 0:
                 one_minus_cos += 1.0 - dot / (ni * nj)
             # zero-gradient pairs contribute nothing: the common-minimizer case
@@ -503,21 +513,21 @@ def measure_sgd_contraction(
     """
     theta_star = ts.tasks[0].minimizer
     for t in ts.tasks:
-        if float(np.linalg.norm(t.minimizer - theta_star)) > 1e-12:
+        if norm(t.minimizer - theta_star) > 1e-12:
             raise ValueError("tasks must share a common minimizer")
     theta0 = as_params(theta0, ts.dim)
     u = theta0 - theta_star
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
+    u_norm = norm(u)
+    if u_norm == 0.0:
         return np.zeros(steps)
-    u = u / norm
+    u = u / u_norm
     ratios = np.empty(steps)
     for m in range(steps):
         k = int(rng.generator.integers(0, len(ts)))
         stepped = sgd_step(theta_star + u, ts[k].grad(theta_star + u), gamma)
         w = stepped - theta_star
         ratios[m] = float(w @ w)
-        wnorm = float(np.linalg.norm(w))
+        wnorm = norm(w)
         if wnorm == 0.0:
             ratios[m + 1 :] = 0.0
             break
@@ -542,7 +552,7 @@ def nsgd_nexus_identity_check(
         for k in pair:
             theta_nsgd = nsgd_step(theta_nsgd, ts[int(k)].grad(theta_nsgd), gamma)
         theta_nexus = sgd_step(theta_nexus, inner_loop(theta_nexus, ts, cfg, pair), 1.0)
-        max_div = max(max_div, float(np.linalg.norm(theta_nsgd - theta_nexus)))
+        max_div = max(max_div, norm(theta_nsgd - theta_nexus))
     return max_div
 
 
@@ -569,7 +579,7 @@ def random_probe_point(ts: TaskSet, rng: RngStream, min_grad: float = 0.3, tries
     gen = rng.generator
     for _ in range(tries):
         theta = gen.standard_normal(ts.dim)
-        if min(float(np.linalg.norm(t.grad(theta))) for t in ts.tasks) >= min_grad:
+        if min(norm(t.grad(theta)) for t in ts.tasks) >= min_grad:
             return theta
     raise DegenerateGradient(f"could not find a probe point with gradient norms >= {min_grad}")
 

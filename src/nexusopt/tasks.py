@@ -22,10 +22,19 @@ from .errors import DimensionMismatch, SingularSystem
 from .numerics import RngStream, as_params
 
 
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """np.allclose(a, b, atol=atol) at its default rtol 1e-5, without its per-call overhead.
+
+    This is np.isclose's own rule, finite or not: within tolerance where b is
+    finite, else exactly equal (equal infs are close, NaN is not).
+    """
+    return bool((((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)) | (a == b)).all())
+
+
 def _check_spd(A: np.ndarray) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"Hessian must be square, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12):
+    if not _allclose(A, A.T, 1e-12):
         raise ValueError("Hessian must be symmetric")
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0:
@@ -126,7 +135,7 @@ class CubicTask:
         self.third = np.asarray(self.third, dtype=np.float64)
         if self.third.shape != (d, d, d):
             raise DimensionMismatch(f"third tensor must have shape {(d, d, d)}, got {self.third.shape}")
-        if not np.allclose(self.third, symmetrize_tensor(self.third), atol=1e-10):
+        if not _allclose(self.third, symmetrize_tensor(self.third), 1e-10):
             raise ValueError("third tensor must be symmetric under index permutations")
 
     @property
@@ -261,7 +270,7 @@ class TaskSet:
             self.weights = np.ones(len(self.tasks))
         else:
             self.weights = _checked_weights(self.weights, len(self.tasks))
-            if not np.allclose(self.weights, 1.0):
+            if np.any(self.weights != 1.0):
                 self.tasks = [t.scaled(w) for t, w in zip(self.tasks, self.weights)]
 
     def __len__(self) -> int:

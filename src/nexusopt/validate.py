@@ -7,7 +7,8 @@ these entry points with the full-strength settings.
 
 The suites are independent and separately seeded, so ``validate_theorems``
 runs them in forked worker processes through ``parallel.map_in_workers``, as
-many as it is given (the CLI passes the sweep's worker count), and joins
+many as it is given (the CLI passes the sweep's worker count). It dispatches
+them longest first, so that the longest suite does not start last, and joins
 their results in table order: the report is the same bytes for any count.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateGradient
 from .nexus import NexusConfig
-from .numerics import fd_gradient, rng_root, rng_substream
+from .numerics import fd_gradient, norm, rng_root, rng_substream
 from .oracles import (
     CurvatureBounds,
     closeness_bound_check,
@@ -107,7 +108,7 @@ def check_second_order(
             cfg = NexusConfig(float(gamma), K)
             exact = expected_pseudo_gradient_exact(ts, theta, cfg)
             approx = second_order_direction(ts, theta, cfg)
-            resid = float(np.linalg.norm(exact - approx))
+            resid = norm(exact - approx)
             residuals.append(resid)
             try:
                 consts = quadratic_smoothness_constants(ts, theta, K * float(gamma))
@@ -145,11 +146,11 @@ def check_second_order(
 
         def cossim(x):
             gi, gj = ts[0].grad(x), ts[1].grad(x)
-            return float(gi @ gj) / (np.linalg.norm(gi) * np.linalg.norm(gj))
+            return float(gi @ gj) / (norm(gi) * norm(gj))
 
         fd = fd_gradient(cossim, theta, eps=1e-6)
-        denom = max(float(np.linalg.norm(fd)), 1e-12)
-        worst_rel = max(worst_rel, float(np.linalg.norm(analytic - fd)) / denom)
+        denom = max(norm(fd), 1e-12)
+        worst_rel = max(worst_rel, norm(analytic - fd) / denom)
     results.append(
         _result("cossim_gradient_matches_fd", worst_rel <= 1e-6, worst_rel, 1e-6, 1e-6,
                 "analytic similarity gradient vs central differences, 50 quadratic/cubic pairs")
@@ -177,7 +178,7 @@ def check_third_order(
         for gamma in gammas:
             cfg = NexusConfig(float(gamma), 2)
             exact = expected_pseudo_gradient_exact(ts, theta, cfg)
-            residuals.append(float(np.linalg.norm(exact - third_order_direction(ts, theta, cfg))))
+            residuals.append(norm(exact - third_order_direction(ts, theta, cfg)))
         slopes.append(_loglog_slope(gammas, residuals))
     lo, hi = slope_range
     bad = [s for s in slopes if not lo <= s <= hi]
@@ -189,9 +190,9 @@ def check_third_order(
     ts = random_quadratic_taskset(3, 2, rng)
     theta = random_probe_point(ts, rng_substream(rng, "probe"))
     tensor_term = third_order_tensor_term(ts, theta, NexusConfig(1e-2, 2))
-    norm = float(np.linalg.norm(tensor_term))
+    tensor_norm = norm(tensor_term)
     results.append(
-        _result("third_order_tensor_term_zero_on_quadratics", norm == 0.0, norm, 0.0, 0.0,
+        _result("third_order_tensor_term_zero_on_quadratics", tensor_norm == 0.0, tensor_norm, 0.0, 0.0,
                 "the third-derivative piece vanishes exactly when the tensor is zero")
     )
     return results
@@ -297,6 +298,10 @@ _SUITE_FNS = {
     "nsgd_identity": check_nsgd_identity,
 }
 
+# _SUITE_FNS by serial time, longest first (medians of about 115, 77, 61, 41, 14
+# and 8 ms on a 2-core VM): two workers then finish in about half the serial total
+_DISPATCH_ORDER = ("generalization", "second_order", "closeness", "nsgd_identity", "convergence", "third_order")
+
 
 def _run_suite(job) -> list:
     """The CheckResults of one suite; job is (name, gamma_override), and the
@@ -309,17 +314,20 @@ def _run_suite(job) -> list:
 
 
 def validate_theorems(suite: str = "all", gamma_override: float | None = None, workers: int = 1) -> list:
-    """Run one suite (or all, in ``_SUITE_FNS`` order) and return the list of CheckResults.
+    """Run one suite (or all) and return the list of CheckResults, in ``_SUITE_FNS`` order.
 
-    The suites run through ``map_in_workers``, in up to ``workers`` forked
-    worker processes (one suite runs in this process); each suite seeds its
-    own fixtures, so the results are the same bits for any worker count.
+    The suites run through ``map_in_workers`` in ``_DISPATCH_ORDER``, in up to
+    ``workers`` forked worker processes (one suite runs in this process); each
+    suite seeds its own fixtures, so the results are the same bits for any
+    worker count. When several suites raise, the error of the first of them in
+    dispatch order is the one raised.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = list(_SUITE_FNS) if suite == "all" else [suite]
+    names = _DISPATCH_ORDER if suite == "all" else (suite,)
     jobs = [(name, gamma_override) for name in names]
-    return [check for checks in map_in_workers(_run_suite, jobs, workers) for check in checks]
+    by_name = dict(zip(names, map_in_workers(_run_suite, jobs, workers)))
+    return [check for name in (_SUITE_FNS if suite == "all" else names) for check in by_name[name]]
 
 
 def report_to_dict(results) -> dict:

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt.errors import NonFiniteValue, ZeroDirection
-from nexusopt.numerics import fd_gradient, fd_hvp, rng_root, rng_substream
+from nexusopt.numerics import fd_gradient, fd_hvp, norm, rng_root, rng_substream
 from nexusopt.tasks import CubicTask, QuadraticTask
 
 
@@ -90,3 +92,34 @@ def test_fd_gradient_quadratic_relative_error():
         analytic = task.grad(theta)
         numeric = fd_gradient(task.loss, theta, eps=1e-5)
         assert np.linalg.norm(numeric - analytic) <= 1e-8 * max(np.linalg.norm(analytic), 1.0)
+
+
+def _norm_cases():
+    gen = rng_root(2024).generator
+    return {
+        "contiguous": gen.standard_normal(7),
+        "long": gen.standard_normal(1001),
+        "every_other": gen.standard_normal(19)[::2],
+        "reversed": gen.standard_normal(9)[::-1],
+        "matrix_column": gen.standard_normal((6, 4))[:, 1],
+        "length_0": np.empty(0),
+        "length_1": np.array([-2.5]),
+        "zeros": np.zeros(5),
+        "negative_zeros": np.array([-0.0, -0.0, -0.0]),
+        "squares_overflow": np.array([1e200, -3.0]),
+        "squares_underflow": np.array([1e-200, -1e-190]),
+        "nan": np.array([1.0, np.nan, 2.0]),
+        "inf": np.array([np.inf, 2.0]),
+        "minus_inf": np.array([-1.0, -np.inf]),
+        "both_infs": np.array([np.inf, -np.inf]),
+        "nan_and_inf": np.array([np.nan, np.inf]),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("case", list(_norm_cases()))
+def test_norm_equals_np_linalg_norm_bitwise(case):
+    x = _norm_cases()[case]
+    value = norm(x)
+    assert type(value) is float
+    assert struct.pack("<d", value) == struct.pack("<d", float(np.linalg.norm(x)))

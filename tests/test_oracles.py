@@ -1,7 +1,11 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nexusopt import validate
 from nexusopt.errors import EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from nexusopt.nexus import NexusConfig, inner_loop
 from nexusopt.numerics import fd_gradient, rng_root, rng_substream
@@ -30,7 +34,15 @@ from nexusopt.oracles import (
     third_order_tensor_term,
 )
 from nexusopt.oracles import _local, _second_derivative
-from nexusopt.tasks import CubicTask, QuadraticTask, TaskFamily, TaskSet, random_cubic_task
+from nexusopt.tasks import (
+    CubicTask,
+    QuadraticTask,
+    TaskFamily,
+    TaskSet,
+    random_cubic_task,
+    stationary_point,
+    train_grad,
+)
 
 
 def monte_carlo_pseudo_gradient(ts, theta, cfg, rng, n_draws):
@@ -333,6 +345,62 @@ def test_closeness_chain_identical_tasks_all_zero():
     assert report.closeness == 0.0
     assert report.inner_product_bound == 0.0
     assert report.cossim_bound == 0.0
+
+
+def closeness_reference(ts):
+    """The chain with both norms recomputed for every ordered pair: the formula closeness_bound_check caches."""
+    theta = stationary_point(ts)
+    assert float(np.linalg.norm(train_grad(ts, theta))) <= 1e-9
+    K = len(ts)
+    grads, dists, curvs = [], [], []
+    for t in ts.tasks:
+        grads.append(t.grad(theta))
+        delta = theta - t.minimizer
+        dist = float(np.linalg.norm(delta))
+        dists.append(dist)
+        if dist > 1e-15:
+            u = delta / dist
+            curvs.append(float(u @ t.hessian @ u))
+    lam = min(curvs) if curvs else np.inf
+    G = max(float(np.linalg.norm(g)) for g in grads)
+    closeness_val = float(np.mean(np.asarray(dists) ** 2))
+    cross = 0.0
+    one_minus_cos = 0.0
+    for i in range(K):
+        for j in range(K):
+            if i == j:
+                continue
+            dot = float(grads[i] @ grads[j])
+            cross += -dot
+            ni, nj = float(np.linalg.norm(grads[i])), float(np.linalg.norm(grads[j]))
+            if ni > 0 and nj > 0:
+                one_minus_cos += 1.0 - dot / (ni * nj)
+    middle = cross / (K * lam**2) if np.isfinite(lam) else 0.0
+    right = G**2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
+    return [closeness_val, middle, right, float(lam), G]
+
+
+def test_closeness_chain_equals_the_per_pair_formula_bitwise():
+    # the 100 sets of validate.check_closeness, K = 2, 4, 8
+    root = rng_root(5150)
+    for idx in range(100):
+        ts = random_quadratic_taskset(2 + idx % 4, (2, 4, 8)[idx % 3], rng_substream(root, f"set/{idx}"))
+        report = dataclasses.astuple(closeness_bound_check(ts))
+        expected = closeness_reference(ts)
+        assert [struct.pack("<d", v) for v in report] == [struct.pack("<d", v) for v in expected], idx
+
+
+def test_closeness_check_fails_when_the_cross_term_flips_sign(monkeypatch):
+    # cross += dot instead of cross += -dot negates the inner-product bound exactly
+    def flipped(ts):
+        report = closeness_bound_check(ts)
+        return dataclasses.replace(report, inner_product_bound=-report.inner_product_bound)
+
+    assert validate.check_closeness()[0].passed
+    monkeypatch.setattr(validate, "closeness_bound_check", flipped)
+    (result,) = validate.check_closeness()
+    assert result.check_name == "closeness_chain_inequalities"
+    assert not result.passed
 
 
 def test_closeness_chain_rejects_non_stationary_points():

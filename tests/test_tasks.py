@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nexusopt import tasks as task_module
 from nexusopt.errors import DimensionMismatch
 from nexusopt.numerics import fd_gradient, fd_hvp, rng_root, rng_substream
 from nexusopt.tasks import (
@@ -15,6 +16,7 @@ from nexusopt.tasks import (
     random_spd_matrix,
     sample_family,
     stationary_point,
+    symmetrize_tensor,
     task_grads,
     taskset_from_json,
     taskset_to_json,
@@ -232,6 +234,145 @@ def test_weights_fold_into_losses():
     theta = rng.generator.standard_normal(2)
     expected = 0.5 * (0.25 * t1.loss(theta) + 1.75 * t2.loss(theta))
     assert_allclose(train_loss(ts, theta), expected, rtol=1e-14)
+
+
+def test_weights_within_allclose_tolerance_still_fold():
+    q = QuadraticTask(np.eye(2), np.array([1.0, -1.0]), 0.5)
+    ts = TaskSet([q, q], weights=[1.000009, 1.0])
+    theta = np.array([0.3, 2.0])
+    assert ts[0].hessian[0, 0] == 1.000009
+    assert_allclose(ts[0].loss(theta), 1.000009 * q.loss(theta), rtol=1e-15)
+    assert ts[0].loss(theta) != q.loss(theta)
+    assert ts[1].hessian[0, 0] == 1.0
+    assert ts[1].loss(theta) == q.loss(theta)
+
+
+def _exactly_at_tolerance(atol):
+    """A b > 0 with |0 - b| == atol + 1e-5 * |b| in floating point: the pair (0, b) sits on np.isclose's boundary."""
+    b = atol / (1.0 - 1e-5)
+    for _ in range(64):
+        b = np.nextafter(b, 0.0)
+    for _ in range(128):
+        if b == atol + 1e-5 * b:
+            return b
+        b = np.nextafter(b, 1.0)
+    raise AssertionError(f"no float sits exactly on the boundary for atol {atol}")
+
+
+def _entry_pairs(atol):
+    """(a entry, b entry, np.allclose's decision or None where the row only has to agree with it)."""
+    bound = _exactly_at_tolerance(atol)
+    inf, nan = np.inf, np.nan
+    return {
+        "equal": (0.5, 0.5, True),
+        "at_atol": (atol, 0.0, True),
+        "ulp_over_atol": (np.nextafter(atol, 1.0), 0.0, False),
+        "at_tolerance": (0.0, bound, True),
+        "ulp_over_tolerance": (0.0, np.nextafter(bound, 1.0), False),
+        "relative": (1.0 + 9.99e-6, 1.0, True),
+        "nan_in_a": (nan, 1.0, False),
+        "nan_in_b": (1.0, nan, False),
+        "both_nan": (nan, nan, False),
+        "equal_infs": (inf, inf, True),
+        "equal_minus_infs": (-inf, -inf, True),
+        "opposite_infs": (inf, -inf, False),
+        "inf_in_a": (inf, 1.0, False),
+        "inf_in_b": (1.0, inf, False),
+        "overflowing_difference": (1.7e308, -1.7e308, None),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("atol", [1e-12, 1e-10])
+def test_symmetry_predicate_decides_what_allclose_decides(atol):
+    for name, (x, y, expected) in _entry_pairs(atol).items():
+        a, b = np.array([[1.0, x], [2.0, -3.0]]), np.array([[1.0, y], [2.0, -3.0]])
+        decision = np.allclose(a, b, atol=atol)
+        if expected is not None:
+            assert decision is expected, name
+        assert task_module._allclose(a, b, atol) is decision, name
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as exc:  # the error type and message are part of the decision
+        return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+def _hessian_rows():
+    def m(x, y, diag=(2.0, 3.0)):
+        return np.array([[diag[0], x], [y, diag[1]]])
+
+    inf, nan = np.inf, np.nan
+    return {
+        "symmetric": m(0.5, 0.5),
+        "at_tolerance": m(1e-12, 0.0),
+        "ulp_over_tolerance": m(np.nextafter(1e-12, 1.0), 0.0),
+        "asymmetric": m(0.5, 0.4),
+        "nan": m(nan, nan),
+        "equal_infs": m(inf, inf),
+        "opposite_infs": m(inf, -inf),
+        "inf_on_diagonal": m(0.0, 0.0, (inf, 3.0)),
+        "not_positive_definite": m(0.0, 0.0, (2.0, -1.0)),
+    }
+
+
+def _tensor_rows():
+    def t(value, other=None):
+        # T[0,0,1] = value and T[0,1,0] = other (default -value): their orbit averages to exactly 0
+        T = np.zeros((2, 2, 2))
+        T[0, 0, 1], T[0, 1, 0] = value, -value if other is None else other
+        return T
+
+    over = np.nextafter(1e-10, 1.0)
+    inf, nan = np.inf, np.nan
+    T_nan, T_inf = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+    T_nan[0, 0, 0], T_inf[0, 0, 0] = nan, inf
+    return {
+        "symmetric": symmetrize_tensor(rng_root(5).generator.standard_normal((2, 2, 2))),
+        "at_tolerance": t(1e-10),
+        "ulp_over_tolerance": t(over),
+        "asymmetric": t(1e-3, 0.0),
+        "nan": T_nan,
+        "equal_infs": T_inf,
+        "opposite_infs": t(inf, -inf),
+    }
+
+
+def _with_np_allclose(monkeypatch, build):
+    """The outcome of build() when the tasks check symmetry with np.allclose, as they used to."""
+    with monkeypatch.context() as m:
+        m.setattr(task_module, "_allclose", lambda a, b, atol: np.allclose(a, b, atol=atol))
+        return _outcome(build)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", list(_hessian_rows()))
+def test_hessian_symmetry_check_matches_allclose(monkeypatch, row):
+    A = _hessian_rows()[row]
+    build = lambda: QuadraticTask(A, np.zeros(2))
+    outcome = _outcome(build)
+    assert outcome == _with_np_allclose(monkeypatch, build)
+    if row in ("symmetric", "at_tolerance"):
+        assert outcome == "accepted"
+    if row in ("ulp_over_tolerance", "asymmetric", "nan", "opposite_infs"):
+        assert outcome == ("ValueError", "Hessian must be symmetric")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", list(_tensor_rows()))
+def test_cubic_tensor_symmetry_check_matches_allclose(monkeypatch, row):
+    T = _tensor_rows()[row]
+    build = lambda: CubicTask(np.eye(2), np.zeros(2), 0.0, T)
+    outcome = _outcome(build)
+    assert outcome == _with_np_allclose(monkeypatch, build)
+    if row in ("symmetric", "at_tolerance", "equal_infs"):
+        assert outcome == "accepted"
+    if row in ("ulp_over_tolerance", "asymmetric", "nan", "opposite_infs"):
+        assert outcome == ("ValueError", "third tensor must be symmetric under index permutations")
 
 
 def test_taskset_dimension_mismatch():
