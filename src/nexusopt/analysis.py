@@ -66,41 +66,15 @@ def _segment_curvatures(task, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np
     raise TypeError(f"segment curvature extremes need a QuadraticTask or CubicTask, got {type(task).__name__}")
 
 
-@dataclass
-class ClosenessReport:
-    """Distances to each task minimizer plus the mean square and the curvature floor used."""
-
-    per_task_distance: np.ndarray
-    mean_sq: float
-    curvature_floor: float
-
-
-def resolve_minimizers(ts: TaskSet, minimizers=None) -> list:
-    if minimizers is not None:
-        if len(minimizers) != len(ts):
-            raise MissingMinimizer(f"need {len(ts)} minimizers, got {len(minimizers)}")
-        return [as_params(m, ts.dim) for m in minimizers]
-    out = []
-    for k, t in enumerate(ts.tasks):
-        if isinstance(t, QuadraticTask):
-            out.append(t.minimizer)
-        else:
-            raise MissingMinimizer(f"task {k} has no analytic minimizer; supply located ones")
-    return out
-
-
-def closeness(theta: np.ndarray, ts: TaskSet, minimizers=None) -> ClosenessReport:
-    """Mean squared distance between theta and each task's minimizer."""
+def closeness(theta: np.ndarray, ts: TaskSet) -> float:
+    """Mean squared distance between theta and each task's minimizer; every task must be a QuadraticTask."""
     theta = as_params(theta, ts.dim)
-    mins = resolve_minimizers(ts, minimizers)
-    distances = np.array([norm(theta - m) for m in mins])
-    floor = np.inf
-    for t, m, dist in zip(ts.tasks, mins, distances):
-        if dist <= 1e-15:
-            continue
-        u = (theta - m) / dist
-        floor = min(floor, float(_segment_curvatures(t, theta, m, u).min()))
-    return ClosenessReport(distances, float(np.mean(distances**2)), floor)
+    dists = []
+    for k, t in enumerate(ts.tasks):
+        if not isinstance(t, QuadraticTask):
+            raise MissingMinimizer(f"task {k} is a {type(t).__name__}, which has no analytic minimizer")
+        dists.append(norm(theta - t.minimizer))
+    return float(np.mean(np.asarray(dists) ** 2))
 
 
 class TransferCheck(NamedTuple):

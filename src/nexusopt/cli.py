@@ -12,7 +12,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, NexusError
-from .harness import run, sweep, write_error_summary, write_outputs
+from .harness import run_into, sweep, write_json_atomic
 from .svgplot import plot
 from .validate import SUITES, report_to_dict, validate_theorems
 
@@ -43,26 +43,21 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg = cfg.with_overrides({"seed": args.seed})
     out_dir = args.out or cfg["output_dir"] or cfg["name"]
-    try:
-        record = run(cfg)
-    except NexusError as exc:
-        write_error_summary(exc, out_dir)
-        print(f"run failed: {exc}", file=sys.stderr)
+    summary = run_into(cfg, out_dir)
+    if "error" in summary:
+        print(f"run failed: {summary['error']}", file=sys.stderr)
         return 1
-    write_outputs(record, out_dir)
-    print(f"wrote {out_dir}/metrics.csv ({len(record.rows)} rows)")
+    print(f"wrote {out_dir} ({summary['steps']} steps)")
     return 0
 
 
 def cmd_validate(args) -> int:
     results = validate_theorems(args.suite, gamma_override=args.gamma, workers=worker_count())
     report = report_to_dict(results)
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json_atomic(args.out, report)
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     for r in results:
         print(f"[{r.status.upper():4}] {r.check_name}: measured={r.measured:.6g} bound={r.bound:.6g}",
               file=sys.stderr)
@@ -104,7 +99,7 @@ def cmd_sweep(args) -> int:
         overrides[key.strip()] = [_parse_override_value(v) for v in _split_override_values(values)]
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
-    failed = [(label, record.summary["error"]) for label, record in results if "error" in record.summary]
+    failed = [(label, summary["error"]) for label, summary in results if "error" in summary]
     for label, error in failed:
         print(f"run {label} failed: {error}", file=sys.stderr)
     return 1 if failed else 0

@@ -1,6 +1,8 @@
 """Experiment execution: problem construction, the training loop, metric
-records, on-disk outputs, and runs of many configs, in forked worker processes
-through ``parallel.map_in_workers`` when more than one worker is asked for.
+records, and on-disk outputs. ``run_into`` is the one path from a config to
+its output directory, for a single run and for each run of a sweep, which
+runs in forked worker processes through ``parallel.map_in_workers`` when more
+than one worker is asked for; each worker writes the directories of its runs.
 
 A run reads one validated config: ``build_problem`` reads seed and the
 problem.* keys of its problem.kind, and ``train`` reads the rest (total_steps,
@@ -248,7 +250,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
         "name": cfg["name"],
     }
     if all(isinstance(t, QuadraticTask) for t in ts.tasks):
-        record.summary["closeness_mean_sq"] = closeness(theta, ts).mean_sq
+        record.summary["closeness_mean_sq"] = closeness(theta, ts)
     return record
 
 
@@ -290,38 +292,33 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
             fh.write(row.to_csv() + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-    with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.config, indent=2, sort_keys=True))
+    write_json_atomic(os.path.join(out_dir, "config.resolved.json"), record.config)
     summary = dict(record.summary)
     summary["wall_clock"] = record.wall_clock
     write_json_atomic(summary_path, summary)
 
 
-def write_error_summary(exc: NexusError, out_dir: str) -> dict:
-    """Write the summary.json of a run that raised exc, {"error": "<class>: <message>"}, and return it."""
-    summary = {"error": f"{type(exc).__name__}: {exc}"}
-    os.makedirs(out_dir, exist_ok=True)
-    write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+def run_into(cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Run cfg and write its outcome into out_dir; return the run's summary.
 
-
-def _run_caught(cfg: ExperimentConfig):
-    """run(cfg), or the NexusError it raised."""
-    try:
-        return run(cfg)
-    except NexusError as exc:
-        return exc
-
-
-def run_many(configs, workers: int = 1):
-    """Run each config; yield its RunRecord, or the NexusError it raised, in input order.
-
-    The runs go through ``map_in_workers``: with workers > 1 they execute in
-    that many forked worker processes, never more than there are configs. Any
-    other exception propagates at its run's position, after the results
-    before it.
+    A run that finishes gets ``write_outputs`` and returns its summary without
+    wall_clock. A run that raises a NexusError leaves only a summary.json,
+    {"error": "<class>: <message>"}, which is also what it returns.
     """
-    return map_in_workers(_run_caught, configs, workers)
+    try:
+        record = run(cfg)
+    except NexusError as exc:
+        summary = {"error": f"{type(exc).__name__}: {exc}"}
+        os.makedirs(out_dir, exist_ok=True)
+        write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
+        return summary
+    write_outputs(record, out_dir)
+    return record.summary
+
+
+def _run_into_job(job) -> dict:
+    """run_into(cfg, out_dir) for job = (cfg, out_dir): one sweep run, in the process that runs it."""
+    return run_into(*job)
 
 
 def derive_sweep_seeds(root_seed: int, count: int) -> list:
@@ -337,19 +334,21 @@ def sweep(
     num_seeds: int = 0,
     workers: int = 1,
 ) -> list:
-    """Cartesian product of config overrides, each run in its own directory.
+    """Cartesian product of config overrides, each run in its own directory;
+    returns a (label, summary) pair per run, in input order.
 
     ``overrides`` maps config keys to lists of values. ``num_seeds`` > 0 adds a
-    seed axis with seeds derived from the base seed. The runs execute through
-    ``run_many``, in up to ``workers`` worker processes; each inherits
-    OPENBLAS_NUM_THREADS, and 1 avoids oversubscribing the cores. Each run's
-    outputs are written here, in input order, as its result arrives, so an
-    exception other than a NexusError still leaves the runs before it on disk.
+    seed axis with seeds derived from the base seed. Each run is a ``run_into``
+    call, through ``map_in_workers`` in up to ``workers`` forked worker
+    processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids oversubscribing
+    the cores. The process that runs a config writes its directory, and only
+    the summary comes back, so an exception other than a NexusError, which
+    propagates at its run's position, still leaves the runs before it on disk.
     Each run directory is named after its overrides, with "/" replaced
-    by "_", so every run lands directly inside ``out_dir``.
-    When exactly two runs result, a diff.json with final-metric deltas is
-    emitted alongside. A run that raises a NexusError gets the error summary of
-    ``write_error_summary`` (also in sweep.json, with None deltas) and the sweep goes on.
+    by "_", so every run lands directly inside ``out_dir``. sweep.json maps
+    each label to its summary; when exactly two runs result, a diff.json with
+    final-metric deltas is emitted alongside. A run that raises a NexusError
+    has the error summary of ``run_into`` (None deltas) and the sweep goes on.
     """
     import itertools
 
@@ -367,26 +366,15 @@ def sweep(
     if len(set(labels)) != len(labels):
         raise ConfigError(f"sweep run directories collide: {sorted(labels)}")
 
-    results = []
-    for (label, cfg), outcome in zip(jobs, run_many([cfg for _, cfg in jobs], workers)):
-        run_dir = os.path.join(out_dir, label)
-        if isinstance(outcome, NexusError):
-            record = RunRecord(config=cfg.resolved(), summary=write_error_summary(outcome, run_dir))
-        else:
-            record = outcome
-            write_outputs(record, run_dir)
-        results.append((label, record))
-
-    index = {label: record.summary for label, record in results}
-    with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(index, indent=2, sort_keys=True))
+    run_jobs = [(cfg, os.path.join(out_dir, label)) for label, cfg in jobs]
+    results = list(zip(labels, map_in_workers(_run_into_job, run_jobs, workers)))
+    write_json_atomic(os.path.join(out_dir, "sweep.json"), dict(results))
     if len(results) == 2:
-        (label_a, rec_a), (label_b, rec_b) = results
+        (label_a, summary_a), (label_b, summary_b) = results
         diff = {}
         for key in ("train_loss", "ood_loss", "mean_pairwise_cos"):
-            va, vb = rec_a.summary.get(key), rec_b.summary.get(key)
+            va, vb = summary_a.get(key), summary_b.get(key)
             diff[key] = None if va is None or vb is None else vb - va
         doc = {"runs": [label_a, label_b], "final_metric_deltas": diff}
-        with open(os.path.join(out_dir, "diff.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True))
+        write_json_atomic(os.path.join(out_dir, "diff.json"), doc)
     return results

@@ -79,11 +79,10 @@ class MLPSpec:
 
 @dataclass
 class DataSource:
-    """One synthetic source: inputs, regression targets, and an id."""
+    """One synthetic source: inputs and regression targets."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    source_id: int = 0
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -225,15 +224,15 @@ def make_synthetic_sources(
         teacher_spec = MLPSpec((d_in, max(d_in, d_out), d_out), "tanh")
     shared = teacher_spec.init_params(rng_substream(rng, "teacher_shared"))
 
-    def build(source_id: int, label: str) -> DataSource:
+    def build(label: str) -> DataSource:
         sub = rng_substream(rng, label)
         indiv = teacher_spec.init_params(rng_substream(sub, "teacher"))
         teacher = shared_fraction * shared + (1.0 - shared_fraction) * indiv
         inputs = rng_substream(sub, "inputs").generator.standard_normal((n_per_source, d_in))
         targets = mlp_forward(teacher_spec, teacher, inputs)
-        return DataSource(inputs, targets, source_id)
+        return DataSource(inputs, targets)
 
-    sources = [build(k, f"source/{k}") for k in range(K)]
-    held_out = build(K, "source/held_out")
+    sources = [build(f"source/{k}") for k in range(K)]
+    held_out = build("source/held_out")
     return sources, held_out
 

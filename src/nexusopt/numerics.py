@@ -65,28 +65,22 @@ class RngStream:
     and is owned by exactly one consumer.
     """
 
-    seed: int
     token: str
-    gen: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
+    generator: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.Philox(key=_philox_key(self.token)))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self.gen
+        if self.generator is None:
+            self.generator = np.random.Generator(np.random.Philox(key=_philox_key(self.token)))
 
 
 def rng_root(seed: int) -> RngStream:
     """Root stream for a run; all other streams derive from it by label."""
-    return RngStream(seed=int(seed), token=str(int(seed)))
+    return RngStream(str(int(seed)))
 
 
 def rng_substream(parent: RngStream, label: str) -> RngStream:
     """Deterministic child stream; distinct labels give unrelated streams."""
-    token = f"{parent.token}/{label}"
-    return RngStream(seed=parent.seed, token=token)
+    return RngStream(f"{parent.token}/{label}")
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:

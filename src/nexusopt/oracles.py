@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import closeness
 from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
@@ -399,19 +400,17 @@ def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> Close
     if resid > 1e-9:
         raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at the supplied point")
     K = len(ts)
-    grads, dists, curvs = [], [], []
+    grads, curvs = [], []
     for t in ts.tasks:
         grads.append(t.grad(theta))
         delta = theta - t.minimizer
         dist = norm(delta)
-        dists.append(dist)
         if dist > 1e-15:
             u = delta / dist
             curvs.append(float(u @ t.hessian @ u))
     lam = min(curvs) if curvs else np.inf
     norms = [norm(g) for g in grads]
     G = max(norms)
-    closeness_val = float(np.mean(np.asarray(dists) ** 2))
     dots = [[0.0] * K for _ in range(K)]
     for i in range(K):
         for j in range(i + 1, K):
@@ -430,7 +429,7 @@ def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> Close
             # zero-gradient pairs contribute nothing: the common-minimizer case
     middle = cross / (K * lam**2) if np.isfinite(lam) else 0.0
     right = G**2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
-    return ClosenessChainReport(closeness_val, middle, right, float(lam), G)
+    return ClosenessChainReport(closeness(theta, ts), middle, right, float(lam), G)
 
 
 def quadratic_gap(a: float, K: int, sigma_sq: float) -> float:

@@ -36,6 +36,8 @@ def _check_spd(A: np.ndarray) -> None:
         raise DimensionMismatch(f"Hessian must be square, got shape {A.shape}")
     if not _allclose(A, A.T, 1e-12):
         raise ValueError("Hessian must be symmetric")
+    if not np.isfinite(A).all():  # equal infs pass the symmetry check, and eigvalsh turns them into NaN
+        raise ValueError("Hessian must be finite")
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0:
         raise ValueError(f"Hessian must be positive definite, min eigenvalue {eigs.min():g}")
@@ -137,6 +139,8 @@ class CubicTask:
             raise DimensionMismatch(f"third tensor must have shape {(d, d, d)}, got {self.third.shape}")
         if not _allclose(self.third, symmetrize_tensor(self.third), 1e-10):
             raise ValueError("third tensor must be symmetric under index permutations")
+        if not np.isfinite(self.third).all():  # an inf on the diagonal passes the symmetry check
+            raise ValueError("third tensor must be finite")
 
     @property
     def dim(self) -> int:

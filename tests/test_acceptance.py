@@ -11,7 +11,7 @@ import numpy as np
 
 from nexusopt.analysis import flatness_closeness_bound
 from nexusopt.config import parse_config_text
-from nexusopt.harness import run, run_many
+from nexusopt.harness import run
 from nexusopt.mlp import DataSource, MLPSpec, MLPTask
 from nexusopt.nexus import NexusConfig
 from nexusopt.numerics import fd_gradient, rng_root, rng_substream
@@ -21,6 +21,7 @@ from nexusopt.oracles import (
     random_probe_point,
     random_quadratic_taskset,
 )
+from nexusopt.parallel import map_in_workers
 from nexusopt.tasks import QuadraticTask, random_cubic_task, random_spd_matrix
 from nexusopt.validate import (
     check_closeness,
@@ -186,7 +187,7 @@ def test_a9_mechanism_at_desk_scale():
     kinds = ("adamw", "nexus_adamw")
     configs = [parse_config_text(base_text.format(seed=seed)).with_overrides({"optimizer.kind": kind})
                for seed in seeds for kind in kinds]
-    records = run_many(configs, workers=2)
+    records = map_in_workers(run, configs, workers=2)
     wins = 0
     loss_gaps, ood_deltas = [], []
     for seed in seeds:

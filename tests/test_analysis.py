@@ -87,10 +87,7 @@ def test_closeness_symmetric_pair():
         QuadraticTask(np.eye(2), np.array([1.0, 0.0])),
         QuadraticTask(np.eye(2), np.array([-1.0, 0.0])),
     ])
-    report = closeness(stationary_point(ts), ts)
-    assert_allclose(report.mean_sq, 1.0)
-    assert_allclose(report.per_task_distance, [1.0, 1.0])
-    assert_allclose(report.curvature_floor, 1.0)
+    assert_allclose(closeness(stationary_point(ts), ts), 1.0)
 
 
 def test_closeness_at_stationary_point_equals_sample_variance():
@@ -99,23 +96,20 @@ def test_closeness_at_stationary_point_equals_sample_variance():
     family = TaskFamily(np.zeros(4), 1.5, 2.0)
     ts = sample_family(family, 6, rng_root(44))
     theta_bar = stationary_point(ts)
-    report = closeness(theta_bar, ts)
     mins = np.array([t.minimizer for t in ts.tasks])
     sample_var = float(np.mean(np.sum((mins - mins.mean(axis=0)) ** 2, axis=1)))
-    assert abs(report.mean_sq - sample_var) <= 1e-12
+    assert abs(closeness(theta_bar, ts) - sample_var) <= 1e-12
 
 
 def test_closeness_zero_variance_family():
     family = TaskFamily(np.array([0.5, -0.5]), 0.0, 2.0)
     ts = sample_family(family, 4, rng_root(2))
-    report = closeness(np.array([0.5, -0.5]), ts)
-    assert report.mean_sq == 0.0
+    assert closeness(np.array([0.5, -0.5]), ts) == 0.0
 
 
 def test_closeness_single_task_at_minimizer():
     task = QuadraticTask(np.eye(3), np.ones(3))
-    report = closeness(np.ones(3), TaskSet([task]))
-    assert report.mean_sq == 0.0
+    assert closeness(np.ones(3), TaskSet([task])) == 0.0
 
 
 def test_closeness_needs_minimizers_for_non_analytic_tasks():
@@ -222,8 +216,6 @@ def test_segment_curvature_rejects_tasks_without_certified_extremes():
     theta, minimizer = np.ones(spec.n_params), np.zeros(spec.n_params)
     with pytest.raises(TypeError, match="got MLPTask"):
         flatness_closeness_bound(theta, task, minimizer=minimizer)
-    with pytest.raises(TypeError, match="got MLPTask"):
-        closeness(theta, TaskSet([task]), minimizers=[minimizer])
 
 
 def test_mean_pairwise_cosine():

@@ -120,6 +120,20 @@ def test_cli_sweep(tmp_path, config_file):
     assert len([d for d in os.listdir(out) if (out / d).is_dir()]) == 2
 
 
+def test_cli_run_and_a_one_run_sweep_write_the_same_outputs(tmp_path, config_file):
+    out_run, out_sweep = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--config", str(config_file), "--out", str(out_run)]) == 0
+    assert main(["sweep", "--config", str(config_file), "--out", str(out_sweep)]) == 0
+    swept = out_sweep / "base"
+    for name in ("metrics.csv", "config.resolved.json"):
+        assert (swept / name).read_bytes() == (out_run / name).read_bytes()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (out_run, swept)]
+    for summary in summaries:
+        assert summary.pop("wall_clock") > 0
+    assert summaries[0] == summaries[1]
+    assert json.loads((out_sweep / "sweep.json").read_text()) == {"base": summaries[1]}
+
+
 def test_cli_sweep_over_widths_lists(tmp_path):
     cfg = tmp_path / "mlp.cfg"
     cfg.write_text(

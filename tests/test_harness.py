@@ -22,7 +22,7 @@ from nexusopt.harness import (
     build_problem,
     derive_sweep_seeds,
     run,
-    run_many,
+    run_into,
     sweep,
     write_outputs,
 )
@@ -456,6 +456,18 @@ def test_metrics_csv_format(tmp_path):
     assert first[0] == "0" and first[-1] == ""  # no pseudo-gradient before any step
 
 
+def test_run_into_calls_run_and_write_outputs_through_the_module(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these two module globals
+    calls = []
+    for name in ("run", "write_outputs"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    summary = run_into(make_cfg(), str(tmp_path))
+    assert calls == ["run", "write_outputs"]
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written.pop("wall_clock") > 0 and written == summary
+
+
 def test_sweep_paired_runs_emit_diff(tmp_path):
     cfg = make_cfg()
     results = sweep(cfg, str(tmp_path), {"optimizer.kind": ["adamw", "nexus_adamw"]})
@@ -469,14 +481,14 @@ def test_sweep_paired_runs_emit_diff(tmp_path):
 def test_sweep_keeps_going_past_a_failed_run(tmp_path, workers=1):
     cfg = make_cfg("optimizer.kind = \"nexus_adamw\"\n")
     (ok_label, ok), (bad_label, bad) = sweep(cfg, str(tmp_path), {"nexus.grad_floor": [1e-12, 1e9]}, workers=workers)
-    assert np.isfinite(ok.summary["train_loss"])
+    assert np.isfinite(ok["train_loss"])
     assert sorted(os.listdir(tmp_path / ok_label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
-    assert bad.summary["error"].startswith("DegenerateGradient: outer step 1, task ")
+    assert bad["error"].startswith("DegenerateGradient: outer step 1, task ")
     assert os.listdir(tmp_path / bad_label) == ["summary.json"]
-    assert json.loads((tmp_path / bad_label / "summary.json").read_text()) == bad.summary
+    assert json.loads((tmp_path / bad_label / "summary.json").read_text()) == bad
     index = json.loads((tmp_path / "sweep.json").read_text())
-    assert index[bad_label] == bad.summary
-    assert index[ok_label]["train_loss"] == ok.summary["train_loss"]
+    assert index[bad_label] == bad
+    assert index[ok_label]["train_loss"] == ok["train_loss"]
     diff = json.loads((tmp_path / "diff.json").read_text())
     assert diff["runs"] == [ok_label, bad_label]
     assert diff["final_metric_deltas"] == {"train_loss": None, "ood_loss": None, "mean_pairwise_cos": None}
@@ -531,7 +543,7 @@ def test_sweep_seed_axis_derives_independent_seeds(tmp_path):
     assert derive_sweep_seeds(123, 5) == seeds
     results = sweep(make_cfg(), str(tmp_path), num_seeds=2)
     assert len(results) == 2
-    finals = [rec.summary["train_loss"] for _, rec in results]
+    finals = [summary["train_loss"] for _, summary in results]
     assert finals[0] != finals[1]
 
 
@@ -552,43 +564,15 @@ def test_sweep_rejects_colliding_run_directories(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def sweep_grid():
-    kinds = ["adamw", "nexus_adamw", "sgd"]
-    return [make_cfg().with_overrides({"optimizer.kind": kind, "seed": seed}) for seed in (1, 2) for kind in kinds]
-
-
-def test_run_many_in_workers_equals_serial_in_input_order():
-    configs = sweep_grid() + [make_cfg("optimizer.kind = \"nexus_adamw\"\nnexus.grad_floor = 1e9\n")]
-    serial = list(run_many(configs, workers=1))
-    parallel = list(run_many(configs, workers=2))
-    assert len(parallel) == len(configs)
-    for cfg, a, b in zip(configs, serial, parallel):
-        if isinstance(a, DegenerateGradient):
-            assert type(b) is DegenerateGradient and str(b) == str(a)
-            assert (b.step, b.task_index) == (a.step, a.task_index)
-            continue
-        assert (b.config["seed"], b.config["optimizer.kind"]) == (cfg["seed"], cfg["optimizer.kind"])
-        assert b.config == a.config and b.summary == a.summary
-        assert [r.to_csv() for r in b.rows] == [r.to_csv() for r in a.rows]
-        assert b.final_theta.tobytes() == a.final_theta.tobytes()
-
-
-def test_run_many_caps_workers_at_the_number_of_configs(monkeypatch):
-    import concurrent.futures
-
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def recording(max_workers, **kwargs):
-        started.append(max_workers)
-        return real(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    configs = sweep_grid()[:2]
-    assert [rec.summary for rec in run_many(configs, workers=16)] == [run(cfg).summary for cfg in configs]
-    assert started == [2]
-    assert list(run_many(configs[:1], workers=16))[0].summary == run(configs[0]).summary
-    assert started == [2]  # a single config runs in this process
+def test_sweep_caps_workers_at_the_number_of_runs(tmp_path, started_pools):
+    kinds = ["adamw", "nexus_adamw"]
+    results = sweep(make_cfg(), str(tmp_path / "two"), {"optimizer.kind": kinds}, workers=16)
+    expected = [run(make_cfg().with_overrides({"optimizer.kind": kind})).summary for kind in kinds]
+    assert [summary for _, summary in results] == expected
+    assert started_pools == [2]
+    ((_, summary),) = sweep(make_cfg(), str(tmp_path / "one"), {"optimizer.kind": kinds[:1]}, workers=16)
+    assert summary == expected[0]
+    assert started_pools == [2]  # a single run goes on in this process
 
 
 def _child_pids(pid):
@@ -607,13 +591,13 @@ def _running(pid):
 
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="needs Linux /proc child lists")
-def test_run_many_workers_exit_when_the_parent_is_killed():
+def test_sweep_workers_exit_when_the_parent_is_killed(tmp_path):
     slow = make_cfg().with_overrides({"optimizer.kind": "nexus_adamw", "total_steps": 10**8, "metric_cadence": 10**8})
     script = (
         "from nexusopt.config import parse_config_text\n"
-        "from nexusopt.harness import run_many\n"
+        "from nexusopt.harness import sweep\n"
         f"cfg = parse_config_text({slow.to_text()!r})\n"
-        "list(run_many([cfg, cfg.with_overrides({'seed': 1})], workers=2))\n"
+        f"sweep(cfg, {str(tmp_path)!r}, num_seeds=2, workers=2)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nexusopt.__file__)))
     parent = subprocess.Popen([sys.executable, "-c", script], env=env)
@@ -647,3 +631,17 @@ def test_parallel_sweep_writes_the_serial_outputs(tmp_path):
     for label, _ in serial:
         for name in ("metrics.csv", "config.resolved.json"):
             assert (tmp_path / "parallel" / label / name).read_bytes() == (tmp_path / "serial" / label / name).read_bytes()
+
+
+def test_sweep_in_workers_equals_serial_in_input_order(tmp_path):
+    axes = {"optimizer.kind": ["adamw", "nexus_adamw", "sgd"], "nexus.grad_floor": [1e-12, 1e9]}
+    serial = sweep(make_cfg(), str(tmp_path / "serial"), axes, num_seeds=2, workers=1)
+    parallel = sweep(make_cfg(), str(tmp_path / "parallel"), axes, num_seeds=2, workers=2)
+    assert len(parallel) == 12 and parallel == serial
+    failed = [label for label, summary in serial if "error" in summary]
+    assert len(failed) == 2 and all("kind=nexus_adamw" in label for label in failed)
+    for label, summary in serial:
+        names = ("summary.json",) if "error" in summary else ("metrics.csv", "config.resolved.json")
+        for name in names:
+            assert (tmp_path / "parallel" / label / name).read_bytes() == (tmp_path / "serial" / label / name).read_bytes()
+    assert (tmp_path / "parallel" / "sweep.json").read_bytes() == (tmp_path / "serial" / "sweep.json").read_bytes()

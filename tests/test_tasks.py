@@ -360,6 +360,8 @@ def test_hessian_symmetry_check_matches_allclose(monkeypatch, row):
         assert outcome == "accepted"
     if row in ("ulp_over_tolerance", "asymmetric", "nan", "opposite_infs"):
         assert outcome == ("ValueError", "Hessian must be symmetric")
+    if row in ("equal_infs", "inf_on_diagonal"):
+        assert outcome == ("ValueError", "Hessian must be finite")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -369,10 +371,12 @@ def test_cubic_tensor_symmetry_check_matches_allclose(monkeypatch, row):
     build = lambda: CubicTask(np.eye(2), np.zeros(2), 0.0, T)
     outcome = _outcome(build)
     assert outcome == _with_np_allclose(monkeypatch, build)
-    if row in ("symmetric", "at_tolerance", "equal_infs"):
+    if row in ("symmetric", "at_tolerance"):
         assert outcome == "accepted"
     if row in ("ulp_over_tolerance", "asymmetric", "nan", "opposite_infs"):
         assert outcome == ("ValueError", "third tensor must be symmetric under index permutations")
+    if row == "equal_infs":
+        assert outcome == ("ValueError", "third tensor must be finite")
 
 
 def test_taskset_dimension_mismatch():

@@ -2,10 +2,12 @@ import dataclasses
 import functools
 import struct
 
+import numpy as np
 import pytest
 
 from nexusopt import validate
 from nexusopt.errors import DegenerateGradient
+from nexusopt.numerics import norm
 from nexusopt.validate import CheckResult, validate_theorems
 
 
@@ -73,3 +75,51 @@ def test_a_suite_missing_from_the_dispatch_order_is_an_error(monkeypatch):
     monkeypatch.setitem(validate._SUITE_FNS, "unlisted", functools.partial(_stub_suite, "unlisted"))
     with pytest.raises(KeyError, match="unlisted"):
         validate_theorems("all")
+
+
+# Each check must be able to fail: a small mutation of the oracle it reads, patched into
+# validate's namespace, fails exactly the checks that read that oracle.
+
+
+def _failing(checks) -> set:
+    return {c.check_name for c in checks if not c.passed}
+
+
+def test_third_order_slope_fails_without_the_third_order_term(monkeypatch):
+    monkeypatch.setattr(validate, "third_order_direction", validate.second_order_direction)
+    assert _failing(validate.check_third_order()) == {"third_order_residual_slope"}
+
+
+def test_second_order_checks_fail_on_the_first_order_term_alone(monkeypatch):
+    def first_order_only(ts, theta, cfg):
+        units = [g / norm(g) for g in (t.grad(theta) for t in ts.tasks)]
+        return cfg.gamma * cfg.inner_steps / len(ts) * np.sum(units, axis=0)
+
+    monkeypatch.setattr(validate, "second_order_direction", first_order_only)
+    assert _failing(validate.check_second_order()) == {
+        "second_order_residual_within_bound",
+        "second_order_residual_slope",
+    }
+
+
+def _scaled(monkeypatch, name, factor):
+    real = getattr(validate, name)
+    monkeypatch.setattr(validate, name, lambda *args: factor * real(*args))
+
+
+def test_quadratic_gap_check_fails_when_the_gap_formula_grows_by_a_tenth(monkeypatch):
+    _scaled(monkeypatch, "quadratic_gap", 1.1)
+    assert _failing(validate.check_generalization()) == {"quadratic_gap_matches_theory"}
+
+
+def test_strongly_convex_bound_check_fails_when_the_bound_is_halved(monkeypatch):
+    _scaled(monkeypatch, "general_gap_bound", 0.5)
+    assert _failing(validate.check_generalization()) == {"strongly_convex_bound_holds"}
+
+
+def test_per_step_convergence_checks_fail_when_the_contraction_tightens_by_a_percent(monkeypatch):
+    # the cumulative checks compare against their own closed form, not this function
+    _scaled(monkeypatch, "convergence_contraction", 0.99)
+    assert _failing(validate.check_convergence()) == {
+        f"convergence_per_step_kappa_{kappa}" for kappa in (2, 5, 10)
+    }
