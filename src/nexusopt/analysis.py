@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import DegenerateGradient, MissingMinimizer
 from .numerics import as_params, norm
+from .optimizers import DEFAULT_GRAD_FLOOR
 from .tasks import CubicTask, QuadraticTask, TaskSet, train_grad
 
 
-def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def gradient_cosines(G: np.ndarray) -> np.ndarray:
     """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
 
     Each entry is its own dot product over the two norms; a single G @ G.T
@@ -32,8 +33,8 @@ def gradient_cosines(G: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """
     norms = [norm(g) for g in G]
     for k, n in enumerate(norms):
-        if n < floor:
-            raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {floor:g}", k)
+        if n < DEFAULT_GRAD_FLOOR:
+            raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {DEFAULT_GRAD_FLOOR:g}", k)
     K = len(G)
     S = np.empty((K, K))
     for i in range(K):

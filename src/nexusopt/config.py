@@ -153,15 +153,27 @@ def _validate_one(key: str, raw):
     return value
 
 
+def _decode_value(raw_value: str):
+    """The JSON literal that starts raw_value; only blank space or a comment may follow it."""
+    value, end = json.JSONDecoder().raw_decode(raw_value)
+    rest = raw_value[end:].lstrip()
+    if rest and not rest.startswith("#"):
+        raise json.JSONDecodeError("Extra data", raw_value, end)
+    return value
+
+
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
+    """Parse ``key = <JSON literal>`` lines. A ``#`` starts a comment outside a
+    JSON string, so a value is decoded first and only blank space or a
+    comment may follow it."""
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, raw_value = line.partition("=")
+        if not eq or "#" in key:
             raise ParseError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
-        key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
         if key not in SCHEMA:
@@ -169,7 +181,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         if key in values:
             raise ParseError(f"{source}:{lineno}: duplicate key {key!r}", key)
         try:
-            parsed = json.loads(raw_value)
+            parsed = _decode_value(raw_value)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
         values[key] = _validate_one(key, parsed)

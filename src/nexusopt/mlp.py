@@ -209,7 +209,6 @@ def make_synthetic_sources(
     n_per_source: int,
     shared_fraction: float,
     rng: RngStream,
-    teacher_spec: MLPSpec | None = None,
 ) -> tuple:
     """K data sources plus one held-out source from blended teacher networks.
 
@@ -220,8 +219,7 @@ def make_synthetic_sources(
     """
     if not 0.0 <= shared_fraction <= 1.0:
         raise ValueError(f"shared_fraction must lie in [0, 1], got {shared_fraction}")
-    if teacher_spec is None:
-        teacher_spec = MLPSpec((d_in, max(d_in, d_out), d_out), "tanh")
+    teacher_spec = MLPSpec((d_in, max(d_in, d_out), d_out), "tanh")
     shared = teacher_spec.init_params(rng_substream(rng, "teacher_shared"))
 
     def build(label: str) -> DataSource:

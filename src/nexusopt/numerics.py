@@ -100,30 +100,18 @@ def fd_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray, eps: float 
     return grad
 
 
-def default_hvp_eps(theta: np.ndarray, v: np.ndarray) -> float:
-    """Step size balancing truncation vs. rounding for directional gradient differences."""
-    vnorm = norm(v)
-    if vnorm == 0.0:
-        raise ZeroDirection("direction vector has zero norm")
-    return 1e-5 * (1.0 + norm(theta)) / vnorm
+def fd_hvp(grad_fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian-vector product; exact for quadratic grad_fn up to rounding.
 
-
-def fd_hvp(
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    theta: np.ndarray,
-    v: np.ndarray,
-    eps: float | None = None,
-) -> np.ndarray:
-    """Central-difference Hessian-vector product; exact for quadratic grad_fn up to rounding."""
+    The step balances truncation against rounding in the gradient differences.
+    """
     theta = as_params(theta)
     v = as_params(v)
     check_same_dim(theta, v)
-    if norm(v) == 0.0:
+    vnorm = norm(v)
+    if vnorm == 0.0:
         raise ZeroDirection("direction vector has zero norm")
-    if eps is None:
-        eps = default_hvp_eps(theta, v)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = 1e-5 * (1.0 + norm(theta)) / vnorm
     hi = np.asarray(grad_fn(theta + eps * v), dtype=np.float64)
     lo = np.asarray(grad_fn(theta - eps * v), dtype=np.float64)
     if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):

@@ -51,18 +51,13 @@ def nsgd_direction(
     return (lr / grad_norm) * grad
 
 
-def nsgd_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    floor: float = DEFAULT_GRAD_FLOOR,
-) -> np.ndarray:
+def nsgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     theta = as_params(theta)
     grad = as_params(grad)
     check_same_dim(theta, grad)
-    return theta - nsgd_direction(grad, lr, floor)
+    return theta - nsgd_direction(grad, lr)
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,10 @@ from .analysis import closeness
 from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
-from .optimizers import nsgd_step, sgd_step
-from .tasks import QuadraticTask, TaskFamily, TaskSet, stationary_point, train_grad
+from .optimizers import DEFAULT_GRAD_FLOOR, nsgd_step, sgd_step
+from .tasks import QuadraticTask, TaskFamily, TaskSet, random_spd_matrix, stationary_point, train_grad
 
-DEFAULT_ENUMERATION_CAP = 256
+ENUMERATION_CAP = 256
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def _second_derivative(loc: _Local, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def cosgrad_analytic(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     """Gradient of CosSim(grad L_i, grad L_j) with respect to theta.
 
     Needs only Hessian-vector products, so it works for any task kind
@@ -180,7 +180,7 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) ->
     zero when the two gradients are parallel.
     """
     theta = as_params(theta)
-    loc_i, loc_j = _local(task_i, theta, floor), _local(task_j, theta, floor)
+    loc_i, loc_j = _local(task_i, theta, DEFAULT_GRAD_FLOOR), _local(task_j, theta, DEFAULT_GRAD_FLOOR)
     proj_j = _proj(loc_i.h, loc_j.h)
     proj_i = _proj(loc_j.h, loc_i.h)
     term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros_like(theta)
@@ -188,12 +188,12 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) ->
     return term_i + term_j
 
 
-def alignment_pair_direction(task_i, task_j, theta: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def alignment_pair_direction(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     """J_i h_j + J_j h_i: the per-pair alignment direction produced by the
     inner-loop dynamics (diagonal pairs i == j included by callers); tests
     check the (K-1)/(4K) coefficient of second_order_direction against it."""
     theta = as_params(theta)
-    loc_i, loc_j = _local(task_i, theta, floor), _local(task_j, theta, floor)
+    loc_i, loc_j = _local(task_i, theta, DEFAULT_GRAD_FLOOR), _local(task_j, theta, DEFAULT_GRAD_FLOOR)
     return _jacobian_apply(loc_i, theta, loc_j.h) + _jacobian_apply(loc_j, theta, loc_i.h)
 
 
@@ -202,12 +202,7 @@ def alignment_pair_direction(task_i, task_j, theta: np.ndarray, floor: float = 1
 # --------------------------------------------------------------------------
 
 
-def expected_pseudo_gradient_exact(
-    ts: TaskSet,
-    theta: np.ndarray,
-    cfg: NexusConfig,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
+def expected_pseudo_gradient_exact(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
     """Exact E[pseudo-gradient] by enumerating every index sequence.
 
     All n^M sequences of M inner steps over n tasks are equally likely under
@@ -217,8 +212,8 @@ def expected_pseudo_gradient_exact(
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
     count = n**M
-    if count > enumeration_cap:
-        raise EnumerationTooLarge(f"{n}^{M} = {count} sequences exceed cap {enumeration_cap}")
+    if count > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{n}^{M} = {count} sequences exceed cap {ENUMERATION_CAP}")
     total = np.zeros(ts.dim)
     for seq in itertools.product(range(n), repeat=M):
         total += inner_loop(theta, ts, cfg, seq)
@@ -387,7 +382,7 @@ class ClosenessChainReport:
         return self.cossim_bound - self.inner_product_bound
 
 
-def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> ClosenessChainReport:
+def closeness_bound_check(ts: TaskSet) -> ClosenessChainReport:
     """Evaluate the closeness / inner-product / cosine-similarity chain at the
     stationary point of a quadratic task set.
 
@@ -395,10 +390,10 @@ def closeness_bound_check(ts: TaskSet, theta: np.ndarray | None = None) -> Close
     (a dot product is the same bits in either order); the sums still run over
     the ordered pairs, so they round as they always did.
     """
-    theta = stationary_point(ts) if theta is None else as_params(theta, ts.dim)
+    theta = stationary_point(ts)
     resid = norm(train_grad(ts, theta))
     if resid > 1e-9:
-        raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at the supplied point")
+        raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at stationary_point(ts)")
     K = len(ts)
     grads, curvs = [], []
     for t in ts.tasks:
@@ -560,27 +555,19 @@ def nsgd_nexus_identity_check(
 # --------------------------------------------------------------------------
 
 
-def random_quadratic_taskset(
-    dim: int, K: int, rng: RngStream, eig_range=(0.5, 3.0), center_scale: float = 1.0
-) -> TaskSet:
-    from .tasks import random_spd_matrix
-
+def random_quadratic_taskset(dim: int, K: int, rng: RngStream) -> TaskSet:
     gen = rng.generator
-    tasks = [
-        QuadraticTask(random_spd_matrix(dim, rng, eig_range), center_scale * gen.standard_normal(dim))
-        for _ in range(K)
-    ]
-    return TaskSet(tasks)
+    return TaskSet([QuadraticTask(random_spd_matrix(dim, rng), gen.standard_normal(dim)) for _ in range(K)])
 
 
-def random_probe_point(ts: TaskSet, rng: RngStream, min_grad: float = 0.3, tries: int = 64) -> np.ndarray:
-    """A point where every task gradient is comfortably non-degenerate."""
+def random_probe_point(ts: TaskSet, rng: RngStream) -> np.ndarray:
+    """A point where every task gradient norm is at least 0.3, from at most 64 draws."""
     gen = rng.generator
-    for _ in range(tries):
+    for _ in range(64):
         theta = gen.standard_normal(ts.dim)
-        if min(norm(t.grad(theta)) for t in ts.tasks) >= min_grad:
+        if min(norm(t.grad(theta)) for t in ts.tasks) >= 0.3:
             return theta
-    raise DegenerateGradient(f"could not find a probe point with gradient norms >= {min_grad}")
+    raise DegenerateGradient("could not find a probe point with gradient norms >= 0.3")
 
 
 def common_minimizer_taskset(dim: int, K: int, mu: float, L: float, rng: RngStream) -> TaskSet:

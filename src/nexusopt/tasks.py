@@ -187,15 +187,10 @@ class CubicTask:
         )
 
 
-def random_cubic_task(
-    dim: int,
-    rng: RngStream,
-    third_bound: float = 0.5,
-    curvature_range: tuple[float, float] = (0.8, 3.0),
-) -> CubicTask:
+def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> CubicTask:
     """Random SPD quadratic part plus a random symmetric tensor rescaled to the requested certified bound."""
     gen = rng.generator
-    A = random_spd_matrix(dim, rng, curvature_range)
+    A = random_spd_matrix(dim, rng, (0.8, 3.0))
     minimizer = gen.standard_normal(dim)
     T = symmetrize_tensor(gen.standard_normal((dim, dim, dim)))
     if third_bound == 0.0:

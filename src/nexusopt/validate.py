@@ -2,8 +2,9 @@
 
 Each check runs deterministic seeded fixtures, compares a measured quantity
 against an analytic bound or tolerance, and reports one record per check:
-{check_name, status, measured, bound, tolerance}. The acceptance tests reuse
-these entry points with the full-strength settings.
+{check_name, status, measured, bound, tolerance}. The suites take no
+settings: their seeds, sizes and tolerances are constants, so the acceptance
+tests call the same functions that the report runs.
 
 The suites are independent and separately seeded, so ``validate_theorems``
 runs them in forked worker processes through ``parallel.map_in_workers``, as
@@ -76,23 +77,17 @@ def _loglog_slope(gammas, residuals) -> float:
 # --------------------------------------------------------------------------
 
 
-def check_second_order(
-    seed: int = 10130,
-    n_sets: int = 20,
-    gammas=(1e-2, 1e-3),
-    slope_range=(2.8, 3.2),
-    gamma_override: float | None = None,
-) -> list:
+def check_second_order(gamma_override: float | None = None) -> list:
     """Residual of the two-term expansion vs. the exact enumeration, gated by
     the cubic-in-gamma error bound, plus a log-log slope check.
 
     ``gamma_override`` replaces the gamma grid (single value, no slope check);
     the huge-gamma negative control uses it.
     """
-    root = rng_root(int(seed))
+    root = rng_root(10130)
+    n_sets = 20
     results = []
-    if gamma_override is not None:
-        gammas = (gamma_override,)
+    gammas = (1e-2, 1e-3) if gamma_override is None else (gamma_override,)
     dims = (2, 5)
     Ks = (2, 3)
     worst_ratio = 0.0
@@ -122,10 +117,10 @@ def check_second_order(
             slopes.append(_loglog_slope(gammas, residuals))
     results.append(
         _result("second_order_residual_within_bound", worst_ratio <= 1.0, worst_ratio, 1.0, 0.0,
-                f"max residual/bound over {n_sets} quadratic sets, gammas {tuple(gammas)}")
+                f"max residual/bound over {n_sets} quadratic sets, gammas {gammas}")
     )
     if slopes:
-        lo, hi = slope_range
+        lo, hi = 2.8, 3.2
         bad = [s for s in slopes if not lo <= s <= hi]
         results.append(
             _result("second_order_residual_slope", not bad,
@@ -158,19 +153,15 @@ def check_second_order(
     return results
 
 
-def check_third_order(
-    seed: int = 9041,
-    n_sets: int = 4,
-    gammas=(1e-1, 1e-2, 1e-3),
-    slope_range=(3.8, 4.2),
-) -> list:
+def check_third_order() -> list:
     """Cubic K=2 fixtures: after subtracting the full three-term expansion the
     residual must scale as gamma^4; quadratic sets must have an exactly zero
     tensor term."""
-    root = rng_root(int(seed))
+    root = rng_root(9041)
+    gammas = (1e-1, 1e-2, 1e-3)
     results = []
     slopes = []
-    for idx in range(n_sets):
+    for idx in range(4):
         rng = rng_substream(root, f"cubic/{idx}")
         ts = TaskSet([random_cubic_task(3, rng_substream(rng, str(j)), 0.5) for j in range(2)])
         theta = random_probe_point(ts, rng_substream(rng, "probe"))
@@ -180,11 +171,11 @@ def check_third_order(
             exact = expected_pseudo_gradient_exact(ts, theta, cfg)
             residuals.append(norm(exact - third_order_direction(ts, theta, cfg)))
         slopes.append(_loglog_slope(gammas, residuals))
-    lo, hi = slope_range
+    lo, hi = 3.8, 4.2
     bad = [s for s in slopes if not lo <= s <= hi]
     results.append(
         _result("third_order_residual_slope", not bad, min(slopes) if not bad else bad[0], hi, lo,
-                f"cubic K=2 residual slopes over gammas {tuple(gammas)}")
+                f"cubic K=2 residual slopes over gammas {gammas}")
     )
     rng = rng_substream(root, "quad")
     ts = random_quadratic_taskset(3, 2, rng)
@@ -198,8 +189,9 @@ def check_third_order(
     return results
 
 
-def check_closeness(seed: int = 5150, n_sets: int = 100, Ks=(2, 4, 8), slack: float = -1e-10) -> list:
-    root = rng_root(int(seed))
+def check_closeness() -> list:
+    root = rng_root(5150)
+    n_sets, Ks, slack = 100, (2, 4, 8), -1e-10
     worst = np.inf
     for idx in range(n_sets):
         rng = rng_substream(root, f"set/{idx}")
@@ -211,19 +203,20 @@ def check_closeness(seed: int = 5150, n_sets: int = 100, Ks=(2, 4, 8), slack: fl
     ok = worst >= slack
     return [
         _result("closeness_chain_inequalities", ok, worst, slack, abs(slack),
-                f"min slack over {n_sets} random SPD sets, K in {tuple(Ks)}")
+                f"min slack over {n_sets} random SPD sets, K in {Ks}")
     ]
 
 
-def check_convergence(seed: int = 77, kappas=(2, 5, 10), K: int = 4, steps: int = 200) -> list:
-    root = rng_root(int(seed))
+def check_convergence() -> list:
+    root = rng_root(77)
+    steps = 200
     results = []
-    for kappa in kappas:
+    for kappa in (2, 5, 10):
         mu, L = 1.0, float(kappa)
         gamma = 2.0 / (L + mu)
         factor = convergence_contraction(mu, L, gamma)
         rng = rng_substream(root, f"kappa/{kappa}")
-        ts = common_minimizer_taskset(4, K, mu, L, rng)
+        ts = common_minimizer_taskset(4, 4, mu, L, rng)
         theta0 = ts[0].minimizer + rng.generator.standard_normal(4)
         ratios = measure_sgd_contraction(ts, theta0, gamma, steps, rng_substream(rng, "path"))
         worst = float(ratios.max())
@@ -242,8 +235,9 @@ def check_convergence(seed: int = 77, kappas=(2, 5, 10), K: int = 4, steps: int 
     return results
 
 
-def check_generalization(seed: int = 314, n_draws: int = 10_000) -> list:
-    root = rng_root(int(seed))
+def check_generalization() -> list:
+    root = rng_root(314)
+    n_draws = 10_000
     results = []
     grid = [(a, K, sig) for a in (0.5, 1.0, 2.0) for K, sig in ((2, 0.25), (4, 0.5), (8, 1.0))]
     worst_z = 0.0
@@ -274,8 +268,9 @@ def check_generalization(seed: int = 314, n_draws: int = 10_000) -> list:
     return results
 
 
-def check_nsgd_identity(seed: int = 12, n_instances: int = 10, n_pairs: int = 50) -> list:
-    root = rng_root(int(seed))
+def check_nsgd_identity() -> list:
+    root = rng_root(12)
+    n_instances, n_pairs = 10, 50
     worst = 0.0
     for idx in range(n_instances):
         rng = rng_substream(root, f"inst/{idx}")

@@ -44,7 +44,7 @@ def report(name: str, ok: bool, detail: str, started: float | None = None, budge
 
 def test_a1_second_order_identity():
     t0 = time.perf_counter()
-    results = {r.check_name: r for r in check_second_order(n_sets=20, gammas=(1e-2, 1e-3))}
+    results = {r.check_name: r for r in check_second_order()}
     bound_r = results["second_order_residual_within_bound"]
     slope_r = results["second_order_residual_slope"]
     ok = bound_r.passed and slope_r.passed
@@ -59,7 +59,7 @@ def test_a1_second_order_identity():
 
 def test_a2_cossim_gradient_formula():
     t0 = time.perf_counter()
-    results = {r.check_name: r for r in check_second_order(n_sets=0)}
+    results = {r.check_name: r for r in check_second_order()}
     quad_cubic = results["cossim_gradient_matches_fd"]
 
     root = rng_root(202)
@@ -93,7 +93,7 @@ def test_a2_cossim_gradient_formula():
 
 def test_a3_convergence_contraction():
     t0 = time.perf_counter()
-    results = check_convergence(kappas=(2, 5, 10), K=4, steps=200)
+    results = check_convergence()
     ok = all(r.passed for r in results)
     detail = "; ".join(f"{r.check_name} {r.measured:.4g}<= {r.bound:.4g}" for r in results)
     report("A3", ok, detail, t0, 10)
@@ -101,14 +101,14 @@ def test_a3_convergence_contraction():
 
 def test_a4_closeness_bound_chain():
     t0 = time.perf_counter()
-    results = check_closeness(n_sets=100, Ks=(2, 4, 8))
+    results = check_closeness()
     r = results[0]
     report("A4", r.passed, f"min slack {r.measured:.3g} >= -1e-10 over 100 SPD sets, K in (2,4,8)", t0, 10)
 
 
 def test_a5_quadratic_generalization():
     t0 = time.perf_counter()
-    results = {r.check_name: r for r in check_generalization(n_draws=10_000)}
+    results = {r.check_name: r for r in check_generalization()}
     gap = results["quadratic_gap_matches_theory"]
     bound = results["strongly_convex_bound_holds"]
     ok = gap.passed and bound.passed
@@ -123,7 +123,7 @@ def test_a5_quadratic_generalization():
 
 def test_a6_nsgd_nexus_identity():
     t0 = time.perf_counter()
-    results = check_nsgd_identity(n_instances=10, n_pairs=50)
+    results = check_nsgd_identity()
     r = results[0]
     report("A6", r.passed, f"max trajectory divergence {r.measured:.2e} <= 1e-12, 10 instances x 50 pairs", t0, 5)
 
@@ -154,7 +154,7 @@ def test_a7_k1_degeneration_bitwise():
 
 def test_a8_third_order_term():
     t0 = time.perf_counter()
-    results = {r.check_name: r for r in check_third_order(n_sets=4)}
+    results = {r.check_name: r for r in check_third_order()}
     slope = results["third_order_residual_slope"]
     zero = results["third_order_tensor_term_zero_on_quadratics"]
     ok = slope.passed and zero.passed

@@ -110,3 +110,17 @@ def test_every_schema_key_is_read():
     source = "".join(p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py")) if p.name != "config.py")
     unread = [key for key in SCHEMA if f'["{key}"]' not in source]
     assert unread == []
+
+
+def test_hash_inside_a_string_value_is_not_a_comment():
+    cfg = parse_config_text('seed = 1\noutput_dir = "runs/#3"  # where\n')
+    assert cfg["output_dir"] == "runs/#3"
+    renamed = cfg.with_overrides({"name": "run#2"})
+    assert parse_config_text(renamed.to_text()).values == renamed.values
+
+
+def test_only_a_comment_may_follow_a_value():
+    assert parse_config_text("seed = 3  # trailing\n")["seed"] == 3
+    for line in ('name = "a" "b"', "name = \"a\" b # c", "total_steps # = 3", "total_steps = # 3"):
+        with pytest.raises(ParseError):
+            parse_config_text(f"seed = 1\n{line}\n")

@@ -1,4 +1,5 @@
-"""Every public function, class and method in the package has a program caller.
+"""Every public name in the package has a program caller, and every parameter
+with a default is set by one.
 
 A name counts as called when some module of ``src/nexusopt`` other than
 ``__init__.py`` refers to it outside the name's own definition. A top-level
@@ -7,6 +8,14 @@ alias or a ``<module>.<name>`` attribute; a field or an attribute of the same
 spelling does not count. A method is referred to by any Attribute of its
 name. Tests do not count. The names below are the only exceptions; each one
 leaves this list when it gains a caller, so the list only shrinks.
+
+A parameter with a default, of any function or method, counts as set when
+some call in ``src/nexusopt`` to a function or method of that name passes it,
+by keyword, by position or through ``*``/``**``; a call to a class counts for
+its ``__init__``. A default that no call changes is a constant, and the code
+says so. Functions on ``KEEP_WITHOUT_CALLER`` are skipped, and
+``KEEP_UNSET_DEFAULTS`` lists the other exceptions, each with its reason; it
+too only shrinks.
 """
 
 import ast
@@ -61,9 +70,13 @@ def references(trees):
     return top_level, methods
 
 
-def test_every_public_name_has_a_program_caller():
+def package_trees():
     src = pathlib.Path(nexusopt.__file__).parent
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+
+
+def test_every_public_name_has_a_program_caller():
+    trees = package_trees()
     top_level, methods = references(trees)
     uncalled = set()
     for qual, name, definition in public_definitions(trees):
@@ -75,3 +88,58 @@ def test_every_public_name_has_a_program_caller():
     assert not no_caller, f"public names with no program caller: {no_caller}"
     gained = sorted(KEEP_WITHOUT_CALLER.keys() - uncalled)
     assert not gained, f"listed names that gained a caller or are gone, take them off the list: {gained}"
+
+
+KEEP_UNSET_DEFAULTS = {
+    "main(argv)": "the console script calls main() with no arguments; tests pass argv",
+    "check_second_order(gamma_override)": "_run_suite reaches it as _SUITE_FNS[name], the table the "
+    "benchmark's suite spans wrap, so no call names it",
+}
+
+
+def defaulted_parameters(trees):
+    """(qualified name, callee name, index, parameter) for each parameter with a
+    default of each function and method; a call passes it as its index-th
+    positional argument (None for keyword-only), or by the parameter's name."""
+    for tree in trees.values():
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(id(node))
+            qual = f"{cls.name}.{node.name}" if cls else node.name
+            callee = cls.name if node.name == "__init__" else node.name
+            bound = cls is not None and not any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list)
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for index, arg in enumerate(positional[first:], first - bound):
+                yield qual, callee, index, arg.arg
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield qual, callee, None, arg.arg
+
+
+def passes(call, index, param):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_call():
+    trees = package_trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = {
+        f"{qual}({param})"
+        for qual, callee, index, param in defaulted_parameters(trees)
+        if qual not in KEEP_WITHOUT_CALLER and not any(passes(c, index, param) for c in calls.get(callee, []))
+    }
+    never_set = sorted(unset - KEEP_UNSET_DEFAULTS.keys())
+    assert not never_set, f"parameters no program call sets, make them constants: {never_set}"
+    now_set = sorted(KEEP_UNSET_DEFAULTS.keys() - unset)
+    assert not now_set, f"listed parameters that a call now sets or that are gone, take them off the list: {now_set}"

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from nexusopt import validate
+from nexusopt import oracles, validate
 from nexusopt.errors import DegenerateGradient
 from nexusopt.numerics import norm
 from nexusopt.validate import CheckResult, validate_theorems
@@ -123,3 +123,41 @@ def test_per_step_convergence_checks_fail_when_the_contraction_tightens_by_a_per
     assert _failing(validate.check_convergence()) == {
         f"convergence_per_step_kappa_{kappa}" for kappa in (2, 5, 10)
     }
+
+
+def test_cossim_gradient_check_fails_on_the_inner_loop_pair_direction(monkeypatch):
+    # the conflation the oracles docstring warns about: J_i h_j + J_j h_i is not the
+    # gradient of the cosine map unless the Hessians commute with the projectors
+    monkeypatch.setattr(validate, "cosgrad_analytic", oracles.alignment_pair_direction)
+    checks = validate.check_second_order()
+    assert _failing(checks) == {"cossim_gradient_matches_fd"}
+    assert {c.check_name: c for c in checks}["cossim_gradient_matches_fd"].measured > 1.0
+
+
+def test_nsgd_identity_check_fails_when_the_step_norm_gains_an_epsilon(monkeypatch):
+    def nsgd_step(theta, grad, lr):
+        return theta - (lr / (norm(grad) + 1e-12)) * grad
+
+    monkeypatch.setattr(oracles, "nsgd_step", nsgd_step)
+    (check,) = validate.check_nsgd_identity()
+    assert _failing([check]) == {"nsgd_equals_two_step_nexus"}
+    assert check.measured > 1e-11
+
+
+def test_every_convergence_check_fails_when_the_sgd_step_grows_by_half(monkeypatch):
+    real = oracles.sgd_step
+    monkeypatch.setattr(oracles, "sgd_step", lambda theta, grad, lr: real(theta, grad, 1.5 * lr))
+    checks = validate.check_convergence()
+    assert _failing(checks) == {
+        f"convergence_{kind}_kappa_{kappa}" for kind in ("per_step", "cumulative") for kappa in (2, 5, 10)
+    }
+    cumulative = [c for c in checks if c.check_name.startswith("convergence_cumulative")]
+    assert all(c.measured > c.bound + 100 for c in cumulative)
+
+
+def test_tensor_term_check_fails_on_the_whole_gamma3_coefficient(monkeypatch):
+    # the whole coefficient is non-zero on quadratics; only its tensor piece vanishes
+    monkeypatch.setattr(validate, "third_order_tensor_term", lambda *args: oracles._third_order(*args)[0])
+    checks = validate.check_third_order()
+    assert _failing(checks) == {"third_order_tensor_term_zero_on_quadratics"}
+    assert {c.check_name: c for c in checks}["third_order_tensor_term_zero_on_quadratics"].measured > 0.1
