@@ -9,17 +9,24 @@ backprop over its cached layer outputs, written into views of one flat vector
 laid out by ``MLPSpec.layout`` (computed once per spec); the forward and
 backward passes add biases and apply activations and their derivatives in
 place. The backward pass avoids numpy calls that cost more than their
-arithmetic at this scale, but each choice keeps the bits of the plain
-expressions (``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``,
-``1 - h**2``); a test compares it bitwise with that reference. Hessian-vector
-products use central differences of those exact gradients (tolerance 1e-4
-wherever they are consumed).
+arithmetic at this scale, and keeps the bits of the plain expressions
+(``x @ W1 + b1``, ``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``,
+``1 - h**2``); a test compares it bitwise with that reference.
+
+Two faster BLAS forms give those bits at some shapes and not at others,
+because OpenBLAS picks its kernel by size: the first layer as one matmul of
+``[x | 1]`` (``DataSource.inputs_with_ones``) against the ``[W1; b1]`` block of
+theta, forward and backward, and ``delta @ W.T`` against a contiguous copy of
+``W.T``. A fast form is used at a shape only where a probe has shown it gives
+the plain expression's bits there (``_keeps_bits``); elsewhere the pass takes
+the plain expression. Hessian-vector products use central differences of those
+exact gradients (tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,6 +67,13 @@ class MLPSpec:
             pos += fan_out
         return tuple(out)
 
+    @cached_property
+    def folded_layout(self) -> tuple:
+        """``layout`` with W1's rows and then b1 as one (fan_in + 1, units)
+        block, and None in b1's place."""
+        (start, _, (fan_in, units)), (_, stop, _) = self.layout[:2]
+        return ((start, stop, (fan_in + 1, units)), None) + self.layout[2:]
+
     def unflatten(self, theta: np.ndarray) -> list:
         """Views of theta, one per weight matrix and bias vector."""
         return _views(as_params(theta, self.n_params), self.layout)
@@ -98,18 +112,92 @@ class DataSource:
     def n(self) -> int:
         return self.inputs.shape[0]
 
+    @cached_property
+    def inputs_with_ones(self) -> np.ndarray:
+        """``[inputs | 1]``, read-only, built on first use: the first layer's
+        weights and bias against it are one matmul."""
+        out = _with_ones(self.inputs)
+        out.flags.writeable = False
+        return out
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    out = np.empty((x.shape[0], x.shape[1] + 1))
+    out[:, :-1] = x
+    out[:, -1] = 1.0
+    return out
+
+
+# a probe compares at least this many entries of each output of a form
+_PROBE_ENTRIES = 256
+# its own generator, outside the runs' Philox streams, so a probe draws
+# nothing from a run and gives the same verdict whenever it happens
+_PROBE_SEED = 4242
+
+
+@cache
+def _keeps_bits(form: str, n: int, fan_in: int, units: int) -> bool:
+    """Whether the fast ``form`` gives its plain expression's bits for n rows
+    through a (fan_in, units) weight; probed once per shape and process, since
+    the verdict depends only on the shape and the BLAS this process loaded.
+
+    A single row always takes the plain expression: numpy hands it to gemv,
+    whose summation order follows the operands' layout."""
+    return n > 1 and _probe(_FORMS[form], n, fan_in, units)
+
+
+def _probe(form, n: int, fan_in: int, units: int) -> bool:
+    """Whether the fast outputs of ``form`` equal its plain ones byte for byte
+    over enough draws to compare _PROBE_ENTRIES entries of each output."""
+    gen = np.random.default_rng(_PROBE_SEED)
+    compared = 0
+    while compared < _PROBE_ENTRIES:
+        fast, plain = form(gen, n, fan_in, units)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(fast, plain)):
+            return False
+        compared += min(a.size for a in fast)
+    return True
+
+
+def _fold_outputs(gen, n: int, fan_in: int, units: int) -> tuple:
+    """The first layer by ``[x | 1]`` and the ``[W1; b1]`` block, against
+    ``x @ W1 + b1``, ``x.T @ delta`` and ``delta.sum(axis=0)``."""
+    x = gen.standard_normal((n, fan_in))
+    block = gen.standard_normal((fan_in + 1, units))
+    delta = gen.standard_normal((n, units))
+    h = x @ block[:-1]
+    h += block[-1]
+    x1 = _with_ones(x)
+    grad = x1.T @ delta
+    return (x1 @ block, grad[:-1], grad[-1]), (h, x.T @ delta, delta.sum(axis=0))
+
+
+def _wt_copy_outputs(gen, n: int, fan_in: int, units: int) -> tuple:
+    """``delta @ W.T`` against a contiguous copy of ``W.T``, and through the view."""
+    w = gen.standard_normal((fan_in, units))
+    delta = gen.standard_normal((n, units))
+    return (delta @ w.T.copy(),), (delta @ w.T,)
+
+
+_FORMS = {"fold": _fold_outputs, "wt_copy": _wt_copy_outputs}
+
 
 def _views(flat: np.ndarray, layout: tuple) -> list:
-    return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+    """A view of flat per layout entry, and None for a None entry."""
+    return [None if entry is None else flat[entry[0]:entry[1]].reshape(entry[2]) for entry in layout]
 
 
 def _layer_outputs(spec: MLPSpec, arrays: list, x: np.ndarray) -> list:
-    """The input followed by each layer's output (post-activation; the last is linear)."""
+    """The input followed by each layer's output (post-activation; the last is linear).
+
+    A bias of None means that layer's weight carries it as its last row, and
+    its input as a ones column."""
     hs = [np.asarray(x, dtype=np.float64)]
     n_layers = len(spec.layer_widths) - 1
     for layer in range(n_layers):
         h = hs[-1] @ arrays[2 * layer]
-        h += arrays[2 * layer + 1]
+        if arrays[2 * layer + 1] is not None:
+            h += arrays[2 * layer + 1]
         if layer < n_layers - 1:
             if spec.activation == "tanh":
                 np.tanh(h, out=h)
@@ -160,33 +248,43 @@ class MLPTask:
         return self._backprop(theta, with_loss=True)
 
     def _backprop(self, theta: np.ndarray, with_loss: bool) -> tuple:
-        """(loss or None, gradient): the one gradient path, written into views of one flat vector."""
-        spec = self.spec
-        arrays = spec.unflatten(theta)
-        hs = _layer_outputs(spec, arrays, self.source.inputs)
+        """(loss or None, gradient): the one gradient path, written into views of one flat vector.
+
+        Each fast form below is taken only at shapes where ``_keeps_bits`` has
+        shown that it gives the plain expression's bits."""
+        spec, source = self.spec, self.source
+        n = source.n
+        if _keeps_bits("fold", n, *spec.layer_widths[:2]):
+            # W1 and b1 as one block of theta and of the gradient: against
+            # [x | 1], one matmul adds the bias and one more writes [dW1; db1]
+            x, layout = source.inputs_with_ones, spec.folded_layout
+        else:
+            x, layout = source.inputs, spec.layout
+        arrays = _views(as_params(theta, spec.n_params), layout)
+        flat = np.empty(spec.n_params)
+        grads = _views(flat, layout)
+        hs = _layer_outputs(spec, arrays, x)
         err = hs.pop()
-        err -= self.source.targets
+        err -= source.targets
         loss = self._mse(err) if with_loss else None
         # delta is dLoss/d(pre-activation) of the current layer, whose input is hs[layer]
         delta = err
         delta *= self.weight * (2.0 / err.size)
-        flat = np.empty(spec.n_params)
-        grads = _views(flat, spec.layout)
         for layer in reversed(range(len(hs))):
             np.matmul(hs[layer].T, delta, out=grads[2 * layer])
+            bias_grad = grads[2 * layer + 1]  # None: folded into the weight's gradient
             # einsum adds the rows one by one, as .sum(axis=0) does on more than
             # one column but with less overhead; a single column is contiguous,
             # so .sum pairwise-sums it and einsum would not
-            if delta.shape[1] > 1:
-                np.einsum("ij->j", delta, out=grads[2 * layer + 1])
-            else:
-                delta.sum(axis=0, out=grads[2 * layer + 1])
+            if bias_grad is not None and delta.shape[1] > 1:
+                np.einsum("ij->j", delta, out=bias_grad)
+            elif bias_grad is not None:
+                delta.sum(axis=0, out=bias_grad)
             if layer > 0:
                 h = hs[layer]  # not read again: tanh' overwrites it
-                # a contiguous W.T multiplies faster; a single row goes through
-                # gemv, whose summation order follows the layout, so it keeps the view
-                w_t = arrays[2 * layer].T
-                delta = delta @ (w_t.copy() if len(delta) > 1 else w_t)
+                w = arrays[2 * layer]
+                # a contiguous W.T multiplies faster
+                delta = delta @ (w.T.copy() if _keeps_bits("wt_copy", n, *w.shape) else w.T)
                 if spec.activation == "tanh":
                     np.square(h, out=h)
                     np.subtract(1.0, h, out=h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nexusopt import mlp
 from nexusopt.errors import ZeroDirection
 from nexusopt.mlp import (
     DataSource,
@@ -273,10 +274,7 @@ def reference_loss_and_grad(task, theta):
     return loss, flat
 
 
-@pytest.mark.parametrize("n", [1, 2, 33, 512])
-@pytest.mark.parametrize("widths", [(3, 1, 2, 1), (4, 6, 1), (5, 2, 3), (2, 1), (8, 16, 8, 1)])
-@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
-def test_loss_and_grad_equal_the_reference_backprop_bitwise(activation, widths, n):
+def assert_equal_to_the_reference_backprop_bitwise(activation, widths, n):
     rng = rng_root(4711)
     task, spec = random_task(rng_substream(rng, "task"), widths, n, activation, weight=1.7)
     for trial in range(3):
@@ -287,3 +285,57 @@ def test_loss_and_grad_equal_the_reference_backprop_bitwise(activation, widths, 
         assert grad.tobytes() == ref_grad.tobytes()
         assert task.grad(theta).tobytes() == ref_grad.tobytes()
         assert loss == ref_loss == task.loss(theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 512])
+@pytest.mark.parametrize("widths", [(3, 1, 2, 1), (4, 6, 1), (5, 2, 3), (2, 1), (8, 16, 8, 1)])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_loss_and_grad_equal_the_reference_backprop_bitwise(activation, widths, n):
+    assert_equal_to_the_reference_backprop_bitwise(activation, widths, n)
+
+
+# shapes where a fast BLAS form gives other bits than the plain expression:
+# delta @ W.T.copy() through a 32x32 weight at few rows, and the first layer
+# folded into one matmul with a ones column at d_in = 1, at 16 inputs into
+# 3 units, and at 1024 rows into 64 units
+FAST_FORMS_DIFFER = [
+    ((8, 32, 32, 1), 2),
+    ((8, 32, 32, 1), 7),
+    ((8, 32, 32, 1), 33),
+    ((1, 4, 1), 2),
+    ((1, 4, 1), 512),
+    ((16, 3, 1), 2),
+    ((16, 3, 1), 512),
+    ((16, 64, 1), 1024),
+]
+
+
+@pytest.mark.parametrize("widths, n", FAST_FORMS_DIFFER, ids=[
+    "-".join(map(str, widths)) + f"-n{n}" for widths, n in FAST_FORMS_DIFFER
+])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_loss_and_grad_equal_the_reference_backprop_bitwise_where_fast_forms_differ(activation, widths, n):
+    assert_equal_to_the_reference_backprop_bitwise(activation, widths, n)
+
+
+def test_inputs_with_ones_are_read_only_and_built_once_per_source(monkeypatch):
+    builds = []
+    with_ones = mlp._with_ones
+    monkeypatch.setattr(mlp, "_with_ones", lambda x: builds.append(x) or with_ones(x))
+    # the fold forced on, so that this holds whatever shapes the BLAS keeps the bits at
+    monkeypatch.setattr(mlp, "_keeps_bits", lambda form, *shape: form == "fold")
+    sources, _ = make_synthetic_sources(3, 4, 1, 16, 0.5, rng_root(15))
+    spec = MLPSpec((4, 6, 1))
+    theta = spec.init_params(rng_root(16))
+    for source in sources:
+        for task in (MLPTask(spec, source), MLPTask(spec, source, 2.0)):
+            task.grad(theta)
+            task.loss_and_grad(theta)
+    for source in sources:
+        assert sum(x is source.inputs for x in builds) == 1
+        x1 = source.inputs_with_ones
+        assert x1.tobytes() == np.hstack([source.inputs, np.ones((source.n, 1))]).tobytes()
+        assert not x1.flags.writeable
+        with pytest.raises(ValueError):
+            x1[0, 0] = 0.0
+    assert len(builds) == len(sources)

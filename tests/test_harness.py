@@ -91,6 +91,21 @@ def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, sampling, tmp_pa
     assert digest == MLP_60_STEP_DIGESTS[kind, sampling]
 
 
+def test_the_plain_expressions_write_the_recorded_metrics_bytes(monkeypatch, tmp_path):
+    # every fast BLAS form off: the shipped shapes take them, so this keeps the
+    # plain expressions of the MLP pass covered on a shipped config
+    monkeypatch.setattr(mlp, "_keeps_bits", lambda *shape: False)
+    builds = []
+    monkeypatch.setattr(mlp, "_with_ones", builds.append)
+    cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).with_overrides(
+        {"total_steps": 60, "optimizer.kind": "nexus_adamw"}
+    )
+    write_outputs(run(cfg), tmp_path)
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == MLP_60_STEP_DIGESTS["nexus_adamw", "iid_uniform"]
+    assert builds == []
+
+
 # the same for 60-step runs with further overrides: a metrics row after every
 # step, so each step starts where a row was just emitted, and a relu network
 MLP_60_STEP_OVERRIDE_DIGESTS = {
