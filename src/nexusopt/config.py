@@ -50,10 +50,10 @@ def _fraction(v):
     return v
 
 
-def _int_list(v):
+def _widths(v):
     # type() rather than isinstance: a bool is an int, and [8, true, 1] must not parse as [8, 1, 1]
-    if not isinstance(v, list) or not all(type(x) is int and x > 0 for x in v):
-        raise ValueError(f"must be a list of positive integers, got {v!r}")
+    if not isinstance(v, list) or len(v) < 2 or not all(type(x) is int and x > 0 for x in v):
+        raise ValueError(f"must list at least the input and output widths as positive integers, got {v!r}")
     return [int(x) for x in v]
 
 
@@ -80,7 +80,7 @@ SCHEMA = {
     "problem.third_bound": (float, False, 0.3, _non_negative, ("problem.kind", ("cubic_set",))),
     "problem.n_per_source": (int, False, 512, _positive, _MLP),
     "problem.shared_fraction": (float, False, 0.5, _fraction, _MLP),
-    "problem.widths": (list, False, [8, 16, 8, 1], _int_list, _MLP),
+    "problem.widths": (list, False, [8, 16, 8, 1], _widths, _MLP),
     "problem.activation": (str, False, "tanh", _choice(ACTIVATIONS), _MLP),
     "problem.path": (str, False, "", None, ("problem.kind", ("custom_taskset_file",))),
     "problem.init_scale": (float, False, 1.0, _positive, ALWAYS),

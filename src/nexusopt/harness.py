@@ -171,8 +171,12 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
     ts, ood_task = problem.taskset, problem.ood_task
     total_steps, metric_cadence = cfg["total_steps"], cfg["metric_cadence"]
     mode, clip_norm = cfg["optimizer.kind"], cfg["optimizer.clip_norm"]
-    schedule = Schedule(cfg["schedule.kind"], cfg["schedule.base_lr"], total_steps,
-                        cfg["schedule.warmup_steps"], cfg["schedule.decay_steps"])
+    try:
+        schedule = Schedule(cfg["schedule.kind"], cfg["schedule.base_lr"], total_steps,
+                            cfg["schedule.warmup_steps"], cfg["schedule.decay_steps"])
+    except ValueError as exc:
+        # a validated config gets here only by a wsd decay that does not fit in the run
+        raise ConfigError(f"invalid schedule.decay_steps: {exc}", "schedule.decay_steps") from exc
     theta = np.array(problem.theta0, dtype=np.float64)
     task_rng = rng_substream(rng_root(cfg["seed"]), "tasks")
     opt_state = None if mode == "sgd" else AdamWState.init(

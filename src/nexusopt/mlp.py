@@ -13,14 +13,13 @@ arithmetic at this scale, and keeps the bits of the plain expressions
 (``x @ W1 + b1``, ``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``,
 ``1 - h**2``); a test compares it bitwise with that reference.
 
-Two faster BLAS forms give those bits at some shapes and not at others,
+One faster BLAS form gives those bits at some shapes and not at others,
 because OpenBLAS picks its kernel by size: the first layer as one matmul of
 ``[x | 1]`` (``DataSource.inputs_with_ones``) against the ``[W1; b1]`` block of
-theta, forward and backward, and ``delta @ W.T`` against a contiguous copy of
-``W.T``. A fast form is used at a shape only where a probe has shown it gives
-the plain expression's bits there (``_keeps_bits``); elsewhere the pass takes
-the plain expression. Hessian-vector products use central differences of those
-exact gradients (tolerance 1e-4 wherever they are consumed).
+theta, forward and backward. The pass takes it at a shape only where a probe
+has shown it gives the plain expressions' bits there (``_fold_keeps_bits``);
+elsewhere it takes the plain expressions. Hessian-vector products use central
+differences of those exact gradients (tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# a probe compares at least this many entries of each output of a form
+# a probe compares at least this many entries of each output of the fold
 _PROBE_ENTRIES = 256
 # its own generator, outside the runs' Philox streams, so a probe draws
 # nothing from a run and gives the same verdict whenever it happens
@@ -136,50 +135,31 @@ _PROBE_SEED = 4242
 
 
 @cache
-def _keeps_bits(form: str, n: int, fan_in: int, units: int) -> bool:
-    """Whether the fast ``form`` gives its plain expression's bits for n rows
-    through a (fan_in, units) weight; probed once per shape and process, since
-    the verdict depends only on the shape and the BLAS this process loaded.
+def _fold_keeps_bits(n: int, fan_in: int, units: int) -> bool:
+    """Whether the first layer by ``[x | 1]`` and the ``[W1; b1]`` block gives
+    the bits of ``x @ W1 + b1``, ``x.T @ delta`` and ``delta.sum(axis=0)`` for
+    n rows through a (fan_in, units) weight. Probed once per shape and process,
+    since the verdict depends only on the shape and the BLAS this process loaded.
 
-    A single row always takes the plain expression: numpy hands it to gemv,
+    A single row always takes the plain expressions: numpy hands it to gemv,
     whose summation order follows the operands' layout."""
-    return n > 1 and _probe(_FORMS[form], n, fan_in, units)
-
-
-def _probe(form, n: int, fan_in: int, units: int) -> bool:
-    """Whether the fast outputs of ``form`` equal its plain ones byte for byte
-    over enough draws to compare _PROBE_ENTRIES entries of each output."""
+    if n == 1:
+        return False
     gen = np.random.default_rng(_PROBE_SEED)
-    compared = 0
-    while compared < _PROBE_ENTRIES:
-        fast, plain = form(gen, n, fan_in, units)
+    # enough draws to compare _PROBE_ENTRIES entries of db1, the smallest output
+    for _ in range(-(-_PROBE_ENTRIES // units)):
+        x = gen.standard_normal((n, fan_in))
+        block = gen.standard_normal((fan_in + 1, units))
+        delta = gen.standard_normal((n, units))
+        h = x @ block[:-1]
+        h += block[-1]
+        x1 = _with_ones(x)
+        grad = x1.T @ delta
+        fast = (x1 @ block, grad[:-1], grad[-1])
+        plain = (h, x.T @ delta, delta.sum(axis=0))
         if any(a.tobytes() != b.tobytes() for a, b in zip(fast, plain)):
             return False
-        compared += min(a.size for a in fast)
     return True
-
-
-def _fold_outputs(gen, n: int, fan_in: int, units: int) -> tuple:
-    """The first layer by ``[x | 1]`` and the ``[W1; b1]`` block, against
-    ``x @ W1 + b1``, ``x.T @ delta`` and ``delta.sum(axis=0)``."""
-    x = gen.standard_normal((n, fan_in))
-    block = gen.standard_normal((fan_in + 1, units))
-    delta = gen.standard_normal((n, units))
-    h = x @ block[:-1]
-    h += block[-1]
-    x1 = _with_ones(x)
-    grad = x1.T @ delta
-    return (x1 @ block, grad[:-1], grad[-1]), (h, x.T @ delta, delta.sum(axis=0))
-
-
-def _wt_copy_outputs(gen, n: int, fan_in: int, units: int) -> tuple:
-    """``delta @ W.T`` against a contiguous copy of ``W.T``, and through the view."""
-    w = gen.standard_normal((fan_in, units))
-    delta = gen.standard_normal((n, units))
-    return (delta @ w.T.copy(),), (delta @ w.T,)
-
-
-_FORMS = {"fold": _fold_outputs, "wt_copy": _wt_copy_outputs}
 
 
 def _views(flat: np.ndarray, layout: tuple) -> list:
@@ -250,11 +230,10 @@ class MLPTask:
     def _backprop(self, theta: np.ndarray, with_loss: bool) -> tuple:
         """(loss or None, gradient): the one gradient path, written into views of one flat vector.
 
-        Each fast form below is taken only at shapes where ``_keeps_bits`` has
-        shown that it gives the plain expression's bits."""
+        The first layer is folded only at shapes where ``_fold_keeps_bits`` has
+        shown that it gives the plain expressions' bits."""
         spec, source = self.spec, self.source
-        n = source.n
-        if _keeps_bits("fold", n, *spec.layer_widths[:2]):
+        if _fold_keeps_bits(source.n, *spec.layer_widths[:2]):
             # W1 and b1 as one block of theta and of the gradient: against
             # [x | 1], one matmul adds the bias and one more writes [dW1; db1]
             x, layout = source.inputs_with_ones, spec.folded_layout
@@ -282,9 +261,7 @@ class MLPTask:
                 delta.sum(axis=0, out=bias_grad)
             if layer > 0:
                 h = hs[layer]  # not read again: tanh' overwrites it
-                w = arrays[2 * layer]
-                # a contiguous W.T multiplies faster
-                delta = delta @ (w.T.copy() if _keeps_bits("wt_copy", n, *w.shape) else w.T)
+                delta = delta @ arrays[2 * layer].T
                 if spec.activation == "tanh":
                     np.square(h, out=h)
                     np.subtract(1.0, h, out=h)

@@ -45,11 +45,6 @@ def norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def _philox_key(token: str) -> int:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
@@ -106,8 +101,7 @@ def fd_hvp(grad_fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, v: np
     The step balances truncation against rounding in the gradient differences.
     """
     theta = as_params(theta)
-    v = as_params(v)
-    check_same_dim(theta, v)
+    v = as_params(v, len(theta))
     vnorm = norm(v)
     if vnorm == 0.0:
         raise ZeroDirection("direction vector has zero norm")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGradient, StepOutOfRange
-from .numerics import as_params, check_same_dim, norm
+from .numerics import as_params, norm
 
 DEFAULT_GRAD_FLOOR = 1e-12
 SCHEDULE_KINDS = ("constant", "cosine", "wsd")
@@ -27,8 +27,7 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     theta = as_params(theta)
-    grad = as_params(grad)
-    check_same_dim(theta, grad)
+    grad = as_params(grad, len(theta))
     return theta - lr * grad
 
 
@@ -55,8 +54,7 @@ def nsgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     theta = as_params(theta)
-    grad = as_params(grad)
-    check_same_dim(theta, grad)
+    grad = as_params(grad, len(theta))
     return theta - nsgd_direction(grad, lr)
 
 
@@ -80,9 +78,8 @@ class AdamWState:
 def adamw_step(state: AdamWState, theta: np.ndarray, grad: np.ndarray, lr: float) -> tuple:
     """Decoupled AdamW update; returns (new_state, new_theta)."""
     theta = as_params(theta)
-    grad = as_params(grad)
-    check_same_dim(theta, grad)
-    check_same_dim(theta, state.m)
+    grad = as_params(grad, len(theta))
+    as_params(state.m, len(theta))  # a state of another dimension raises DimensionMismatch
     t = state.t + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
@@ -128,7 +125,8 @@ class Schedule:
         if self.total_steps < 0 or self.warmup_steps < 0 or self.decay_steps < 0:
             raise ValueError("step counts must be >= 0")
         if self.warmup_steps + self.decay_steps > self.total_steps and self.kind == "wsd":
-            raise ValueError("warmup_steps + decay_steps exceed total_steps")
+            raise ValueError(f"warmup_steps + decay_steps exceed total_steps: "
+                             f"{self.warmup_steps} + {self.decay_steps} > {self.total_steps}")
 
 
 def schedule_lr(s: Schedule, step: int) -> float:

@@ -370,8 +370,6 @@ class ClosenessChainReport:
     closeness: float
     inner_product_bound: float
     cossim_bound: float
-    lambda_min: float
-    grad_upper: float
 
     @property
     def first_slack(self) -> float:
@@ -424,7 +422,7 @@ def closeness_bound_check(ts: TaskSet) -> ClosenessChainReport:
             # zero-gradient pairs contribute nothing: the common-minimizer case
     middle = cross / (K * lam**2) if np.isfinite(lam) else 0.0
     right = G**2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
-    return ClosenessChainReport(closeness(theta, ts), middle, right, float(lam), G)
+    return ClosenessChainReport(closeness(theta, ts), middle, right)
 
 
 def quadratic_gap(a: float, K: int, sigma_sq: float) -> float:

@@ -132,6 +132,8 @@ class CubicTask:
         self.minimizer = as_params(self.minimizer)
         _check_spd(self.hessian)
         d = self.minimizer.shape[0]
+        if self.hessian.shape[0] != d:
+            raise DimensionMismatch("Hessian and minimizer dimensions differ")
         if self.third is None:
             self.third = np.zeros((d, d, d))
         self.third = np.asarray(self.third, dtype=np.float64)

@@ -294,10 +294,11 @@ def test_loss_and_grad_equal_the_reference_backprop_bitwise(activation, widths, 
     assert_equal_to_the_reference_backprop_bitwise(activation, widths, n)
 
 
-# shapes where a fast BLAS form gives other bits than the plain expression:
-# delta @ W.T.copy() through a 32x32 weight at few rows, and the first layer
-# folded into one matmul with a ones column at d_in = 1, at 16 inputs into
-# 3 units, and at 1024 rows into 64 units
+# shapes where a faster BLAS form gives other bits than the plain expression:
+# delta @ W.T.copy() through a 32x32 weight at few rows, a form the pass no
+# longer has, so these cases guard delta @ W.T through the view; and the first
+# layer folded into one matmul with a ones column at d_in = 1, at 16 inputs
+# into 3 units, and at 1024 rows into 64 units
 FAST_FORMS_DIFFER = [
     ((8, 32, 32, 1), 2),
     ((8, 32, 32, 1), 7),
@@ -323,7 +324,7 @@ def test_inputs_with_ones_are_read_only_and_built_once_per_source(monkeypatch):
     with_ones = mlp._with_ones
     monkeypatch.setattr(mlp, "_with_ones", lambda x: builds.append(x) or with_ones(x))
     # the fold forced on, so that this holds whatever shapes the BLAS keeps the bits at
-    monkeypatch.setattr(mlp, "_keeps_bits", lambda form, *shape: form == "fold")
+    monkeypatch.setattr(mlp, "_fold_keeps_bits", lambda *shape: True)
     sources, _ = make_synthetic_sources(3, 4, 1, 16, 0.5, rng_root(15))
     spec = MLPSpec((4, 6, 1))
     theta = spec.init_params(rng_root(16))

@@ -174,6 +174,39 @@ def test_cli_run_with_a_malformed_taskset_file_records_error(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+WSD_CONFIG_TEXT = CONFIG_TEXT.replace("total_steps = 6", "total_steps = 10") + (
+    "schedule.kind = \"wsd\"\nschedule.warmup_steps = 8\n"
+)
+
+
+def test_cli_run_with_a_wsd_decay_longer_than_the_run_records_error(tmp_path, capsys):
+    cfg = tmp_path / "wsd.cfg"
+    cfg.write_text(WSD_CONFIG_TEXT + "schedule.decay_steps = 5\n")
+    out = tmp_path / "failout"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == (
+        "ConfigError: invalid schedule.decay_steps: warmup_steps + decay_steps exceed total_steps: 8 + 5 > 10"
+    )
+    assert not (out / "metrics.csv").exists()
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_cli_sweep_with_a_wsd_decay_longer_than_the_run_finishes_the_other_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    cfg = tmp_path / "wsd.cfg"
+    cfg.write_text(WSD_CONFIG_TEXT)
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--set", "schedule.decay_steps=1,5"]) == 1
+    index = json.loads((out / "sweep.json").read_text())
+    assert sorted(index) == ["decay_steps=1", "decay_steps=5"]
+    assert "error" not in index["decay_steps=1"]
+    assert index["decay_steps=5"]["error"].startswith("ConfigError: invalid schedule.decay_steps")
+    assert (out / "decay_steps=1" / "metrics.csv").exists()
+    assert not (out / "decay_steps=5" / "metrics.csv").exists()
+    assert "run decay_steps=5 failed: ConfigError" in capsys.readouterr().err
+
+
 def test_cli_sweep_with_a_bad_taskset_path_finishes_the_other_runs(tmp_path, monkeypatch, capsys):
     from nexusopt.numerics import rng_root
     from nexusopt.oracles import random_quadratic_taskset

@@ -72,6 +72,14 @@ def test_widths_reject_booleans():
     assert err.value.path == "problem.widths"
 
 
+@pytest.mark.parametrize("widths", ["[8]", "[]"])
+def test_widths_need_an_input_and_an_output_width(widths):
+    # MLPSpec would raise a bare ValueError at run time
+    with pytest.raises(ParseError) as err:
+        parse_config_text(f"seed = 1\nproblem.widths = {widths}\n")
+    assert err.value.path == "problem.widths"
+
+
 def test_custom_taskset_requires_path():
     cfg = parse_config_text("seed = 1\nproblem.kind = \"custom_taskset_file\"\nproblem.path = \"\"\n")
     with pytest.raises(ConfigError) as err:

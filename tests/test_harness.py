@@ -92,9 +92,9 @@ def test_seeded_mlp_runs_write_the_recorded_metrics_bytes(kind, sampling, tmp_pa
 
 
 def test_the_plain_expressions_write_the_recorded_metrics_bytes(monkeypatch, tmp_path):
-    # every fast BLAS form off: the shipped shapes take them, so this keeps the
+    # the first-layer fold off: the shipped shapes take it, so this keeps the
     # plain expressions of the MLP pass covered on a shipped config
-    monkeypatch.setattr(mlp, "_keeps_bits", lambda *shape: False)
+    monkeypatch.setattr(mlp, "_fold_keeps_bits", lambda *shape: False)
     builds = []
     monkeypatch.setattr(mlp, "_with_ones", builds.append)
     cfg = load_config(os.path.join(REPO_ROOT, "configs", "mlp_mechanism.cfg")).with_overrides(

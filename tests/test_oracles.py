@@ -377,7 +377,7 @@ def closeness_reference(ts):
                 one_minus_cos += 1.0 - dot / (ni * nj)
     middle = cross / (K * lam**2) if np.isfinite(lam) else 0.0
     right = G**2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
-    return [closeness_val, middle, right, float(lam), G]
+    return [closeness_val, middle, right]
 
 
 def test_closeness_chain_equals_the_per_pair_formula_bitwise():

@@ -379,6 +379,12 @@ def test_cubic_tensor_symmetry_check_matches_allclose(monkeypatch, row):
         assert outcome == ("ValueError", "third tensor must be finite")
 
 
+@pytest.mark.parametrize("task_class", [QuadraticTask, CubicTask])
+def test_hessian_and_minimizer_of_different_sizes_are_rejected(task_class):
+    with pytest.raises(DimensionMismatch, match="Hessian and minimizer dimensions differ"):
+        task_class(np.eye(3), np.zeros(2))
+
+
 def test_taskset_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         TaskSet([QuadraticTask(np.eye(2), np.zeros(2)), QuadraticTask(np.eye(3), np.zeros(3))])
