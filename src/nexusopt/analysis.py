@@ -27,19 +27,22 @@ def gradient_cosines(G: np.ndarray) -> np.ndarray:
     """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
 
     Each entry is its own dot product over the two norms; a single G @ G.T
-    may sum in another order and move the entries in the last bits. The dot
-    product and the product of norms commute exactly, so the lower triangle
-    mirrors the upper one.
+    may sum in another order and move the entries in the last bits. The rows
+    are taken as views once, and ``rows[i].dot(rows[j])`` is the ddot that
+    ``G[i] @ G[j]`` calls, with the same bits for every G whose strides are
+    positive, without indexing G twice per pair. The dot product and the
+    product of norms commute exactly, so the lower triangle mirrors the upper one.
     """
-    norms = [norm(g) for g in G]
+    rows = list(G)
+    norms = [norm(g) for g in rows]
     for k, n in enumerate(norms):
         if n < DEFAULT_GRAD_FLOOR:
             raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {DEFAULT_GRAD_FLOOR:g}", k)
-    K = len(G)
+    K = len(rows)
     S = np.empty((K, K))
     for i in range(K):
         for j in range(i, K):
-            S[i, j] = S[j, i] = float(G[i] @ G[j]) / (norms[i] * norms[j])
+            S[i, j] = S[j, i] = float(rows[i].dot(rows[j])) / (norms[i] * norms[j])
     return S
 
 

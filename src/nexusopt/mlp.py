@@ -5,27 +5,41 @@ are tanh (default), relu, or identity. Losses are weighted mean squared error
 per data source, giving a smooth non-quadratic landscape at desk scale.
 One forward pass (``_layer_outputs``) serves prediction, loss and gradient:
 ``loss_and_grad`` takes both from a single pass. Gradients are closed-form
-backprop over its cached layer outputs, written into views of one flat vector
-laid out by ``MLPSpec.layout`` (computed once per spec); the forward and
-backward passes add biases and apply activations and their derivatives in
-place. The backward pass avoids numpy calls that cost more than their
-arithmetic at this scale, and keeps the bits of the plain expressions
-(``x @ W1 + b1``, ``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``,
-``1 - h**2``); a test compares it bitwise with that reference.
+backprop over its cached layer outputs; the forward and backward passes add
+biases and apply activations and their derivatives in place. The backward
+pass avoids numpy calls that cost more than their arithmetic at this scale,
+and keeps the bits of the plain expressions (``x @ W1 + b1``,
+``np.mean(err**2)``, ``delta.sum(axis=0)``, ``delta @ W.T``, ``1 - h**2``); a
+test compares it bitwise with that reference.
+
+Each task builds its evaluation plan (``MLPTask._plan``) once, on first use:
+its input matrix, one parameter buffer and one gradient buffer with their
+views laid out by ``MLPSpec.layout``, its targets and the scale of
+dLoss/dprediction. Every ``loss``, ``grad`` and ``loss_and_grad`` call checks
+theta, copies it into the parameter buffer, runs the one forward pass on the
+plan's views and, for a gradient, the backward pass into the gradient views,
+and returns a copy of the gradient buffer. So a returned gradient is the
+caller's, but a task's buffers make it unsafe to evaluate from two threads at
+once (the program starts none). Tasks and sources are frozen, and a source
+holds read-only copies of its arrays, so that nothing cached from them goes
+stale.
 
 One faster BLAS form gives those bits at some shapes and not at others,
 because OpenBLAS picks its kernel by size: the first layer as one matmul of
 ``[x | 1]`` (``DataSource.inputs_with_ones``) against the ``[W1; b1]`` block of
-theta, forward and backward. The pass takes it at a shape only where a probe
-has shown it gives the plain expressions' bits there (``_fold_keeps_bits``);
-elsewhere it takes the plain expressions. Hessian-vector products use central
-differences of those exact gradients (tolerance 1e-4 wherever they are consumed).
+theta, forward and backward. A plan takes it, for the loss as well as the
+gradient, only where a probe has shown it gives the plain expressions' bits
+at its shape (``_fold_keeps_bits``); elsewhere it takes the plain
+expressions. Hessian-vector products use central differences of those exact
+gradients (tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,16 +104,20 @@ class MLPSpec:
         return self.flatten(arrays)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataSource:
-    """One synthetic source: inputs and regression targets."""
+    """One synthetic source: inputs and regression targets, kept as read-only
+    float64 copies, so that nothing cached from them goes stale and the
+    caller's own arrays stay writeable."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
+        for name in ("inputs", "targets"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.inputs.ndim != 2 or self.targets.ndim != 2:
             raise DimensionMismatch("inputs and targets must be 2-D (n x dim)")
         if self.inputs.shape[0] != self.targets.shape[0] or self.inputs.shape[0] < 1:
@@ -192,7 +210,22 @@ def mlp_forward(spec: MLPSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _layer_outputs(spec, spec.unflatten(theta), x)[-1]
 
 
-@dataclass
+class _Plan(NamedTuple):
+    """What every evaluation of one task reads: its input matrix, a parameter
+    and a gradient buffer with their layout views, its targets, and the scale
+    of dLoss/dprediction. Where ``_fold_keeps_bits`` allows the fold, x is
+    ``[x | 1]`` and b1's views are None."""
+
+    x: np.ndarray
+    params: np.ndarray
+    arrays: list
+    grad: np.ndarray
+    grads: list
+    targets: np.ndarray
+    scale: float
+
+
+@dataclass(frozen=True)
 class MLPTask:
     """Weighted MSE of an MLP on one data source."""
 
@@ -205,16 +238,33 @@ class MLPTask:
             raise DimensionMismatch("input width does not match data source")
         if self.spec.layer_widths[-1] != self.source.targets.shape[1]:
             raise DimensionMismatch("output width does not match data source")
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
+        if not math.isfinite(self.weight) or self.weight < 0:
+            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
+
+    def __getstate__(self):
+        # a copy or an unpickled task would hold copies of the plan's views,
+        # no longer views of its buffers: it builds its own plan instead
+        return {key: value for key, value in self.__dict__.items() if key != "_plan"}
 
     @property
     def dim(self) -> int:
         return self.spec.n_params
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        spec, source = self.spec, self.source
+        if _fold_keeps_bits(source.n, *spec.layer_widths[:2]):
+            # W1 and b1 as one block of theta and of the gradient: against
+            # [x | 1], one matmul adds the bias and one more writes [dW1; db1]
+            x, layout = source.inputs_with_ones, spec.folded_layout
+        else:
+            x, layout = source.inputs, spec.layout
+        params, grad = np.empty(spec.n_params), np.empty(spec.n_params)
+        scale = self.weight * (2.0 / source.targets.size)
+        return _Plan(x, params, _views(params, layout), grad, _views(grad, layout), source.targets, scale)
+
     def loss(self, theta: np.ndarray) -> float:
-        err = mlp_forward(self.spec, theta, self.source.inputs) - self.source.targets
-        return self._mse(err)
+        return self._mse(self._forward(theta)[-1])
 
     def _mse(self, err: np.ndarray) -> float:
         # the bits of weight * np.mean(err**2), without np.mean's per-call overhead
@@ -227,28 +277,26 @@ class MLPTask:
         """(loss(theta), grad(theta)) from one forward pass."""
         return self._backprop(theta, with_loss=True)
 
-    def _backprop(self, theta: np.ndarray, with_loss: bool) -> tuple:
-        """(loss or None, gradient): the one gradient path, written into views of one flat vector.
+    def _forward(self, theta: np.ndarray) -> list:
+        """The layer outputs at theta from the plan's parameter views, with the
+        targets taken from the last: its entries are the prediction errors."""
+        plan = self._plan
+        np.copyto(plan.params, as_params(theta, plan.params.size))
+        hs = _layer_outputs(self.spec, plan.arrays, plan.x)
+        hs[-1] -= plan.targets
+        return hs
 
-        The first layer is folded only at shapes where ``_fold_keeps_bits`` has
-        shown that it gives the plain expressions' bits."""
-        spec, source = self.spec, self.source
-        if _fold_keeps_bits(source.n, *spec.layer_widths[:2]):
-            # W1 and b1 as one block of theta and of the gradient: against
-            # [x | 1], one matmul adds the bias and one more writes [dW1; db1]
-            x, layout = source.inputs_with_ones, spec.folded_layout
-        else:
-            x, layout = source.inputs, spec.layout
-        arrays = _views(as_params(theta, spec.n_params), layout)
-        flat = np.empty(spec.n_params)
-        grads = _views(flat, layout)
-        hs = _layer_outputs(spec, arrays, x)
+    def _backprop(self, theta: np.ndarray, with_loss: bool) -> tuple:
+        """(loss or None, gradient): the one gradient path, written into the
+        plan's gradient views and returned as a copy of its buffer."""
+        plan, activation = self._plan, self.spec.activation
+        hs = self._forward(theta)
         err = hs.pop()
-        err -= source.targets
         loss = self._mse(err) if with_loss else None
         # delta is dLoss/d(pre-activation) of the current layer, whose input is hs[layer]
         delta = err
-        delta *= self.weight * (2.0 / err.size)
+        delta *= plan.scale
+        grads = plan.grads
         for layer in reversed(range(len(hs))):
             np.matmul(hs[layer].T, delta, out=grads[2 * layer])
             bias_grad = grads[2 * layer + 1]  # None: folded into the weight's gradient
@@ -261,14 +309,14 @@ class MLPTask:
                 delta.sum(axis=0, out=bias_grad)
             if layer > 0:
                 h = hs[layer]  # not read again: tanh' overwrites it
-                delta = delta @ arrays[2 * layer].T
-                if spec.activation == "tanh":
+                delta = delta @ plan.arrays[2 * layer].T
+                if activation == "tanh":
                     np.square(h, out=h)
                     np.subtract(1.0, h, out=h)
                     delta *= h
-                elif spec.activation == "relu":
+                elif activation == "relu":
                     delta *= h > 0.0
-        return loss, flat
+        return loss, plan.grad.copy()
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         return fd_hvp(self.grad, theta, v)

@@ -71,5 +71,5 @@ def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence, first_grad=Non
         else:
             d = cfg.gamma * g
         current = current - d
-        ghat = ghat + d
+        ghat += d
     return ghat

@@ -61,11 +61,10 @@ class RngStream:
     """
 
     token: str
-    generator: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
+    generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.generator is None:
-            self.generator = np.random.Generator(np.random.Philox(key=_philox_key(self.token)))
+        self.generator = np.random.Generator(np.random.Philox(key=_philox_key(self.token)))
 
 
 def rng_root(seed: int) -> RngStream:

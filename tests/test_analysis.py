@@ -10,7 +10,7 @@ from nexusopt.analysis import (
     mean_pairwise_cosine,
 )
 from nexusopt.errors import DegenerateGradient, MissingMinimizer
-from nexusopt.numerics import rng_root, rng_substream
+from nexusopt.numerics import norm, rng_root, rng_substream
 from nexusopt.tasks import (
     QuadraticTask,
     TaskFamily,
@@ -72,6 +72,27 @@ def test_gradient_cosines_equal_the_per_pair_formula_bitwise(task_sets):
     for name, ts, theta in task_sets:
         expected = per_pair_cosines(ts, theta)
         assert np.array_equal(gradient_cosines(task_grads(ts, theta)), expected), name
+
+
+def indexed_pair_cosines(G):
+    """gradient_cosines as first written: G indexed twice per pair, through @."""
+    norms = [norm(g) for g in G]
+    S = np.empty((len(G), len(G)))
+    for i in range(len(G)):
+        for j in range(i, len(G)):
+            S[i, j] = S[j, i] = float(G[i] @ G[j]) / (norms[i] * norms[j])
+    return S
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "column_strided", "fortran"])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_gradient_cosines_over_row_views_equal_the_indexed_form_bytewise(K, layout):
+    gen = rng_root(77).generator
+    for d in (5, 289, 4097):  # 289: the shipped MLP's parameter count
+        wide = gen.standard_normal((K, 2 * d))
+        G = {"contiguous": wide[:, :d].copy(), "column_strided": wide[:, ::2],
+             "fortran": np.asfortranarray(wide[:, :d])}[layout]
+        assert gradient_cosines(G).tobytes() == indexed_pair_cosines(G).tobytes(), d
 
 
 def test_cosine_matrix_degenerate_gradient_names_task():

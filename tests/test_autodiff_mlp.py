@@ -1,9 +1,13 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt import mlp
-from nexusopt.errors import ZeroDirection
+from nexusopt.errors import DimensionMismatch, NonFiniteValue, ZeroDirection
 from nexusopt.mlp import (
     DataSource,
     MLPSpec,
@@ -340,3 +344,72 @@ def test_inputs_with_ones_are_read_only_and_built_once_per_source(monkeypatch):
         with pytest.raises(ValueError):
             x1[0, 0] = 0.0
     assert len(builds) == len(sources)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_weight_must_be_finite_and_non_negative(weight):
+    task, _ = random_task(rng_root(17))
+    with pytest.raises(ValueError):
+        MLPTask(task.spec, task.source, weight)
+    with pytest.raises(ValueError):
+        task.scaled(weight)
+
+
+def test_tasks_are_frozen_and_sources_hold_read_only_copies():
+    gen = rng_root(18).generator
+    x, y = gen.standard_normal((6, 3)), gen.standard_normal((6, 2))
+    source = DataSource(x, y)
+    task = MLPTask(MLPSpec((3, 4, 2)), source)
+    with pytest.raises(FrozenInstanceError):
+        task.weight = 2.0
+    with pytest.raises(FrozenInstanceError):
+        source.inputs = x
+    for held in (source.inputs, source.targets):
+        with pytest.raises(ValueError):
+            held[0, 0] = 0.0
+    # the caller's arrays stay writeable, and writing them changes no source
+    x[0, 0] += 1.0
+    y[0, 0] += 1.0
+    assert source.inputs[0, 0] != x[0, 0] and source.targets[0, 0] != y[0, 0]
+
+
+@pytest.mark.parametrize("widths", [(3, 5, 2), (2, 1), (8, 16, 8, 1)])
+def test_returned_gradients_and_theta_outlive_the_next_evaluation(widths):
+    rng = rng_root(19)
+    task, spec = random_task(rng, widths, n=33)
+    gen = rng.generator
+    theta, other = gen.standard_normal(spec.n_params), gen.standard_normal(spec.n_params)
+    kept_theta = theta.copy()
+    grad = task.grad(theta)
+    loss, grad_too = task.loss_and_grad(theta)
+    kept = grad.tobytes()
+    for evaluate in (task.grad, task.loss_and_grad, task.loss):
+        evaluate(other)
+        assert grad.tobytes() == grad_too.tobytes() == kept, evaluate.__name__
+    assert grad is not grad_too
+    assert theta.tobytes() == kept_theta.tobytes()
+    assert task.loss(theta) == loss and task.grad(theta).tobytes() == kept
+
+
+def test_every_evaluation_still_checks_theta():
+    task, spec = random_task(rng_root(20))
+    bad = np.zeros(spec.n_params)
+    bad[3] = np.nan
+    for evaluate in (task.grad, task.loss_and_grad, task.loss):
+        with pytest.raises(NonFiniteValue):
+            evaluate(bad)
+        with pytest.raises(DimensionMismatch):
+            evaluate(np.zeros(spec.n_params + 1))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+def test_a_copied_task_evaluates_as_its_original(clone):
+    # the plan's views must stay views of its own buffers in a copy
+    rng = rng_root(21)
+    task, spec = random_task(rng, (8, 16, 8, 1), n=512)
+    gen = rng.generator
+    theta, other = gen.standard_normal(spec.n_params), gen.standard_normal(spec.n_params)
+    task.grad(other)  # the plan is built before the copy
+    twin = clone(task)
+    assert twin.loss_and_grad(theta)[1].tobytes() == task.loss_and_grad(theta)[1].tobytes()
+    assert twin.loss(other) == task.loss(other)

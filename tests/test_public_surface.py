@@ -1,5 +1,7 @@
-"""Every public name in the package has a program caller, and every parameter
-with a default is set by one.
+"""Every public name in the package has a program caller, every parameter with
+a default is set by one, and every field of a dataclass or NamedTuple is read
+by the program and, when it has a default, set by it. The rules of the field
+checks are in the comment above them.
 
 A name counts as called when some module of ``src/nexusopt`` other than
 ``__init__.py`` refers to it outside the name's own definition. A top-level
@@ -143,3 +145,121 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
     assert not never_set, f"parameters no program call sets, make them constants: {never_set}"
     now_set = sorted(KEEP_UNSET_DEFAULTS.keys() - unset)
     assert not now_set, f"listed parameters that a call now sets or that are gone, take them off the list: {now_set}"
+
+
+# Fields of dataclasses and NamedTuples. A field counts as read when some
+# Attribute of its name is loaded in src/nexusopt outside its own class's
+# __post_init__, which only validates: a read in another method (such as
+# MetricsRow.to_csv) counts, and so does a read of any other field or method of
+# the same spelling. A class passed whole to asdict or astuple in the module
+# that defines it has every field read. A field with a default counts as set
+# when a call to its class (or to cls inside it) passes it by position, by
+# keyword or through */**, a replace or _replace call passes it by keyword, or
+# an Attribute of its name is assigned outside its class's __post_init__; a
+# default_factory field also counts as set when a method is called on an
+# Attribute of its name, as record.rows.append(row) fills a list. The list of
+# unread fields gives its reasons and only shrinks; every defaulted field is
+# set today, so that check has no list.
+KEEP_UNREAD_FIELDS = {
+    "SmoothnessConstants.grad_upper": "ROADMAP item 14 deletes it: only its own __post_init__ and a test read it",
+    "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
+    "TransferCheck.lhs": "ROADMAP item 5 moves the transfer claim into validate",
+    "TransferCheck.rhs": "ROADMAP item 5 moves the transfer claim into validate",
+    "TransferCheck.residual": "ROADMAP item 5 moves the transfer claim into validate",
+    "FlatnessClosenessBound.downstream_min_loss": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
+    "FlatnessClosenessBound.closeness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
+    "FlatnessClosenessBound.flatness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
+}
+
+
+def record_classes(trees):
+    """(module tree, class node, field nodes) for each dataclass and NamedTuple."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+                getattr(b, "id", None) == "NamedTuple" for b in node.bases
+            ):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                yield tree, node, fields
+
+
+def field_keywords(field):
+    value = field.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return {k.arg for k in value.keywords}
+    return set() if value is None else {"default"}
+
+
+def post_init_ids(cls):
+    return {id(n) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for n in ast.walk(f)}
+
+
+def attribute_nodes(trees, ctx):
+    """Attribute name -> ids of the Attribute nodes of that name in the given context."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+                out.setdefault(node.attr, set()).add(id(node))
+    return out
+
+
+def unread_fields(trees):
+    loads = attribute_nodes(trees, ast.Load)
+    unread = set()
+    for tree, cls, fields in record_classes(trees):
+        passed_whole = any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("asdict", "astuple") for n in ast.walk(tree)
+        ) and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == cls.name for n in ast.walk(tree))
+        if passed_whole:
+            continue
+        validating = post_init_ids(cls)
+        for field in fields:
+            if not loads.get(field.target.id, set()) - validating:
+                unread.add(f"{cls.name}.{field.target.id}")
+    return unread
+
+
+def unset_field_defaults(trees):
+    stores = attribute_nodes(trees, ast.Store)
+    calls, filled = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(getattr(node.func, "id", None) or getattr(node.func, "attr", None), []).append(node)
+                if isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Attribute):
+                    filled.add(node.func.value.attr)
+    unset = set()
+    for _, cls, fields in record_classes(trees):
+        inside = {id(n) for n in ast.walk(cls)}
+        constructors = calls.get(cls.name, []) + [c for c in calls.get("cls", []) if id(c) in inside]
+        renewals = calls.get("replace", []) + calls.get("_replace", [])
+        validating = post_init_ids(cls)
+        for index, field in enumerate(fields):
+            name, keywords = field.target.id, field_keywords(field)
+            if not keywords & {"default", "default_factory"}:
+                continue
+            if "default_factory" in keywords and name in filled:
+                continue
+            if any(passes(c, index, name) for c in constructors) or any(passes(c, None, name) for c in renewals):
+                continue
+            if stores.get(name, set()) - validating:
+                continue
+            unset.add(f"{cls.name}.{name}")
+    return unset
+
+
+def test_every_record_field_is_read_by_the_program():
+    unread = unread_fields(package_trees())
+    never_read = sorted(unread - KEEP_UNREAD_FIELDS.keys())
+    assert not never_read, f"fields no program code reads, delete them: {never_read}"
+    now_read = sorted(KEEP_UNREAD_FIELDS.keys() - unread)
+    assert not now_read, f"listed fields that the program now reads or that are gone, take them off the list: {now_read}"
+
+
+def test_every_defaulted_record_field_is_set_by_the_program():
+    never_set = sorted(unset_field_defaults(package_trees()))
+    assert not never_set, f"defaulted fields no program code sets, make them constants: {never_set}"
