@@ -150,16 +150,17 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # Fields of dataclasses and NamedTuples. A field counts as read when some
 # Attribute of its name is loaded in src/nexusopt outside its own class's
 # __post_init__, which only validates: a read in another method (such as
-# MetricsRow.to_csv) counts, and so does a read of any other field or method of
-# the same spelling. A class passed whole to asdict or astuple in the module
-# that defines it has every field read. A field with a default counts as set
-# when a call to its class (or to cls inside it) passes it by position, by
-# keyword or through */**, a replace or _replace call passes it by keyword, or
-# an Attribute of its name is assigned outside its class's __post_init__; a
-# default_factory field also counts as set when a method is called on an
-# Attribute of its name, as record.rows.append(row) fills a list. The list of
-# unread fields gives its reasons and only shrinks; every defaulted field is
-# set today, so that check has no list.
+# MetricsRow.to_csv) counts, and so does a read of any other field or method
+# of the same spelling. Every field of a class defined in a module that calls
+# asdict or astuple counts as read, as validate's CheckResult goes whole into
+# its report. A field with a default counts as set when a call to its class
+# (or to cls inside it) passes it by position, by keyword or through */**, a
+# replace or _replace call passes it by keyword, or an Attribute of its name
+# is assigned outside its class's __post_init__; a default_factory field also
+# counts as set when a method is called on an Attribute of its name, as
+# record.rows.append(row) fills a list. The list of unread fields gives its
+# reasons and only shrinks; every defaulted field is set today, so that check
+# has no list.
 KEEP_UNREAD_FIELDS = {
     "SmoothnessConstants.grad_upper": "ROADMAP item 14 deletes it: only its own __post_init__ and a test read it",
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
@@ -211,10 +212,7 @@ def unread_fields(trees):
     loads = attribute_nodes(trees, ast.Load)
     unread = set()
     for tree, cls, fields in record_classes(trees):
-        passed_whole = any(
-            isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("asdict", "astuple") for n in ast.walk(tree)
-        ) and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == cls.name for n in ast.walk(tree))
-        if passed_whole:
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("asdict", "astuple") for n in ast.walk(tree)):
             continue
         validating = post_init_ids(cls)
         for field in fields:
