@@ -9,7 +9,8 @@ individual task minimizers.
 
 Submodules:
   numerics    vectors, splittable RNG streams, finite-difference oracles
-  tasks       quadratic/cubic task families, task sets, serialization
+  tasks       one quadratic task class with an optional third-derivative
+              tensor (a cubic), task families, task sets, serialization
   mlp         tiny MLP regression tasks, closed-form backprop, synthetic sources
   optimizers  SGD, normalized SGD, decoupled AdamW, lr schedules, clipping
   nexus       the inner loop over a given task sequence
@@ -26,13 +27,12 @@ Submodules:
 """
 
 from .nexus import NexusConfig, inner_loop
-from .tasks import CubicTask, QuadraticTask, TaskFamily, TaskSet
+from .tasks import QuadraticTask, TaskFamily, TaskSet
 
 __all__ = [
     "NexusConfig",
     "inner_loop",
     "QuadraticTask",
-    "CubicTask",
     "TaskFamily",
     "TaskSet",
 ]

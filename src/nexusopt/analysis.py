@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateGradient, MissingMinimizer
 from .numerics import as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR
-from .tasks import CubicTask, QuadraticTask, TaskSet, train_grad
+from .tasks import QuadraticTask, TaskSet, is_quadratic, train_grad
 
 
 def gradient_cosines(G: np.ndarray) -> np.ndarray:
@@ -62,21 +62,21 @@ def _directional_curvature(task, xi: np.ndarray, u: np.ndarray) -> float:
 def _segment_curvatures(task, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Directional curvatures u^T H(xi) u at the points xi of the segment [a, b]
     where the extremes lie; only quadratic and cubic tasks have such points."""
-    if isinstance(task, QuadraticTask):
+    if not isinstance(task, QuadraticTask):
+        raise TypeError(f"segment curvature extremes need a QuadraticTask, got {type(task).__name__}")
+    if task.third is None:
         return np.array([_directional_curvature(task, a, u)])
-    if isinstance(task, CubicTask):
-        # affine in the segment parameter, extremes at the endpoints
-        return np.array([_directional_curvature(task, a, u), _directional_curvature(task, b, u)])
-    raise TypeError(f"segment curvature extremes need a QuadraticTask or CubicTask, got {type(task).__name__}")
+    # affine in the segment parameter, extremes at the endpoints
+    return np.array([_directional_curvature(task, a, u), _directional_curvature(task, b, u)])
 
 
 def closeness(theta: np.ndarray, ts: TaskSet) -> float:
-    """Mean squared distance between theta and each task's minimizer; every task must be a QuadraticTask."""
+    """Mean squared distance between theta and each task's minimizer; every task must be a quadratic."""
     theta = as_params(theta, ts.dim)
     dists = []
     for k, t in enumerate(ts.tasks):
-        if not isinstance(t, QuadraticTask):
-            raise MissingMinimizer(f"task {k} is a {type(t).__name__}, which has no analytic minimizer")
+        if not is_quadratic(t):
+            raise MissingMinimizer(f"task {k} is not a QuadraticTask without a tensor, so it has no analytic minimizer")
         dists.append(norm(theta - t.minimizer))
     return float(np.mean(np.asarray(dists) ** 2))
 
@@ -118,7 +118,7 @@ def flatness_closeness_bound(theta_train: np.ndarray, downstream, minimizer=None
     theta_train = as_params(theta_train)
     if minimizer is not None:
         theta_star = as_params(minimizer, len(theta_train))
-    elif isinstance(downstream, (QuadraticTask, CubicTask)):
+    elif isinstance(downstream, QuadraticTask):
         theta_star = downstream.minimizer
     else:
         raise MissingMinimizer("supply a located minimizer for non-analytic downstream tasks")

@@ -44,7 +44,7 @@ from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, Step
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, nsgd_step, sgd_step
-from .tasks import QuadraticTask, TaskFamily, TaskSet, random_spd_matrix, stationary_point, train_grad
+from .tasks import QuadraticTask, TaskFamily, TaskSet, is_quadratic, random_spd_matrix, stationary_point, train_grad
 
 ENUMERATION_CAP = 256
 
@@ -56,17 +56,16 @@ ENUMERATION_CAP = 256
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
-    """Region-dependent constants: gradient bounds, Hessian bound and
-    Lipschitz constant."""
+    """Region-dependent constants: gradient lower bound, Hessian bound and
+    Hessian Lipschitz constant."""
 
     grad_lower: float
-    grad_upper: float
     hessian_bound: float
     hessian_lipschitz: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.grad_lower <= self.grad_upper:
-            raise ValueError("need 0 < grad_lower <= grad_upper")
+        if not 0 < self.grad_lower:
+            raise ValueError("need 0 < grad_lower")
         if self.hessian_bound <= 0 or self.hessian_lipschitz < 0:
             raise ValueError("invalid smoothness constants")
 
@@ -95,19 +94,17 @@ def quadratic_smoothness_constants(ts: TaskSet, theta: np.ndarray, radius: float
     """
     theta = as_params(theta, ts.dim)
     g_lower = np.inf
-    g_upper = 0.0
     h_bound = 0.0
     for t in ts.tasks:
-        if not isinstance(t, QuadraticTask):
+        if not is_quadratic(t):
             raise TypeError("quadratic_smoothness_constants expects quadratic tasks")
         lam_max = float(np.linalg.eigvalsh(t.hessian).max())
         gnorm = norm(t.grad(theta))
         g_lower = min(g_lower, gnorm - lam_max * radius)
-        g_upper = max(g_upper, gnorm + lam_max * radius)
         h_bound = max(h_bound, lam_max)
     if g_lower <= 0:
         raise DegenerateGradient(f"gradient lower bound {g_lower:g} not positive over the probed region")
-    return SmoothnessConstants(g_lower, g_upper, h_bound, 0.0)
+    return SmoothnessConstants(g_lower, h_bound, 0.0)
 
 
 def lipschitz_constants(c: SmoothnessConstants) -> tuple:
@@ -117,10 +114,14 @@ def lipschitz_constants(c: SmoothnessConstants) -> tuple:
     return L1, L2
 
 
-def second_order_error_bound(c: SmoothnessConstants, K: int, gamma: float) -> float:
+def second_order_error_bound(c: SmoothnessConstants, inner_steps: int, gamma: float) -> float:
     """Bound on the gap between the exact expected pseudo-gradient and its
-    two-term expansion: (1/6) * (4L^2 + rho*G_min)/G_min^2 * K^3 gamma^3."""
-    return (4.0 * c.hessian_bound**2 + c.hessian_lipschitz * c.grad_lower) / c.grad_lower**2 * K**3 * gamma**3 / 6.0
+    two-term expansion: (1/6) * (4L^2 + rho*G_min)/G_min^2 * M^3 gamma^3, with M
+    the number of inner steps (not the number of tasks)."""
+    return (
+        (4.0 * c.hessian_bound**2 + c.hessian_lipschitz * c.grad_lower) / c.grad_lower**2
+        * inner_steps**3 * gamma**3 / 6.0
+    )
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def _local(task, theta: np.ndarray, floor: float, curvature: bool = False) -> _L
     n = norm(g)
     if n < floor:
         raise DegenerateGradient(f"gradient norm {n:g} below floor {floor:g}")
-    extra = (task.hessian_at(theta), task.third_tensor()) if curvature else ()
+    extra = (task.hessian_at(theta), task.third) if curvature else ()
     return _Local(task, n, g / n, *extra)
 
 

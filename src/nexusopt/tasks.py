@@ -3,8 +3,11 @@
 A task is anything exposing ``loss``, ``grad``, ``loss_and_grad``, ``hvp`` and
 a ``dim`` attribute. ``loss_and_grad`` returns the same bits as ``loss`` and
 ``grad`` from one evaluation; ``losses_and_grads`` calls it once per task. The
-analytic kinds here additionally expose Hessians, third-derivative tensors and
-closed-form minimizers, which the theorem oracles rely on.
+one analytic class here, ``QuadraticTask``, additionally exposes its Hessian,
+its minimizer and an optional third-derivative tensor ``third``, which the
+theorem oracles rely on. Without the tensor (None) the task is a quadratic;
+with one, a zero tensor included, it is a cubic, which the quadratic-only code
+(``is_quadratic``) rejects.
 
 Mixture weights are folded multiplicatively into the task objects at
 ``TaskSet`` construction (a weighted quadratic is again a quadratic), so all
@@ -67,64 +70,19 @@ def tensor_operator_bound(T: np.ndarray) -> float:
 
 @dataclass
 class QuadraticTask:
-    """Loss 0.5*(theta-minimizer)^T A (theta-minimizer) + offset, A symmetric positive definite."""
+    """Loss 0.5*(theta-minimizer)^T A (theta-minimizer) + offset, A symmetric positive definite,
+    plus (1/6) * T[delta,delta,delta] when a third-derivative tensor T is given.
 
-    hessian: np.ndarray
-    minimizer: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        self.hessian = np.asarray(self.hessian, dtype=np.float64)
-        self.minimizer = as_params(self.minimizer)
-        _check_spd(self.hessian)
-        if self.hessian.shape[0] != self.minimizer.shape[0]:
-            raise DimensionMismatch("Hessian and minimizer dimensions differ")
-
-    @property
-    def dim(self) -> int:
-        return self.minimizer.shape[0]
-
-    def loss(self, theta: np.ndarray) -> float:
-        return self._loss(as_params(theta, self.dim) - self.minimizer)
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.hessian @ (as_params(theta, self.dim) - self.minimizer)
-
-    def loss_and_grad(self, theta: np.ndarray) -> tuple:
-        delta = as_params(theta, self.dim) - self.minimizer
-        return self._loss(delta), self.hessian @ delta
-
-    def _loss(self, delta: np.ndarray) -> float:
-        return 0.5 * float(delta @ self.hessian @ delta) + self.offset
-
-    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        v = as_params(v, self.dim)
-        return self.hessian @ v
-
-    def hessian_at(self, theta: np.ndarray) -> np.ndarray:
-        return self.hessian.copy()
-
-    def third_tensor(self) -> np.ndarray | None:
-        return None
-
-    def scaled(self, alpha: float) -> "QuadraticTask":
-        """Fold a multiplicative loss weight into the task. Requires alpha > 0 to stay SPD."""
-        if alpha <= 0:
-            raise ValueError(f"weight must be positive for an SPD quadratic, got {alpha}")
-        return QuadraticTask(alpha * self.hessian, self.minimizer.copy(), alpha * self.offset)
-
-
-@dataclass
-class CubicTask:
-    """Quadratic task plus (1/6) * T[delta,delta,delta] with T symmetric and sup |T[u,u,u]| <= third_bound.
-
-    ``random_cubic_task`` certifies the bound by construction (``tensor_operator_bound``).
+    T is symmetric with sup |T[u,u,u]| <= third_bound; ``random_cubic_task``
+    certifies that bound by construction (``tensor_operator_bound``). Without T
+    (None) every tensor term is skipped, so a quadratic keeps its bits: adding
+    a zero term would turn -0.0 into +0.0. A zero T takes the terms.
     """
 
     hessian: np.ndarray
     minimizer: np.ndarray
     offset: float = 0.0
-    third: np.ndarray = None  # type: ignore[assignment]
+    third: np.ndarray | None = None
     third_bound: float = 0.0
 
     def __post_init__(self):
@@ -135,7 +93,7 @@ class CubicTask:
         if self.hessian.shape[0] != d:
             raise DimensionMismatch("Hessian and minimizer dimensions differ")
         if self.third is None:
-            self.third = np.zeros((d, d, d))
+            return
         self.third = np.asarray(self.third, dtype=np.float64)
         if self.third.shape != (d, d, d):
             raise DimensionMismatch(f"third tensor must have shape {(d, d, d)}, got {self.third.shape}")
@@ -159,37 +117,44 @@ class CubicTask:
         return self._loss(delta), self._grad(delta)
 
     def _loss(self, delta: np.ndarray) -> float:
-        quad = 0.5 * float(delta @ self.hessian @ delta)
-        cubic = float(np.einsum("abc,a,b,c->", self.third, delta, delta, delta)) / 6.0
-        return quad + cubic + self.offset
+        value = 0.5 * float(delta @ self.hessian @ delta)
+        if self.third is not None:
+            value += float(np.einsum("abc,a,b,c->", self.third, delta, delta, delta)) / 6.0
+        return value + self.offset
 
     def _grad(self, delta: np.ndarray) -> np.ndarray:
+        if self.third is None:
+            return self.hessian @ delta
         return self.hessian @ delta + 0.5 * np.einsum("abc,b,c->a", self.third, delta, delta)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = as_params(v, self.dim)
+        if self.third is None:
+            return self.hessian @ v
         return self.hessian_at(theta) @ v
 
     def hessian_at(self, theta: np.ndarray) -> np.ndarray:
+        if self.third is None:
+            return self.hessian.copy()
         delta = as_params(theta, self.dim) - self.minimizer
         return self.hessian + np.einsum("abc,c->ab", self.third, delta)
 
-    def third_tensor(self) -> np.ndarray:
-        return self.third
-
-    def scaled(self, alpha: float) -> "CubicTask":
+    def scaled(self, alpha: float) -> "QuadraticTask":
+        """Fold a multiplicative loss weight into the task. Requires alpha > 0 to stay SPD."""
         if alpha <= 0:
-            raise ValueError(f"weight must be positive, got {alpha}")
-        return CubicTask(
-            alpha * self.hessian,
-            self.minimizer.copy(),
-            alpha * self.offset,
-            alpha * self.third,
-            alpha * self.third_bound,
-        )
+            raise ValueError(f"weight must be positive for an SPD quadratic, got {alpha}")
+        third = None if self.third is None else alpha * self.third
+        return QuadraticTask(alpha * self.hessian, self.minimizer.copy(), alpha * self.offset, third,
+                             alpha * self.third_bound)
 
 
-def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> CubicTask:
+def is_quadratic(task) -> bool:
+    """True for a QuadraticTask without a third-derivative tensor: its minimizer is
+    global, and a set of such tasks has a closed-form stationary point."""
+    return isinstance(task, QuadraticTask) and task.third is None
+
+
+def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> QuadraticTask:
     """Random SPD quadratic part plus a random symmetric tensor rescaled to the requested certified bound."""
     gen = rng.generator
     A = random_spd_matrix(dim, rng, (0.8, 3.0))
@@ -201,7 +166,7 @@ def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> Cub
         current = tensor_operator_bound(T)
         if current > 0:
             T = T * (third_bound / current)
-    return CubicTask(A, minimizer, 0.0, T, third_bound)
+    return QuadraticTask(A, minimizer, 0.0, T, third_bound)
 
 
 def random_spd_matrix(dim: int, rng: RngStream, eig_range: tuple[float, float] = (0.5, 3.0)) -> np.ndarray:
@@ -342,7 +307,7 @@ def stationary_point(ts: TaskSet) -> np.ndarray:
     A_sum = np.zeros((ts.dim, ts.dim))
     rhs = np.zeros(ts.dim)
     for t in ts.tasks:
-        if not isinstance(t, QuadraticTask):
+        if not is_quadratic(t):
             raise TypeError("stationary_point expects quadratic tasks")
         A_sum += t.hessian
         rhs += t.hessian @ t.minimizer
@@ -383,23 +348,17 @@ def _tensor_from_canonical(entries: dict, d: int) -> np.ndarray:
 
 
 def task_to_dict(task) -> dict:
-    if isinstance(task, CubicTask):
-        return {
-            "kind": "cubic",
-            "hessian": task.hessian.reshape(-1).tolist(),
-            "minimizer": task.minimizer.tolist(),
-            "offset": task.offset,
-            "third": _tensor_to_canonical(task.third),
-            "third_bound": task.third_bound,
-        }
-    if isinstance(task, QuadraticTask):
-        return {
-            "kind": "quadratic",
-            "hessian": task.hessian.reshape(-1).tolist(),
-            "minimizer": task.minimizer.tolist(),
-            "offset": task.offset,
-        }
-    raise TypeError(f"cannot serialize task of type {type(task).__name__}")
+    if not isinstance(task, QuadraticTask):
+        raise TypeError(f"cannot serialize task of type {type(task).__name__}")
+    doc = {
+        "kind": "quadratic",
+        "hessian": task.hessian.reshape(-1).tolist(),
+        "minimizer": task.minimizer.tolist(),
+        "offset": task.offset,
+    }
+    if task.third is not None:
+        doc.update(kind="cubic", third=_tensor_to_canonical(task.third), third_bound=task.third_bound)
+    return doc
 
 
 def task_from_dict(doc: dict):
@@ -410,7 +369,7 @@ def task_from_dict(doc: dict):
         return QuadraticTask(A, minimizer, float(doc.get("offset", 0.0)))
     if doc["kind"] == "cubic":
         T = _tensor_from_canonical(doc.get("third", {}), d)
-        return CubicTask(A, minimizer, float(doc.get("offset", 0.0)), T, float(doc.get("third_bound", 0.0)))
+        return QuadraticTask(A, minimizer, float(doc.get("offset", 0.0)), T, float(doc.get("third_bound", 0.0)))
     raise ValueError(f"unknown task kind {doc['kind']!r}")
 
 

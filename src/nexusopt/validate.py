@@ -106,8 +106,8 @@ def check_second_order(gamma_override: float | None = None) -> list:
             resid = norm(exact - approx)
             residuals.append(resid)
             try:
-                consts = quadratic_smoothness_constants(ts, theta, K * float(gamma))
-                bound = second_order_error_bound(consts, K, float(gamma))
+                consts = quadratic_smoothness_constants(ts, theta, cfg.inner_steps * float(gamma))
+                bound = second_order_error_bound(consts, cfg.inner_steps, float(gamma))
             except DegenerateGradient:
                 # the gradient floor assumption fails over the reachable region,
                 # so the bound gives no coverage at all

@@ -142,6 +142,17 @@ def test_closeness_needs_minimizers_for_non_analytic_tasks():
         closeness(np.zeros(spec.n_params), TaskSet([task]))
 
 
+@pytest.mark.parametrize("third_bound", [0.4, 0.0])
+def test_closeness_rejects_a_cubic_task(third_bound):
+    rng = rng_root(36)
+    ts = TaskSet([
+        QuadraticTask(random_spd_matrix(3, rng_substream(rng, "A")), rng.generator.standard_normal(3)),
+        random_cubic_task(3, rng_substream(rng, "B"), third_bound),
+    ])
+    with pytest.raises(MissingMinimizer, match="task 1 "):
+        closeness(np.zeros(3), ts)
+
+
 def test_first_order_transfer_self_quadratic():
     task = QuadraticTask(np.eye(2), np.zeros(2))
     ts = TaskSet([task])

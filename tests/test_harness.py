@@ -30,7 +30,7 @@ from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, Schedule, adamw_step, nsgd_direction, schedule_lr
 from nexusopt.oracles import random_quadratic_taskset
-from nexusopt.tasks import task_grads, taskset_to_json
+from nexusopt.tasks import task_grads, taskset_from_json, taskset_to_json
 
 
 def train_loss(ts, theta):
@@ -454,6 +454,22 @@ def test_custom_taskset_round_trip(tmp_path):
     )
     rec = run(cfg)
     assert "closeness_mean_sq" in rec.summary
+
+
+def test_zero_bound_cubic_set_stays_a_cubic_set(tmp_path):
+    # third_bound = 0 builds zero tensors, not quadratics: no closeness, and the JSON kind stays cubic
+    cfg = make_cfg().with_overrides({"problem.kind": "cubic_set", "problem.third_bound": 0.0})
+    problem = build_problem(cfg, rng_root(cfg["seed"]))
+    for t in problem.taskset.tasks + [problem.ood_task]:
+        assert t.third is not None and not t.third.any()
+    assert "closeness_mean_sq" not in run(cfg).summary
+    text = taskset_to_json(problem.taskset)
+    assert {doc["kind"] for doc in json.loads(text)["tasks"]} == {"cubic"}
+    assert taskset_to_json(taskset_from_json(text)) == text
+    path = tmp_path / "tasks.json"
+    path.write_text(text)
+    custom = make_cfg().with_overrides({"problem.kind": "custom_taskset_file", "problem.path": str(path)})
+    assert "closeness_mean_sq" not in run(custom).summary
 
 
 def test_quadratic_summary_includes_closeness():

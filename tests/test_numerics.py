@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from nexusopt.errors import NonFiniteValue, ZeroDirection
 from nexusopt.numerics import fd_gradient, fd_hvp, norm, rng_root, rng_substream
-from nexusopt.tasks import CubicTask, QuadraticTask
+from nexusopt.tasks import QuadraticTask
 
 
 def test_fd_gradient_quadratic_exact():
@@ -49,7 +49,7 @@ def test_fd_hvp_constant_gradient_is_zero():
 def test_fd_hvp_matches_cubic_hessian():
     T = np.zeros((2, 2, 2))
     T[0, 0, 0] = 1.2
-    task = CubicTask(np.eye(2), np.zeros(2), 0.0, T, 1.2)
+    task = QuadraticTask(np.eye(2), np.zeros(2), 0.0, T, 1.2)
     theta = np.array([1.0, 1.0])
     v = np.array([1.0, 0.0])
     hv = fd_hvp(task.grad, theta, v)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt import oracles, validate
-from nexusopt.errors import EnumerationTooLarge, NotStationary, StepSizeOutOfRange
+from nexusopt.errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from nexusopt.nexus import NexusConfig, inner_loop
 from nexusopt.numerics import fd_gradient, rng_root, rng_substream
 from nexusopt.oracles import (
@@ -35,7 +35,6 @@ from nexusopt.oracles import (
 )
 from nexusopt.oracles import _local, _second_derivative
 from nexusopt.tasks import (
-    CubicTask,
     QuadraticTask,
     TaskFamily,
     TaskSet,
@@ -193,7 +192,7 @@ def test_enumeration_agrees_with_monte_carlo():
 
 
 def test_second_order_error_bound_values():
-    c = SmoothnessConstants(1.0, 2.0, 1.0, 0.0)
+    c = SmoothnessConstants(1.0, 1.0, 0.0)
     assert_allclose(second_order_error_bound(c, 2, 0.1), (1 / 6) * 4 * 8 * 1e-3)
     assert second_order_error_bound(c, 2, 0.0) == 0.0
     assert_allclose(second_order_error_bound(c, 4, 0.1) / second_order_error_bound(c, 2, 0.1), 8.0)
@@ -207,19 +206,40 @@ def test_error_bounds_are_monotone():
         rho = float(gen.uniform(0.0, 1.0))
         K = int(gen.integers(1, 6))
         gamma = float(gen.uniform(0.001, 0.5))
-        c = SmoothnessConstants(g_min, g_min + 1, L, rho)
+        c = SmoothnessConstants(g_min, L, rho)
         base = second_order_error_bound(c, K, gamma)
-        assert second_order_error_bound(SmoothnessConstants(g_min, g_min + 1, L + 0.5, rho), K, gamma) >= base
+        assert second_order_error_bound(SmoothnessConstants(g_min, L + 0.5, rho), K, gamma) >= base
         assert second_order_error_bound(c, K + 1, gamma) >= base
         assert second_order_error_bound(c, K, gamma * 1.5) >= base
 
 
+def test_second_order_error_bound_holds_with_inner_steps_other_than_task_count():
+    # the bound's step count is M, the inner steps; validate's sets all have M = n
+    root = rng_root(10130)
+    ratios = []
+    for idx in range(40):
+        rng = rng_substream(root, f"inner_steps/{idx}")
+        n, M, dim = 2 + idx % 2, 1 + idx % 5, (2, 5)[(idx // 2) % 2]
+        ts = random_quadratic_taskset(dim, n, rng)
+        theta = random_probe_point(ts, rng_substream(rng, "probe"))
+        for gamma in (0.1, 0.03, 0.01):
+            cfg = NexusConfig(gamma, M)
+            try:
+                consts = quadratic_smoothness_constants(ts, theta, M * gamma)
+            except DegenerateGradient:
+                continue  # no gradient floor over the reachable ball, so no bound
+            resid = np.linalg.norm(expected_pseudo_gradient_exact(ts, theta, cfg) - second_order_direction(ts, theta, cfg))
+            ratios.append(resid / second_order_error_bound(consts, M, gamma))
+    assert len(ratios) >= 110
+    assert max(ratios) <= 1.0
+
+
 def test_lipschitz_constants():
-    c = SmoothnessConstants(1.0, 2.0, 2.0, 0.0)
+    c = SmoothnessConstants(1.0, 2.0, 0.0)
     L1, L2 = lipschitz_constants(c)
     assert L1 == 2.0
     assert L2 == 12.0
-    c_rho = SmoothnessConstants(1.0, 2.0, 2.0, 1.0)
+    c_rho = SmoothnessConstants(1.0, 2.0, 1.0)
     assert lipschitz_constants(c_rho)[1] == (3 * 4 + 1) / 1.0
 
 
@@ -285,10 +305,10 @@ def test_third_order_direction_k3():
 
 
 def test_third_order_direction_evaluates_each_task_once(monkeypatch):
-    calls = {"grad": 0, "hessian_at": 0, "third_tensor": 0}
+    calls = {"grad": 0, "hessian_at": 0}
 
     def counted(name):
-        method = getattr(CubicTask, name)
+        method = getattr(QuadraticTask, name)
 
         def wrapper(self, *args):
             calls[name] += 1
@@ -300,11 +320,10 @@ def test_third_order_direction_evaluates_each_task_once(monkeypatch):
     ts = TaskSet([random_cubic_task(5, rng_substream(rng, str(j)), 0.5) for j in range(3)])
     theta = random_probe_point(ts, rng_substream(rng, "p"))
     for name in calls:
-        monkeypatch.setattr(CubicTask, name, counted(name))
+        monkeypatch.setattr(QuadraticTask, name, counted(name))
     third_order_direction(ts, theta, NexusConfig(0.05, 3))
     assert calls["grad"] <= 3
     assert calls["hessian_at"] <= 3
-    assert calls["third_tensor"] <= 3
 
 
 def test_dot_second_order_direction_evaluates_each_gradient_once(monkeypatch):
@@ -319,9 +338,9 @@ def test_dot_second_order_direction_evaluates_each_gradient_once(monkeypatch):
         grad_sum += t.grad(theta)
         pairs += t.hvp(theta, s)
     expected = 0.05 * (3 / 3) * grad_sum - 0.05**2 * (3 * 2 / (2.0 * 3**2)) * pairs
-    grad = CubicTask.grad
+    grad = QuadraticTask.grad
     calls = []
-    monkeypatch.setattr(CubicTask, "grad", lambda self, x: calls.append(1) or grad(self, x))
+    monkeypatch.setattr(QuadraticTask, "grad", lambda self, x: calls.append(1) or grad(self, x))
     assert np.array_equal(second_order_direction(ts, theta, cfg), expected)
     assert len(calls) == 3
 
@@ -524,4 +543,11 @@ def test_region_constants_are_safe_bounds():
         for t in ts.tasks:
             gnorm = float(np.linalg.norm(t.grad(theta + u)))
             assert consts.grad_lower <= gnorm + 1e-12
-            assert gnorm <= consts.grad_upper + 1e-12
+
+
+@pytest.mark.parametrize("third_bound", [0.4, 0.0])
+def test_quadratic_smoothness_constants_reject_a_cubic_task(third_bound):
+    rng = rng_root(37)
+    ts = TaskSet([random_quadratic_taskset(3, 1, rng)[0], random_cubic_task(3, rng_substream(rng, "B"), third_bound)])
+    with pytest.raises(TypeError, match="quadratic_smoothness_constants expects quadratic tasks"):
+        quadratic_smoothness_constants(ts, np.ones(3), 0.01)

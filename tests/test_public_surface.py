@@ -147,22 +147,23 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
     assert not now_set, f"listed parameters that a call now sets or that are gone, take them off the list: {now_set}"
 
 
-# Fields of dataclasses and NamedTuples. A field counts as read when some
-# Attribute of its name is loaded in src/nexusopt outside its own class's
-# __post_init__, which only validates: a read in another method (such as
-# MetricsRow.to_csv) counts, and so does a read of any other field or method
-# of the same spelling. Every field of a class defined in a module that calls
-# asdict or astuple counts as read, as validate's CheckResult goes whole into
-# its report. A field with a default counts as set when a call to its class
-# (or to cls inside it) passes it by position, by keyword or through */**, a
-# replace or _replace call passes it by keyword, or an Attribute of its name
-# is assigned outside its class's __post_init__; a default_factory field also
-# counts as set when a method is called on an Attribute of its name, as
+# Fields of dataclasses and NamedTuples. A field of class C counts as read when
+# some Attribute of its name is loaded outside C's __post_init__, which only
+# validates, in a module of src/nexusopt that defines C or imports C by name: a
+# read in another method (such as MetricsRow.to_csv) counts, and so does a read
+# of another field or method of the same spelling in such a module, but not one
+# in a module that never names C (cli's r.bound reads CheckResult.bound, not
+# FlatnessClosenessBound.bound). Every field of a class defined in a module
+# that calls asdict or astuple counts as read, as validate's CheckResult goes
+# whole into its report. A field with a default counts as set when a call to
+# its class (or to cls inside it) passes it by position, by keyword or through
+# */**, a replace or _replace call passes it by keyword, or an Attribute of its
+# name is assigned outside its class's __post_init__; a default_factory field
+# also counts as set when a method is called on an Attribute of its name, as
 # record.rows.append(row) fills a list. The list of unread fields gives its
 # reasons and only shrinks; every defaulted field is set today, so that check
 # has no list.
 KEEP_UNREAD_FIELDS = {
-    "SmoothnessConstants.grad_upper": "ROADMAP item 14 deletes it: only its own __post_init__ and a test read it",
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
     "TransferCheck.lhs": "ROADMAP item 5 moves the transfer claim into validate",
     "TransferCheck.rhs": "ROADMAP item 5 moves the transfer claim into validate",
@@ -170,6 +171,7 @@ KEEP_UNREAD_FIELDS = {
     "FlatnessClosenessBound.downstream_min_loss": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
     "FlatnessClosenessBound.closeness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
     "FlatnessClosenessBound.flatness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
+    "FlatnessClosenessBound.bound": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
 }
 
 
@@ -208,15 +210,21 @@ def attribute_nodes(trees, ctx):
     return out
 
 
+def imported_names(tree):
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def unread_fields(trees):
-    loads = attribute_nodes(trees, ast.Load)
+    loads = {id(tree): attribute_nodes({path: tree}, ast.Load) for path, tree in trees.items()}
+    imports = {id(tree): imported_names(tree) for tree in trees.values()}
     unread = set()
     for tree, cls, fields in record_classes(trees):
         if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("asdict", "astuple") for n in ast.walk(tree)):
             continue
+        readers = [loads[key] for key, names in imports.items() if key == id(tree) or cls.name in names]
         validating = post_init_ids(cls)
         for field in fields:
-            if not loads.get(field.target.id, set()) - validating:
+            if not set().union(*(r.get(field.target.id, set()) for r in readers)) - validating:
                 unread.add(f"{cls.name}.{field.target.id}")
     return unread
 

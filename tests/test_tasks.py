@@ -6,7 +6,6 @@ from nexusopt import tasks as task_module
 from nexusopt.errors import DimensionMismatch
 from nexusopt.numerics import fd_gradient, fd_hvp, rng_root, rng_substream
 from nexusopt.tasks import (
-    CubicTask,
     QuadraticTask,
     TaskFamily,
     TaskSet,
@@ -43,7 +42,7 @@ def test_cubic_with_zero_tensor_reduces_to_quadratic():
     A = random_spd_matrix(3, rng)
     center = rng.generator.standard_normal(3)
     quad = QuadraticTask(A, center, 0.7)
-    cubic = CubicTask(A, center, 0.7)
+    cubic = QuadraticTask(A, center, 0.7, np.zeros((3, 3, 3)))
     for _ in range(10):
         theta = rng.generator.standard_normal(3)
         assert_allclose(cubic.loss(theta), quad.loss(theta), rtol=1e-15)
@@ -52,7 +51,7 @@ def test_cubic_with_zero_tensor_reduces_to_quadratic():
 
 def test_cubic_1d_hand_values():
     # L(x) = x^2/2 + x^3, so L(2) = 2 + 8 = 10 and L'(2) = 2 + 12 = 14
-    task = CubicTask(np.array([[1.0]]), np.zeros(1), 0.0, np.full((1, 1, 1), 6.0), 6.0)
+    task = QuadraticTask(np.array([[1.0]]), np.zeros(1), 0.0, np.full((1, 1, 1), 6.0), 6.0)
     assert_allclose(task.loss(np.array([2.0])), 10.0)
     assert_allclose(task.grad(np.array([2.0])), [14.0])
 
@@ -204,6 +203,18 @@ def test_stationary_point_is_minimum():
         delta = gen.standard_normal(4)
         delta /= max(np.linalg.norm(delta), 1.0)
         assert train_loss(ts, theta_star + delta) >= base
+
+
+@pytest.mark.parametrize("third_bound", [0.4, 0.0])
+def test_stationary_point_rejects_a_cubic_task(third_bound):
+    # a zero tensor still makes a cubic; only a task without one is a quadratic
+    rng = rng_root(35)
+    ts = TaskSet([
+        QuadraticTask(random_spd_matrix(3, rng_substream(rng, "A")), rng.generator.standard_normal(3)),
+        random_cubic_task(3, rng_substream(rng, "B"), third_bound),
+    ])
+    with pytest.raises(TypeError, match="stationary_point expects quadratic tasks"):
+        stationary_point(ts)
 
 
 def test_analytic_derivatives_match_fd_over_random_triples():
@@ -368,7 +379,7 @@ def test_hessian_symmetry_check_matches_allclose(monkeypatch, row):
 @pytest.mark.parametrize("row", list(_tensor_rows()))
 def test_cubic_tensor_symmetry_check_matches_allclose(monkeypatch, row):
     T = _tensor_rows()[row]
-    build = lambda: CubicTask(np.eye(2), np.zeros(2), 0.0, T)
+    build = lambda: QuadraticTask(np.eye(2), np.zeros(2), 0.0, T)
     outcome = _outcome(build)
     assert outcome == _with_np_allclose(monkeypatch, build)
     if row in ("symmetric", "at_tolerance"):
@@ -379,10 +390,10 @@ def test_cubic_tensor_symmetry_check_matches_allclose(monkeypatch, row):
         assert outcome == ("ValueError", "third tensor must be finite")
 
 
-@pytest.mark.parametrize("task_class", [QuadraticTask, CubicTask])
-def test_hessian_and_minimizer_of_different_sizes_are_rejected(task_class):
+@pytest.mark.parametrize("third", [None, np.zeros((2, 2, 2))], ids=["quadratic", "cubic"])
+def test_hessian_and_minimizer_of_different_sizes_are_rejected(third):
     with pytest.raises(DimensionMismatch, match="Hessian and minimizer dimensions differ"):
-        task_class(np.eye(3), np.zeros(2))
+        QuadraticTask(np.eye(3), np.zeros(2), 0.0, third)
 
 
 def test_taskset_dimension_mismatch():
