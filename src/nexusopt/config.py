@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import MissingField, ParseError, UnknownKey
 from .mlp import ACTIVATIONS
-from .optimizers import SCHEDULE_KINDS
+from .optimizers import DEFAULT_GRAD_FLOOR, SCHEDULE_KINDS
 
 PROBLEM_KINDS = ("quadratic_family", "mlp_multisource", "cubic_set", "custom_taskset_file")
 OPTIMIZER_KINDS = ("adamw", "sgd", "nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
@@ -97,7 +97,9 @@ SCHEMA = {
     "nexus.gamma": (float, False, 0.01, _positive, _DUAL_LOOP),
     "nexus.inner_steps": (int, False, 4, _positive, ("optimizer.kind", ("nexus_adamw", "nexus_dot_adamw"))),
     "nexus.sampling": (str, False, "iid_uniform", _choice(SAMPLING_KINDS), _DUAL_LOOP),
-    "nexus.grad_floor": (float, False, 1e-12, _positive, ("optimizer.kind", ("nsgd_adamw", "nexus_adamw"))),
+    "nexus.grad_floor": (
+        float, False, DEFAULT_GRAD_FLOOR, _positive, ("optimizer.kind", ("nsgd_adamw", "nexus_adamw"))
+    ),
 }
 
 

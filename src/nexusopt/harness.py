@@ -190,8 +190,6 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
     last_pg_norm: float | None = None
 
     def pairwise_cos(G: np.ndarray) -> float | None:
-        if len(G) < 2:
-            return None
         try:
             value = mean_pairwise_cosine(gradient_cosines(G))
         except DegenerateGradient:

@@ -3,12 +3,11 @@
 Exact expected pseudo-gradients by sequence enumeration, closed-form
 similarity gradients, Taylor expansions of the inner-loop expectation,
 error-bound constants, generalization-gap formulas, and convergence
-contractions. The expansions are public as the two- and three-term directions
-(and the gamma^3 tensor piece); their first-order term, gamma^3 coefficient
-and normalized-gradient derivatives are private helpers. Each expansion
-evaluates each task's gradient (and, at third order, its Hessian and
-third-derivative tensor) once per call; its pair and triple contractions
-reuse those values.
+contractions. The expansions are public as the two- and three-term directions;
+their first-order term and normalized-gradient derivatives are private
+helpers. Each expansion evaluates each task's gradient (and, at third order,
+its Hessian and third-derivative tensor) once per call; its pair and triple
+contractions reuse those values.
 
 Two distinct "similarity gradient" objects appear and are easy to conflate:
 
@@ -158,9 +157,9 @@ def _jacobian_apply(loc: _Local, theta: np.ndarray, v: np.ndarray) -> np.ndarray
     return _proj(loc.h, Hv) / loc.n
 
 
-def _tensor_contraction(loc: _Local, u: np.ndarray, v: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """weight * proj(T[u, v]) / ||g||; weighting before the division fixes the sums' rounding."""
-    return weight * _proj(loc.h, np.einsum("abc,b,c->a", loc.T, u, v)) / loc.n
+def _tensor_contraction(loc: _Local, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """proj(T[u, v]) / ||g||: the tensor's part of the second derivative of the unit gradient."""
+    return _proj(loc.h, np.einsum("abc,b,c->a", loc.T, u, v)) / loc.n
 
 
 def _second_derivative(loc: _Local, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -271,15 +270,16 @@ def _second_order(ts: TaskSet, cfg: NexusConfig, first: np.ndarray, pairs: np.nd
     return first - cfg.gamma**2 * weight * pairs
 
 
-def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
-    """(gamma^3 coefficient, cosine pair sum sum_b J_b s, unit gradients) from one record per task.
+def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
+    """Three-term expansion: second_order_direction plus gamma^3 times the exact
+    gamma^3 coefficient of the expected pseudo-gradient (cosine variant).
 
-    The coefficient is the exact gamma^3 term of the expected pseudo-gradient
-    (cosine variant). Three pieces: nested Jacobian products J_a J_b h_c over
+    The coefficient has three pieces: nested Jacobian products J_a J_b h_c over
     strictly ordered triples, and second-derivative contractions Q_a[h_b, h_c]
     split by whether the two earlier draws coincide (they are perfectly
     correlated when they do, which is why the diagonal and off-diagonal pieces
-    carry different weights).
+    carry different weights). The two lower terms share one record per task and
+    the pair sum with it.
     """
     if cfg.variant != "cosine":
         raise ValueError("third_order_direction is defined for the cosine variant")
@@ -288,52 +288,20 @@ def _third_order(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> tuple:
     locs = _locals(ts, theta, cfg, curvature=True)
     units = [loc.h for loc in locs]
     js = _jacobian_sum(locs, theta)
-    total = np.zeros(ts.dim)
+    third = np.zeros(ts.dim)
     c_diag = M * (M - 1) / (4.0 * n**2)
     for loc in locs:
         for h in units:
-            total += c_diag * _second_derivative(loc, h, h)
+            third += c_diag * _second_derivative(loc, h, h)
     c_off = M * (M - 1) * (M - 2) / (6.0 * n**3)
     if c_off > 0:
         # the nested-Jacobian triple sum factorizes through s = sum_c h_c
         for loc in locs:
-            total += c_off * _jacobian_apply(loc, theta, js)
+            third += c_off * _jacobian_apply(loc, theta, js)
             for hb in units:
                 for hc in units:
-                    total += c_off * _second_derivative(loc, hb, hc)
-    return total, js, units
-
-
-def third_order_tensor_term(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """The third-derivative-dependent piece of the gamma^3 coefficient.
-
-    Exactly zero for quadratic task sets (the tensor vanishes); this is the
-    part whose magnitude the third-derivative bound controls.
-    """
-    theta = as_params(theta, ts.dim)
-    n, M = len(ts), cfg.inner_steps
-    locs = _locals(ts, theta, cfg, curvature=True)
-    units = [loc.h for loc in locs]
-    total = np.zeros(ts.dim)
-    c_diag = M * (M - 1) / (4.0 * n**2)
-    c_off = M * (M - 1) * (M - 2) / (6.0 * n**3)
-    for loc in locs:
-        if loc.T is None:
-            continue
-        for hb in units:
-            total += _tensor_contraction(loc, hb, hb, c_diag)
-            if c_off > 0:
-                for hc in units:
-                    total += _tensor_contraction(loc, hb, hc, c_off)
-    return total
-
-
-def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> np.ndarray:
-    """Three-term expansion: second_order_direction plus gamma^3 times the
-    coefficient of ``_third_order``, sharing one record per task and the pair
-    sum between the two."""
-    third, pairs, units = _third_order(ts, theta, cfg)
-    return _second_order(ts, cfg, _first_order(ts, cfg, units), pairs) + cfg.gamma**3 * third
+                    third += c_off * _second_derivative(loc, hb, hc)
+    return _second_order(ts, cfg, _first_order(ts, cfg, units), js) + cfg.gamma**3 * third
 
 
 def gamma2_coefficient_from_enumeration(

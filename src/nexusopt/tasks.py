@@ -7,7 +7,8 @@ one analytic class here, ``QuadraticTask``, additionally exposes its Hessian,
 its minimizer and an optional third-derivative tensor ``third``, which the
 theorem oracles rely on. Without the tensor (None) the task is a quadratic;
 with one, a zero tensor included, it is a cubic, which the quadratic-only code
-(``is_quadratic``) rejects.
+(``is_quadratic``) rejects. The tensor's certified bound is derived from the
+tensor itself (``tensor_operator_bound``), never stored beside it.
 
 Mixture weights are folded multiplicatively into the task objects at
 ``TaskSet`` construction (a weighted quadratic is again a quadratic), so all
@@ -73,17 +74,17 @@ class QuadraticTask:
     """Loss 0.5*(theta-minimizer)^T A (theta-minimizer) + offset, A symmetric positive definite,
     plus (1/6) * T[delta,delta,delta] when a third-derivative tensor T is given.
 
-    T is symmetric with sup |T[u,u,u]| <= third_bound; ``random_cubic_task``
-    certifies that bound by construction (``tensor_operator_bound``). Without T
-    (None) every tensor term is skipped, so a quadratic keeps its bits: adding
-    a zero term would turn -0.0 into +0.0. A zero T takes the terms.
+    T is symmetric; its bound sup |T[u,u,u]| is not stored but derived from it,
+    as ``tensor_operator_bound(T)``, which ``random_cubic_task`` rescales to the
+    requested value. Without T (None) every tensor term is skipped, so a
+    quadratic keeps its bits: adding a zero term would turn -0.0 into +0.0. A
+    zero T takes the terms.
     """
 
     hessian: np.ndarray
     minimizer: np.ndarray
     offset: float = 0.0
     third: np.ndarray | None = None
-    third_bound: float = 0.0
 
     def __post_init__(self):
         self.hessian = np.asarray(self.hessian, dtype=np.float64)
@@ -144,8 +145,7 @@ class QuadraticTask:
         if alpha <= 0:
             raise ValueError(f"weight must be positive for an SPD quadratic, got {alpha}")
         third = None if self.third is None else alpha * self.third
-        return QuadraticTask(alpha * self.hessian, self.minimizer.copy(), alpha * self.offset, third,
-                             alpha * self.third_bound)
+        return QuadraticTask(alpha * self.hessian, self.minimizer.copy(), alpha * self.offset, third)
 
 
 def is_quadratic(task) -> bool:
@@ -166,7 +166,7 @@ def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> Qua
         current = tensor_operator_bound(T)
         if current > 0:
             T = T * (third_bound / current)
-    return QuadraticTask(A, minimizer, 0.0, T, third_bound)
+    return QuadraticTask(A, minimizer, 0.0, T)
 
 
 def random_spd_matrix(dim: int, rng: RngStream, eig_range: tuple[float, float] = (0.5, 3.0)) -> np.ndarray:
@@ -323,7 +323,8 @@ def stationary_point(ts: TaskSet) -> np.ndarray:
 # Matrices are stored row-major; third-derivative tensors store only the
 # canonical i<=j<=k entries (symmetry canonicalization). Weights recorded at
 # construction are kept as provenance; the serialized tasks are already
-# weight-folded, so round-tripping does not fold twice.
+# weight-folded, so round-tripping does not fold twice. A reader ignores keys
+# it does not use, so files that still store a ``third_bound`` load.
 
 
 def _tensor_to_canonical(T: np.ndarray) -> dict:
@@ -342,6 +343,8 @@ def _tensor_from_canonical(entries: dict, d: int) -> np.ndarray:
     T = np.zeros((d, d, d))
     for key, v in entries.items():
         i, j, k = (int(s) for s in key.split(","))
+        if not all(0 <= x < d for x in (i, j, k)):  # a negative index would wrap
+            raise ValueError(f"third tensor index {key!r} out of range for dimension {d}")
         for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
             T[perm] = v
     return T
@@ -357,7 +360,7 @@ def task_to_dict(task) -> dict:
         "offset": task.offset,
     }
     if task.third is not None:
-        doc.update(kind="cubic", third=_tensor_to_canonical(task.third), third_bound=task.third_bound)
+        doc.update(kind="cubic", third=_tensor_to_canonical(task.third))
     return doc
 
 
@@ -369,7 +372,7 @@ def task_from_dict(doc: dict):
         return QuadraticTask(A, minimizer, float(doc.get("offset", 0.0)))
     if doc["kind"] == "cubic":
         T = _tensor_from_canonical(doc.get("third", {}), d)
-        return QuadraticTask(A, minimizer, float(doc.get("offset", 0.0)), T, float(doc.get("third_bound", 0.0)))
+        return QuadraticTask(A, minimizer, float(doc.get("offset", 0.0)), T)
     raise ValueError(f"unknown task kind {doc['kind']!r}")
 
 

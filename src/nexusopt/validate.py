@@ -16,7 +16,7 @@ their results in table order: the report is the same bytes for any count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .oracles import (
     second_order_direction,
     second_order_error_bound,
     third_order_direction,
-    third_order_tensor_term,
 )
 from .parallel import map_in_workers
 from .tasks import TaskFamily, TaskSet, random_cubic_task, random_spd_matrix
@@ -155,8 +154,8 @@ def check_second_order(gamma_override: float | None = None) -> list:
 
 def check_third_order() -> list:
     """Cubic K=2 fixtures: after subtracting the full three-term expansion the
-    residual must scale as gamma^4; quadratic sets must have an exactly zero
-    tensor term."""
+    residual must scale as gamma^4; a zero third-derivative tensor must leave
+    the three-term expansion of a quadratic set exactly unchanged."""
     root = rng_root(9041)
     gammas = (1e-1, 1e-2, 1e-3)
     results = []
@@ -180,8 +179,10 @@ def check_third_order() -> list:
     rng = rng_substream(root, "quad")
     ts = random_quadratic_taskset(3, 2, rng)
     theta = random_probe_point(ts, rng_substream(rng, "probe"))
-    tensor_term = third_order_tensor_term(ts, theta, NexusConfig(1e-2, 2))
-    tensor_norm = norm(tensor_term)
+    # the same tasks with a zero tensor: M = 3 reaches the off-diagonal contractions too
+    zero = TaskSet([replace(t, third=np.zeros((3, 3, 3))) for t in ts.tasks])
+    cfg = NexusConfig(1e-2, 3)
+    tensor_norm = norm(third_order_direction(zero, theta, cfg) - third_order_direction(ts, theta, cfg))
     results.append(
         _result("third_order_tensor_term_zero_on_quadratics", tensor_norm == 0.0, tensor_norm, 0.0, 0.0,
                 "the third-derivative piece vanishes exactly when the tensor is zero")

@@ -48,10 +48,14 @@ def test_cli_seed_override_changes_outputs(tmp_path, config_file):
     assert (out_a / "metrics.csv").read_text() != (out_b / "metrics.csv").read_text()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, config_file):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed = 1\nnexus.gamm = 0.1\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # a sweep axis without values
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", "optimizer.kind"]) == 2
+    assert not out.exists()
 
 
 def test_cli_run_error_summary_names_step_and_task(tmp_path):
@@ -64,13 +68,21 @@ def test_cli_run_error_summary_names_step_and_task(tmp_path):
     assert error.startswith("DegenerateGradient: outer step 1, task ")
 
 
-def test_cli_validate_suite(tmp_path):
+def test_cli_validate_suite(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["validate", "--suite", "nsgd_identity", "--out", str(report_path)])
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["all_passed"]
     assert {"check_name", "status", "measured", "bound", "tolerance"} <= set(report["checks"][0])
+    # without --out the report goes to stdout, and the table to stderr
+    capsys.readouterr()
+    assert main(["validate", "--suite", "third_order"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"]
+    assert [c["check_name"] for c in report["checks"]] == [
+        "third_order_residual_slope", "third_order_tensor_term_zero_on_quadratics"
+    ]
 
 
 def test_cli_validate_negative_control(tmp_path):

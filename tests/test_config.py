@@ -46,6 +46,11 @@ def test_bad_value_is_a_parse_error():
         parse_config_text("seed = 1\ntotal_steps = \"many\"\n")
     with pytest.raises(ParseError):
         parse_config_text("seed = 1\nbroken line\n")
+    # a negative variance, a momentum above 1, and a boolean where a number is expected
+    for line in ("problem.variance = -1", "optimizer.beta1 = 1.5", "nexus.gamma = true"):
+        with pytest.raises(ParseError) as err:
+            parse_config_text(f"seed = 1\n{line}\n")
+        assert err.value.path == line.split(" = ")[0]
 
 
 def test_duplicate_key_rejected():

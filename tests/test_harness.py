@@ -553,10 +553,25 @@ def two_task_file_with_weights(weights):
     return json.dumps(doc)
 
 
+def one_task_file_with(**fields):
+    """A d = 3 one-task file whose task document has the given fields replaced."""
+    doc = json.loads(taskset_to_json(random_quadratic_taskset(3, 1, rng_root(9))))
+    doc["tasks"][0].update(fields)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, "not json", "[]", '{"tasks": [{"kind": "quadratic"}]}', two_task_file_with_weights([5.0, -1.0, 7.0])],
-    ids=["missing", "not_json", "not_an_object", "no_fields", "bad_folded_weights"],
+    [
+        None, "not json", "[]", '{"tasks": [{"kind": "quadratic"}]}', two_task_file_with_weights([5.0, -1.0, 7.0]),
+        one_task_file_with(kind="quartic"),
+        one_task_file_with(kind="cubic", third={"0,0,5": 0.1}),
+        one_task_file_with(kind="cubic", third={"-1,0,0": 0.1}),
+    ],
+    ids=[
+        "missing", "not_json", "not_an_object", "no_fields", "bad_folded_weights",
+        "unknown_kind", "tensor_index_too_large", "negative_tensor_index",
+    ],
 )
 def test_unreadable_taskset_file_is_a_config_error(tmp_path, content):
     path = tmp_path / "tasks.json"
@@ -566,6 +581,51 @@ def test_unreadable_taskset_file_is_a_config_error(tmp_path, content):
     with pytest.raises(ConfigError) as err:
         build_problem(cfg, rng_root(1))
     assert err.value.path == "problem.path"
+
+
+def test_sweep_keeps_going_past_a_task_file_with_a_bad_tensor_index(tmp_path):
+    files = {
+        "a": one_task_file_with(),
+        "b": one_task_file_with(kind="cubic", third={"0,0,5": 0.1}),
+        "c": one_task_file_with(kind="cubic", third={"0,1,2": 0.1}),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    out = tmp_path / "out"
+    cfg = make_cfg().with_overrides({"problem.kind": "custom_taskset_file"})
+    paths = [str(tmp_path / f"{name}.json") for name in files]
+    results = dict(sweep(cfg, str(out), {"problem.path": paths}))
+    labels = [f"path={p}".replace("/", "_") for p in paths]
+    assert sorted(results) == sorted(labels)
+    good_a, bad, good_c = (results[label] for label in labels)
+    assert bad["error"] == (
+        f"ConfigError: cannot read task set {paths[1]!r}: "
+        "ValueError: third tensor index '0,0,5' out of range for dimension 3"
+    )
+    assert os.listdir(out / labels[1]) == ["summary.json"]
+    for label, summary in ((labels[0], good_a), (labels[2], good_c)):
+        assert np.isfinite(summary["train_loss"])
+        assert sorted(os.listdir(out / label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert json.loads((out / "sweep.json").read_text())[labels[1]] == bad
+
+
+# metrics.csv sha256 of make_cfg() runs with one task; the cosine column stays
+# empty and every other byte is pinned
+ONE_TASK_DIGESTS = {
+    "adamw": "2280e9f918bc95933c09a8cea67589f0dab34cb9b1d58218ff502db1b574d3fb",
+    "nexus_adamw": "05addb61963c554c7f4d18533ef7b83f1e35176b729030a8d912396050ad8b9b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_TASK_DIGESTS))
+def test_a_one_task_run_has_no_pairwise_cosine(kind, tmp_path):
+    summary = run_into(make_cfg().with_overrides({"problem.k": 1, "optimizer.kind": kind}), str(tmp_path))
+    assert summary["mean_pairwise_cos"] is None
+    assert json.loads((tmp_path / "summary.json").read_text())["mean_pairwise_cos"] is None
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    column = lines[0].split(",").index("mean_pairwise_cos")
+    assert [line.split(",")[column] for line in lines[1:]] == ["", "", ""]
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == ONE_TASK_DIGESTS[kind]
 
 
 def test_sweep_seed_axis_derives_independent_seeds(tmp_path):

@@ -49,7 +49,7 @@ def test_fd_hvp_constant_gradient_is_zero():
 def test_fd_hvp_matches_cubic_hessian():
     T = np.zeros((2, 2, 2))
     T[0, 0, 0] = 1.2
-    task = QuadraticTask(np.eye(2), np.zeros(2), 0.0, T, 1.2)
+    task = QuadraticTask(np.eye(2), np.zeros(2), 0.0, T)
     theta = np.array([1.0, 1.0])
     v = np.array([1.0, 0.0])
     hv = fd_hvp(task.grad, theta, v)

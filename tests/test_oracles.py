@@ -31,7 +31,6 @@ from nexusopt.oracles import (
     second_order_direction,
     second_order_error_bound,
     third_order_direction,
-    third_order_tensor_term,
 )
 from nexusopt.oracles import _local, _second_derivative
 from nexusopt.tasks import (
@@ -265,12 +264,15 @@ def test_normalized_gradient_is_l1_lipschitz_empirically():
         assert displacement <= L1 * np.linalg.norm(delta) * (1 + 1e-6)
 
 
-def test_third_order_tensor_term_zero_for_quadratics():
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_third_order_tensor_term_zero_for_quadratics(M):
+    # a zero tensor runs every tensor contraction and leaves the expansion's bits as they are
     rng = rng_root(11)
     ts = random_quadratic_taskset(3, 2, rng)
+    zero = TaskSet([dataclasses.replace(t, third=np.zeros((3, 3, 3))) for t in ts.tasks])
     theta = random_probe_point(ts, rng_substream(rng, "p"))
-    term = third_order_tensor_term(ts, theta, NexusConfig(0.01, 2))
-    assert np.linalg.norm(term) == 0.0
+    cfg = NexusConfig(0.01, M)
+    assert third_order_direction(zero, theta, cfg).tobytes() == third_order_direction(ts, theta, cfg).tobytes()
 
 
 def test_third_order_direction_beats_second_order_on_cubics():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -51,7 +53,7 @@ def test_cubic_with_zero_tensor_reduces_to_quadratic():
 
 def test_cubic_1d_hand_values():
     # L(x) = x^2/2 + x^3, so L(2) = 2 + 8 = 10 and L'(2) = 2 + 12 = 14
-    task = QuadraticTask(np.array([[1.0]]), np.zeros(1), 0.0, np.full((1, 1, 1), 6.0), 6.0)
+    task = QuadraticTask(np.array([[1.0]]), np.zeros(1), 0.0, np.full((1, 1, 1), 6.0))
     assert_allclose(task.loss(np.array([2.0])), 10.0)
     assert_allclose(task.grad(np.array([2.0])), [14.0])
 
@@ -407,11 +409,16 @@ def test_taskset_json_round_trip():
         QuadraticTask(random_spd_matrix(3, rng_substream(rng, "A")), rng.generator.standard_normal(3), 0.3),
         random_cubic_task(3, rng_substream(rng, "B"), third_bound=0.4),
     ])
-    restored = taskset_from_json(taskset_to_json(ts))
+    text = taskset_to_json(ts)
+    restored = taskset_from_json(text)
     theta = rng.generator.standard_normal(3)
     for orig, back in zip(ts.tasks, restored.tasks):
         assert_allclose(back.loss(theta), orig.loss(theta), rtol=0, atol=0)
         assert_allclose(back.grad(theta), orig.grad(theta), rtol=0, atol=0)
+    # a file that still stores the cubic's third_bound loads the same tasks
+    doc = json.loads(text)
+    doc["tasks"][1]["third_bound"] = 0.4
+    assert taskset_to_json(taskset_from_json(json.dumps(doc))) == text
 
 
 def test_tensor_operator_bound_rescaling():
@@ -451,7 +458,9 @@ def test_declared_third_bound_is_never_exceeded():
     for d in (2, 3, 5, 8):
         for i in range(10):
             task = random_cubic_task(d, rng_substream(rng, f"{d}/{i}"), third_bound=0.5)
+            bound = tensor_operator_bound(task.third)
+            assert_allclose(bound, 0.5, rtol=1e-12)
             found = shifted_power_search(task.third, rng_substream(rng, f"search/{d}/{i}"))
-            if found > task.third_bound * (1 + 1e-9):
+            if found > bound * (1 + 1e-9):
                 exceeded.append((d, i, found))
     assert exceeded == []

@@ -155,9 +155,10 @@ def test_every_convergence_check_fails_when_the_sgd_step_grows_by_half(monkeypat
     assert all(c.measured > c.bound + 100 for c in cumulative)
 
 
-def test_tensor_term_check_fails_on_the_whole_gamma3_coefficient(monkeypatch):
-    # the whole coefficient is non-zero on quadratics; only its tensor piece vanishes
-    monkeypatch.setattr(validate, "third_order_tensor_term", lambda *args: oracles._third_order(*args)[0])
+def test_tensor_term_check_fails_on_a_tensor_contraction_that_is_not_zero_for_a_zero_tensor(monkeypatch):
+    # too small to move the cubic slopes, but a zero tensor no longer leaves the expansion's bits
+    contraction = oracles._tensor_contraction
+    monkeypatch.setattr(oracles, "_tensor_contraction", lambda *args: contraction(*args) + 1e-8)
     checks = validate.check_third_order()
     assert _failing(checks) == {"third_order_tensor_term_zero_on_quadratics"}
-    assert {c.check_name: c for c in checks}["third_order_tensor_term_zero_on_quadratics"].measured > 0.1
+    assert {c.check_name: c for c in checks}["third_order_tensor_term_zero_on_quadratics"].measured > 0.0
