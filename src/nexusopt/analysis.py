@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradient, MissingMinimizer
+from .errors import MissingMinimizer
 from .numerics import as_params, norm
-from .optimizers import DEFAULT_GRAD_FLOOR
+from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
 from .tasks import QuadraticTask, TaskSet, is_quadratic, train_grad
 
 
@@ -34,10 +34,7 @@ def gradient_cosines(G: np.ndarray) -> np.ndarray:
     product of norms commute exactly, so the lower triangle mirrors the upper one.
     """
     rows = list(G)
-    norms = [norm(g) for g in rows]
-    for k, n in enumerate(norms):
-        if n < DEFAULT_GRAD_FLOOR:
-            raise DegenerateGradient(f"task {k} gradient norm {n:g} below floor {DEFAULT_GRAD_FLOOR:g}", k)
+    norms = [checked_norm(g, DEFAULT_GRAD_FLOOR, k) for k, g in enumerate(rows)]
     K = len(rows)
     S = np.empty((K, K))
     for i in range(K):

@@ -11,6 +11,7 @@ keys (``ExperimentConfig.resolved``) as its config.resolved.json.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import MissingField, ParseError, UnknownKey
@@ -141,6 +142,8 @@ def _coerce(key: str, raw, expected_type):
         return float(raw)
     if not isinstance(raw, expected_type):
         raise ValueError(f"expected {expected_type.__name__}, got {type(raw).__name__} ({raw!r})")
+    if expected_type is float and not math.isfinite(raw):  # json reads NaN, Infinity and -Infinity
+        raise ValueError(f"must be finite, got {raw!r}")
     return raw
 
 
@@ -150,7 +153,7 @@ def _validate_one(key: str, raw):
         value = _coerce(key, raw, expected_type)
         if validator is not None:
             value = validator(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         raise ParseError(f"invalid value for {key}: {exc}", key) from exc
     return value
 

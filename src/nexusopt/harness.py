@@ -43,7 +43,7 @@ import numpy as np
 
 from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
 from .config import DUAL_LOOP_MODES, ExperimentConfig
-from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError
+from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError, NonFiniteValue
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, norm, rng_root, rng_substream
@@ -139,7 +139,7 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 ts = taskset_from_json(fh.read())
-        except (OSError, KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        except (OSError, KeyError, TypeError, ValueError, DimensionMismatch, NonFiniteValue) as exc:
             raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
         return Problem(ts, theta0, None)
@@ -346,7 +346,8 @@ def sweep(
     processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids oversubscribing
     the cores. The process that runs a config writes its directory, and only
     the summary comes back, so an exception other than a NexusError, which
-    propagates at its run's position, still leaves the runs before it on disk.
+    propagates at its run's position, still leaves the runs before it on disk,
+    and with workers, the runs after it already sent to a worker may finish too.
     Each run directory is named after its overrides, with "/" replaced
     by "_", so every run lands directly inside ``out_dir``. sweep.json maps
     each label to its summary; when exactly two runs result, a diff.json with

@@ -6,7 +6,7 @@ correction at the current step count. Defaults follow the usual pretraining
 settings: betas (0.9, 0.95), eps 1e-10. Gradient clipping is opt-in: the
 harness clips only when optimizer.clip_norm > 0, and its default 0 disables it.
 
-Normalized SGD refuses gradients below a norm floor.
+Normalized SGD refuses gradients below a norm floor (``checked_norm``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     return theta - lr * grad
 
 
+def checked_norm(grad: np.ndarray, floor: float, task_index: int | None) -> float:
+    """||grad||, or a DegenerateGradient naming task_index below floor: the one
+    floor rule of training, the cosine metric and the oracles."""
+    grad_norm = norm(grad)
+    if grad_norm < floor:
+        raise DegenerateGradient(f"gradient norm {grad_norm:g} below floor {floor:g}", task_index)
+    return grad_norm
+
+
 def nsgd_direction(
     grad: np.ndarray,
     lr: float,
@@ -44,10 +53,7 @@ def nsgd_direction(
     optimizer.
     """
     grad = as_params(grad)
-    grad_norm = norm(grad)
-    if grad_norm < floor:
-        raise DegenerateGradient(f"gradient norm {grad_norm:g} below floor {floor:g}", task_index)
-    return (lr / grad_norm) * grad
+    return (lr / checked_norm(grad, floor, task_index)) * grad
 
 
 def nsgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

@@ -5,9 +5,10 @@ similarity gradients, Taylor expansions of the inner-loop expectation,
 error-bound constants, generalization-gap formulas, and convergence
 contractions. The expansions are public as the two- and three-term directions;
 their first-order term and normalized-gradient derivatives are private
-helpers. Each expansion evaluates each task's gradient (and, at third order,
-its Hessian and third-derivative tensor) once per call; its pair and triple
-contractions reuse those values.
+helpers. Every oracle makes one gradient evaluation per task per point, a row
+of one ``task_grads`` matrix, checked against the floor by training's
+``checked_norm``; at third order it takes each task's Hessian and tensor once
+per call too, and its pair and triple contractions reuse those values.
 
 Two distinct "similarity gradient" objects appear and are easy to conflate:
 
@@ -42,8 +43,17 @@ from .analysis import closeness
 from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
-from .optimizers import DEFAULT_GRAD_FLOOR, nsgd_step, sgd_step
-from .tasks import QuadraticTask, TaskFamily, TaskSet, is_quadratic, random_spd_matrix, stationary_point, train_grad
+from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm, nsgd_step, sgd_step
+from .tasks import (
+    QuadraticTask,
+    TaskFamily,
+    TaskSet,
+    is_quadratic,
+    mean_grad,
+    random_spd_matrix,
+    stationary_point,
+    task_grads,
+)
 
 ENUMERATION_CAP = 256
 
@@ -92,14 +102,13 @@ def quadratic_smoothness_constants(ts: TaskSet, theta: np.ndarray, radius: float
     (possibly conservative) lower bound; Hessians are constant so rho = 0.
     """
     theta = as_params(theta, ts.dim)
+    if not all(is_quadratic(t) for t in ts.tasks):
+        raise TypeError("quadratic_smoothness_constants expects quadratic tasks")
     g_lower = np.inf
     h_bound = 0.0
-    for t in ts.tasks:
-        if not is_quadratic(t):
-            raise TypeError("quadratic_smoothness_constants expects quadratic tasks")
+    for t, g in zip(ts.tasks, task_grads(ts, theta)):
         lam_max = float(np.linalg.eigvalsh(t.hessian).max())
-        gnorm = norm(t.grad(theta))
-        g_lower = min(g_lower, gnorm - lam_max * radius)
+        g_lower = min(g_lower, norm(g) - lam_max * radius)
         h_bound = max(h_bound, lam_max)
     if g_lower <= 0:
         raise DegenerateGradient(f"gradient lower bound {g_lower:g} not positive over the probed region")
@@ -138,13 +147,12 @@ class _Local(NamedTuple):
     T: np.ndarray | None = None
 
 
-def _local(task, theta: np.ndarray, floor: float, curvature: bool = False) -> _Local:
-    g = task.grad(theta)
-    n = norm(g)
-    if n < floor:
-        raise DegenerateGradient(f"gradient norm {n:g} below floor {floor:g}")
-    extra = (task.hessian_at(theta), task.third) if curvature else ()
-    return _Local(task, n, g / n, *extra)
+def _locals(ts: TaskSet, theta: np.ndarray, floor: float, curvature: bool = False) -> list:
+    """One _Local per task, from the rows of one task_grads matrix; a row below the floor names its task."""
+    G = task_grads(ts, theta)
+    norms = [checked_norm(g, floor, k) for k, g in enumerate(G)]
+    curv = [(t.hessian_at(theta), t.third) if curvature else () for t in ts.tasks]
+    return [_Local(t, n, g / n, *extra) for t, g, n, extra in zip(ts.tasks, G, norms, curv)]
 
 
 def _proj(h: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,7 +188,7 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     zero when the two gradients are parallel.
     """
     theta = as_params(theta)
-    loc_i, loc_j = _local(task_i, theta, DEFAULT_GRAD_FLOOR), _local(task_j, theta, DEFAULT_GRAD_FLOOR)
+    loc_i, loc_j = _locals(TaskSet([task_i, task_j]), theta, DEFAULT_GRAD_FLOOR)
     proj_j = _proj(loc_i.h, loc_j.h)
     proj_i = _proj(loc_j.h, loc_i.h)
     term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros_like(theta)
@@ -193,7 +201,7 @@ def alignment_pair_direction(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     inner-loop dynamics (diagonal pairs i == j included by callers); tests
     check the (K-1)/(4K) coefficient of second_order_direction against it."""
     theta = as_params(theta)
-    loc_i, loc_j = _local(task_i, theta, DEFAULT_GRAD_FLOOR), _local(task_j, theta, DEFAULT_GRAD_FLOOR)
+    loc_i, loc_j = _locals(TaskSet([task_i, task_j]), theta, DEFAULT_GRAD_FLOOR)
     return _jacobian_apply(loc_i, theta, loc_j.h) + _jacobian_apply(loc_j, theta, loc_i.h)
 
 
@@ -218,10 +226,6 @@ def expected_pseudo_gradient_exact(ts: TaskSet, theta: np.ndarray, cfg: NexusCon
     for seq in itertools.product(range(n), repeat=M):
         total += inner_loop(theta, ts, cfg, seq)
     return total / count
-
-
-def _locals(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, curvature: bool = False) -> list:
-    return [_local(t, theta, cfg.grad_floor, curvature) for t in ts.tasks]
 
 
 def _first_order(ts: TaskSet, cfg: NexusConfig, vectors: list) -> np.ndarray:
@@ -254,14 +258,14 @@ def second_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> 
     """
     theta = as_params(theta, ts.dim)
     if cfg.variant == "cosine":
-        locs = _locals(ts, theta, cfg)
+        locs = _locals(ts, theta, cfg.grad_floor)
         return _second_order(ts, cfg, _first_order(ts, cfg, [loc.h for loc in locs]), _jacobian_sum(locs, theta))
-    grads = [t.grad(theta) for t in ts.tasks]
-    s = np.sum(grads, axis=0)
+    G = task_grads(ts, theta)
+    s = np.sum(G, axis=0)
     pairs = np.zeros(ts.dim)
     for t in ts.tasks:
         pairs += t.hvp(theta, s)
-    return _second_order(ts, cfg, _first_order(ts, cfg, grads), pairs)
+    return _second_order(ts, cfg, _first_order(ts, cfg, G), pairs)
 
 
 def _second_order(ts: TaskSet, cfg: NexusConfig, first: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -285,7 +289,7 @@ def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> n
         raise ValueError("third_order_direction is defined for the cosine variant")
     theta = as_params(theta, ts.dim)
     n, M = len(ts), cfg.inner_steps
-    locs = _locals(ts, theta, cfg, curvature=True)
+    locs = _locals(ts, theta, cfg.grad_floor, curvature=True)
     units = [loc.h for loc in locs]
     js = _jacobian_sum(locs, theta)
     third = np.zeros(ts.dim)
@@ -353,18 +357,19 @@ def closeness_bound_check(ts: TaskSet) -> ClosenessChainReport:
     """Evaluate the closeness / inner-product / cosine-similarity chain at the
     stationary point of a quadratic task set.
 
-    Each gradient norm and each unordered pair's dot product is computed once
-    (a dot product is the same bits in either order); the sums still run over
-    the ordered pairs, so they round as they always did.
+    One task_grads matrix gives the stationarity residual, each gradient norm
+    and each unordered pair's dot product (a dot product is the same bits in
+    either order); the sums still run over the ordered pairs, so they round as
+    they always did.
     """
     theta = stationary_point(ts)
-    resid = norm(train_grad(ts, theta))
+    grads = task_grads(ts, theta)
+    resid = norm(mean_grad(grads))
     if resid > 1e-9:
         raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at stationary_point(ts)")
     K = len(ts)
-    grads, curvs = [], []
+    curvs = []
     for t in ts.tasks:
-        grads.append(t.grad(theta))
         delta = theta - t.minimizer
         dist = norm(delta)
         if dist > 1e-15:
@@ -372,25 +377,16 @@ def closeness_bound_check(ts: TaskSet) -> ClosenessChainReport:
             curvs.append(float(u @ t.hessian @ u))
     lam = min(curvs) if curvs else np.inf
     norms = [norm(g) for g in grads]
-    G = max(norms)
-    dots = [[0.0] * K for _ in range(K)]
-    for i in range(K):
-        for j in range(i + 1, K):
-            dots[i][j] = dots[j][i] = float(grads[i] @ grads[j])
+    dots = {(i, j): float(grads[i] @ grads[j]) for i, j in itertools.combinations(range(K), 2)}
     cross = 0.0
     one_minus_cos = 0.0
-    for i in range(K):
-        for j in range(K):
-            if i == j:
-                continue
-            dot = dots[i][j]
-            cross += -dot
-            ni, nj = norms[i], norms[j]
-            if ni > 0 and nj > 0:
-                one_minus_cos += 1.0 - dot / (ni * nj)
-            # zero-gradient pairs contribute nothing: the common-minimizer case
+    for i, j in itertools.permutations(range(K), 2):
+        dot = dots[min(i, j), max(i, j)]
+        cross += -dot
+        if norms[i] > 0 and norms[j] > 0:  # zero-gradient pairs contribute nothing: the common-minimizer case
+            one_minus_cos += 1.0 - dot / (norms[i] * norms[j])
     middle = cross / (K * lam**2) if np.isfinite(lam) else 0.0
-    right = G**2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
+    right = max(norms) ** 2 * one_minus_cos / (K * lam**2) if np.isfinite(lam) else 0.0
     return ClosenessChainReport(closeness(theta, ts), middle, right)
 
 
@@ -532,7 +528,7 @@ def random_probe_point(ts: TaskSet, rng: RngStream) -> np.ndarray:
     gen = rng.generator
     for _ in range(64):
         theta = gen.standard_normal(ts.dim)
-        if min(norm(t.grad(theta)) for t in ts.tasks) >= 0.3:
+        if min(norm(g) for g in task_grads(ts, theta)) >= 0.3:
             return theta
     raise DegenerateGradient("could not find a probe point with gradient norms >= 0.3")
 

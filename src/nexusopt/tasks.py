@@ -93,6 +93,8 @@ class QuadraticTask:
         d = self.minimizer.shape[0]
         if self.hessian.shape[0] != d:
             raise DimensionMismatch("Hessian and minimizer dimensions differ")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         if self.third is None:
             return
         self.third = np.asarray(self.third, dtype=np.float64)
@@ -252,10 +254,6 @@ class TaskSet:
     def dim(self) -> int:
         return self.tasks[0].dim
 
-    def scaled(self, alpha: float) -> "TaskSet":
-        """Scale every task loss by alpha (used by the scale-pathology checks)."""
-        return TaskSet([t.scaled(alpha) for t in self.tasks])
-
 
 def losses_and_grads(ts: TaskSet, theta: np.ndarray) -> tuple:
     """(list of K task losses, (K, d) task_grads matrix) from one loss_and_grad call per task."""
@@ -269,10 +267,7 @@ def losses_and_grads(ts: TaskSet, theta: np.ndarray) -> tuple:
 
 def task_grads(ts: TaskSet, theta: np.ndarray) -> np.ndarray:
     """(K, d) matrix whose row k is the gradient of task k at theta."""
-    G = np.empty((len(ts), ts.dim))
-    for k, t in enumerate(ts.tasks):
-        G[k] = t.grad(theta)
-    return G
+    return np.array([t.grad(theta) for t in ts.tasks])
 
 
 def mean_grad(G: np.ndarray) -> np.ndarray:
@@ -341,10 +336,14 @@ def _tensor_to_canonical(T: np.ndarray) -> dict:
 
 def _tensor_from_canonical(entries: dict, d: int) -> np.ndarray:
     T = np.zeros((d, d, d))
+    keys = {}
     for key, v in entries.items():
         i, j, k = (int(s) for s in key.split(","))
         if not all(0 <= x < d for x in (i, j, k)):  # a negative index would wrap
             raise ValueError(f"third tensor index {key!r} out of range for dimension {d}")
+        first = keys.setdefault(tuple(sorted((i, j, k))), key)
+        if first != key:  # the later key would otherwise win, so the tensor would depend on key order
+            raise ValueError(f"third tensor keys {first!r} and {key!r} name the same entry")
         for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
             T[perm] = v
     return T

@@ -22,7 +22,7 @@ from nexusopt.oracles import (
     random_quadratic_taskset,
 )
 from nexusopt.parallel import map_in_workers
-from nexusopt.tasks import QuadraticTask, random_cubic_task, random_spd_matrix
+from nexusopt.tasks import QuadraticTask, TaskSet, random_cubic_task, random_spd_matrix
 from nexusopt.validate import (
     check_closeness,
     check_convergence,
@@ -244,7 +244,7 @@ def test_a11_dot_variant_scale_pathology():
     rng = rng_root(1111)
     ts = random_quadratic_taskset(3, 2, rng)
     theta = random_probe_point(ts, rng_substream(rng, "probe"))
-    scaled = ts.scaled(10.0)
+    scaled = TaskSet(ts.tasks, [10.0] * len(ts))
 
     dot_cfg = NexusConfig(0.05, 2, variant="dot")
     c2 = gamma2_coefficient_from_enumeration(ts, theta, dot_cfg)

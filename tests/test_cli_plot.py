@@ -58,6 +58,17 @@ def test_cli_config_error_exit_code(tmp_path, config_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["problem.curvature", "schedule.base_lr", "problem.depth"])
+def test_cli_non_finite_value_exit_code(tmp_path, config_file, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{CONFIG_TEXT}{key} = NaN\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", f"{key}=0.5,NaN"]) == 2
+    assert not out.exists()
+
+
 def test_cli_run_error_summary_names_step_and_task(tmp_path):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(CONFIG_TEXT + "optimizer.kind = \"nexus_adamw\"\nnexus.grad_floor = 1e9\n")

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -37,6 +38,17 @@ def test_missing_seed():
     with pytest.raises(MissingField) as err:
         parse_config_text("name = \"x\"\n")
     assert err.value.path == "seed"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1" + "0" * 400])
+@pytest.mark.parametrize("key", ["problem.curvature", "schedule.base_lr", "problem.depth", "nexus.gamma"])
+def test_non_finite_value_is_a_parse_error(key, literal):
+    # json reads the first four as non-finite floats, and the last is an int that overflows a float
+    for parse in (lambda: parse_config_text(f"seed = 1\n{key} = {literal}\n"),
+                  lambda: parse_config_text(MINIMAL).with_overrides({key: json.loads(literal)})):
+        with pytest.raises(ParseError, match=f"invalid value for {key}: ") as err:
+            parse()
+        assert err.value.path == key
 
 
 def test_bad_value_is_a_parse_error():

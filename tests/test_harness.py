@@ -567,10 +567,18 @@ def one_task_file_with(**fields):
         one_task_file_with(kind="quartic"),
         one_task_file_with(kind="cubic", third={"0,0,5": 0.1}),
         one_task_file_with(kind="cubic", third={"-1,0,0": 0.1}),
+        one_task_file_with(kind="cubic", third={"0,1,2": 0.1, "2,1,0": 0.5}),
+        one_task_file_with(kind="cubic", third={"2,1,0": 0.5, "0,1,2": 0.1}),
+        one_task_file_with(minimizer=[float("nan"), 0.0, 0.0]),
+        one_task_file_with(minimizer=[0.0, float("inf"), 0.0]),
+        one_task_file_with(offset=float("nan")),
+        one_task_file_with(offset=-float("inf")),
     ],
     ids=[
         "missing", "not_json", "not_an_object", "no_fields", "bad_folded_weights",
         "unknown_kind", "tensor_index_too_large", "negative_tensor_index",
+        "duplicate_tensor_key", "duplicate_tensor_key_reversed",
+        "nan_minimizer", "infinite_minimizer", "nan_offset", "infinite_offset",
     ],
 )
 def test_unreadable_taskset_file_is_a_config_error(tmp_path, content):

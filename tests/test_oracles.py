@@ -32,7 +32,7 @@ from nexusopt.oracles import (
     second_order_error_bound,
     third_order_direction,
 )
-from nexusopt.oracles import _local, _second_derivative
+from nexusopt.oracles import _locals, _second_derivative
 from nexusopt.tasks import (
     QuadraticTask,
     TaskFamily,
@@ -111,7 +111,7 @@ def test_second_derivative_matches_fd_of_unit_gradient(case):
     if case == "same":
         s = 1e-5
         fd = (unit_grad(theta + s * u) - 2 * unit_grad(theta) + unit_grad(theta - s * u)) / s**2
-        analytic = _second_derivative(_local(task, theta, 1e-12, curvature=True), u, u)
+        analytic = _second_derivative(_locals(TaskSet([task]), theta, 1e-12, curvature=True)[0], u, u)
     else:
         # the (h_b, h_c), b != c contractions of the gamma^3 term
         v = rng.generator.standard_normal(3)
@@ -123,7 +123,7 @@ def test_second_derivative_matches_fd_of_unit_gradient(case):
             - unit_grad(theta - s * u + s * v)
             + unit_grad(theta - s * u - s * v)
         ) / (4 * s**2)
-        analytic = _second_derivative(_local(task, theta, 1e-12, curvature=True), u, v)
+        analytic = _second_derivative(_locals(TaskSet([task]), theta, 1e-12, curvature=True)[0], u, v)
     assert np.linalg.norm(analytic - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
 
 
@@ -497,7 +497,7 @@ def test_dot_variant_interaction_scales_quadratically():
     theta = random_probe_point(ts, rng_substream(rng, "p"))
     cfg = NexusConfig(0.05, 2, variant="dot")
     c2 = gamma2_coefficient_from_enumeration(ts, theta, cfg)
-    c2_scaled = gamma2_coefficient_from_enumeration(ts.scaled(10.0), theta, cfg)
+    c2_scaled = gamma2_coefficient_from_enumeration(TaskSet(ts.tasks, [10.0] * len(ts)), theta, cfg)
     ratio = np.linalg.norm(c2_scaled) / np.linalg.norm(c2)
     assert abs(ratio - 100.0) <= 1.0
 
@@ -508,7 +508,7 @@ def test_cosine_variant_is_scale_invariant():
     theta = random_probe_point(ts, rng_substream(rng, "p"))
     cfg = NexusConfig(1e-3, 2)
     c2 = gamma2_coefficient_from_enumeration(ts, theta, cfg)
-    c2_scaled = gamma2_coefficient_from_enumeration(ts.scaled(10.0), theta, cfg)
+    c2_scaled = gamma2_coefficient_from_enumeration(TaskSet(ts.tasks, [10.0] * len(ts)), theta, cfg)
     assert np.linalg.norm(c2_scaled - c2) <= 1e-8
 
 
@@ -553,3 +553,35 @@ def test_quadratic_smoothness_constants_reject_a_cubic_task(third_bound):
     ts = TaskSet([random_quadratic_taskset(3, 1, rng)[0], random_cubic_task(3, rng_substream(rng, "B"), third_bound)])
     with pytest.raises(TypeError, match="quadratic_smoothness_constants expects quadratic tasks"):
         quadratic_smoothness_constants(ts, np.ones(3), 0.01)
+
+
+def test_closeness_bound_check_evaluates_each_task_gradient_once(monkeypatch):
+    ts = random_quadratic_taskset(3, 4, rng_root(24))
+    calls = []
+    grad = QuadraticTask.grad
+
+    def counted(self, theta):
+        calls.append(self)
+        return grad(self, theta)
+
+    monkeypatch.setattr(QuadraticTask, "grad", counted)
+    closeness_bound_check(ts)
+    assert [id(t) for t in calls] == [id(t) for t in ts.tasks]  # one call per task, in task order
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda ts, theta: second_order_direction(ts, theta, NexusConfig(0.01, 3)),
+        lambda ts, theta: third_order_direction(ts, theta, NexusConfig(0.01, 3)),
+        lambda ts, theta: cosgrad_analytic(ts[0], ts[1], theta),
+        lambda ts, theta: alignment_pair_direction(ts[0], ts[1], theta),
+    ],
+    ids=["second_order_direction", "third_order_direction", "cosgrad_analytic", "alignment_pair_direction"],
+)
+def test_degenerate_gradient_in_an_oracle_names_its_task(oracle):
+    ts = random_quadratic_taskset(3, 3, rng_root(25))
+    # task 1's gradient is exactly zero at its own minimizer
+    with pytest.raises(DegenerateGradient, match="^gradient norm 0 below floor ") as err:
+        oracle(ts, ts[1].minimizer.copy())
+    assert err.value.task_index == 1

@@ -464,3 +464,17 @@ def test_declared_third_bound_is_never_exceeded():
             if found > bound * (1 + 1e-9):
                 exceeded.append((d, i, found))
     assert exceeded == []
+
+
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+def test_quadratic_task_rejects_a_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        QuadraticTask(np.eye(2), np.zeros(2), offset)
+
+
+@pytest.mark.parametrize("keys", [("0,1,2", "2,1,0"), ("2,1,0", "0,1,2")])
+def test_two_tensor_keys_for_one_entry_are_rejected_in_either_order(keys):
+    doc = {"kind": "cubic", "hessian": np.eye(3).reshape(-1).tolist(), "minimizer": [0.0] * 3,
+           "third": dict(zip(keys, (0.1, 0.5)))}
+    with pytest.raises(ValueError, match=f"third tensor keys '{keys[0]}' and '{keys[1]}' name the same entry"):
+        task_module.task_from_dict(doc)
