@@ -13,8 +13,10 @@ import sys
 from .config import load_config
 from .errors import ConfigError, NexusError
 from .harness import run_into, sweep, write_json_atomic
-from .svgplot import plot
-from .validate import SUITES, report_to_dict, validate_theorems
+
+# validate (and with it oracles) and svgplot are imported inside the subcommands
+# that call them: without cached bytecode they are a third of the package's
+# compile time, which every start of a run or a sweep would otherwise pay
 
 
 def _parse_override_value(raw: str):
@@ -52,6 +54,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import report_to_dict, validate_theorems
+
     results = validate_theorems(args.suite, gamma_override=args.gamma, workers=worker_count())
     report = report_to_dict(results)
     if args.out:
@@ -65,6 +69,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import plot
+
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     out = plot(args.csvs, fields, args.out)
     print(f"wrote {out}")
@@ -96,7 +102,10 @@ def cmd_sweep(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
-        overrides[key.strip()] = [_parse_override_value(v) for v in _split_override_values(values)]
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"--set {key} given twice; list all its values in one --set")
+        overrides[key] = [_parse_override_value(v) for v in _split_override_values(values)]
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, summary["error"]) for label, summary in results if "error" in summary]
@@ -116,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_val = sub.add_parser("validate", help="run theorem-validation suites")
-    p_val.add_argument("--suite", default="all", choices=SUITES)
+    p_val.add_argument("--suite", default="all", help="a suite name, or all (the default)")
     p_val.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_val.add_argument("--gamma", type=float, default=None,
                        help="override the inner step size fixture (negative controls)")

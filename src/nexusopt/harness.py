@@ -341,10 +341,11 @@ def sweep(
     returns a (label, summary) pair per run, in input order.
 
     ``overrides`` maps config keys to lists of values. ``num_seeds`` > 0 adds a
-    seed axis with seeds derived from the base seed. Each run is a ``run_into``
-    call, through ``map_in_workers`` in up to ``workers`` forked worker
-    processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids oversubscribing
-    the cores. The process that runs a config writes its directory, and only
+    seed axis with seeds derived from the base seed; a negative count, or a
+    count with a "seed" key in ``overrides``, is a ConfigError. Each run is a
+    ``run_into`` call, through ``map_in_workers`` in up to ``workers`` forked
+    worker processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids
+    oversubscribing the cores. The process that runs a config writes its directory, and only
     the summary comes back, so an exception other than a NexusError, which
     propagates at its run's position, still leaves the runs before it on disk,
     and with workers, the runs after it already sent to a worker may finish too.
@@ -357,7 +358,11 @@ def sweep(
     import itertools
 
     overrides = dict(overrides or {})
+    if num_seeds < 0:
+        raise ConfigError(f"num_seeds must be >= 0, got {num_seeds}")
     if num_seeds > 0:
+        if "seed" in overrides:
+            raise ConfigError(f"a seed axis and num_seeds={num_seeds} both set the seeds; give one of them")
         overrides["seed"] = derive_sweep_seeds(base["seed"], num_seeds)
     keys = sorted(overrides)
     combos = list(itertools.product(*(overrides[k] for k in keys))) if keys else [()]

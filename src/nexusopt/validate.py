@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .analysis import gradient_cosines
-from .errors import DegenerateGradient
+from .errors import ConfigError, DegenerateGradient
 from .nexus import NexusConfig
 from .numerics import fd_gradient, norm, rng_root, rng_substream
 from .oracles import (
@@ -290,8 +290,8 @@ _SUITE_FNS = {
 }
 SUITES = ("all", *_SUITE_FNS)
 
-# _SUITE_FNS by serial time, longest first (medians of about 115, 77, 61, 41, 14
-# and 8 ms on a 2-core VM): two workers then finish in about half the serial total
+# _SUITE_FNS by serial time, longest first (best of 3: about 134, 83, 69, 31, 16
+# and 9 ms on a 2-core VM): two workers then finish in about half the serial total
 _DISPATCH_ORDER = ("generalization", "second_order", "closeness", "nsgd_identity", "convergence", "third_order")
 
 
@@ -315,7 +315,7 @@ def validate_theorems(suite: str = "all", gamma_override: float | None = None, w
     dispatch order is the one raised.
     """
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     names = _DISPATCH_ORDER if suite == "all" else (suite,)
     jobs = [(name, gamma_override) for name in names]
     by_name = dict(zip(names, map_in_workers(_run_suite, jobs, workers)))

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import pytest
 
+import nexusopt
 from nexusopt.cli import main, worker_count as sweep_workers
 from nexusopt.errors import EmptyData, FieldMissing
 from nexusopt.svgplot import plot
@@ -122,6 +125,14 @@ def test_cli_validate_one_suite_starts_no_worker_pool(tmp_path, monkeypatch, sta
     assert main(["validate", "--suite", "second_order", "--gamma", "10", "--out", str(report_path)]) == 1
     assert json.loads(report_path.read_text())["all_passed"] is False
     assert started_pools == []
+
+
+def test_cli_validate_rejects_an_unknown_suite_and_names_the_suites(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--suite", "bogus", "--out", str(report_path)]) == 2
+    assert not report_path.exists()
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "second_order" in err and "nsgd_identity" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
@@ -339,3 +350,39 @@ def test_cli_run_failure_records_error(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "error" in summary
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--set", "optimizer.kind=adamw,sgd", "--set", "optimizer.kind=nsgd_adamw"], "optimizer.kind"),
+    (["--num-seeds", "-3"], "-3"),
+    (["--set", "seed=1,2,3", "--num-seeds", "2"], "num_seeds=2"),
+], ids=["repeated_set_key", "negative_num_seeds", "seed_axis_and_num_seeds"])
+def test_cli_sweep_rejects_a_conflicting_axis_and_writes_nothing(tmp_path, config_file, capsys, extra, named):
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), *extra]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+def test_cli_run_and_sweep_load_no_validate_oracles_plot_or_worker_pool(tmp_path, config_file):
+    """A fresh interpreter: the CLI module, a run and a one-worker sweep import
+    none of the modules that only validate, plot or a worker pool call."""
+    script = (
+        "import sys\n"
+        "UNUSED = ('nexusopt.validate', 'nexusopt.oracles', 'nexusopt.svgplot', 'csv', 'html',\n"
+        "          'multiprocessing', 'concurrent.futures')\n"
+        "def loaded(): return [m for m in UNUSED if m in sys.modules]\n"
+        "from nexusopt.cli import main\n"
+        "print(loaded())\n"
+        f"assert main(['run', '--config', {str(config_file)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {str(config_file)!r}, '--out', {str(tmp_path / 'sweep')!r},\n"
+        "             '--set', 'optimizer.kind=adamw,sgd']) == 0\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nexusopt.__file__)), NEXUS_OPT_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "sweep.json").exists()

@@ -646,6 +646,13 @@ def test_sweep_seed_axis_derives_independent_seeds(tmp_path):
     assert finals[0] != finals[1]
 
 
+@pytest.mark.parametrize("overrides, num_seeds", [(None, -1), ({"seed": [1, 2]}, 2)])
+def test_sweep_rejects_a_negative_num_seeds_or_one_beside_a_seed_axis(tmp_path, overrides, num_seeds):
+    with pytest.raises(ConfigError, match="num_seeds"):
+        sweep(make_cfg(), str(tmp_path / "out"), overrides, num_seeds=num_seeds)
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_labels_stay_flat_inside_out_dir(tmp_path):
     out = tmp_path / "out"
     results = sweep(make_cfg(), str(out), {"name": ["a/b", "../c"]})
