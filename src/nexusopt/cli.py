@@ -1,6 +1,7 @@
 """Command-line entry point: run, validate, plot, sweep.
 
-Exit codes: 0 success, 1 run error (any run of a sweep) or failed theorem check, 2 config error.
+Exit codes: 0 success, 1 run error (any run of a sweep), failed theorem check
+or unusable output path, 2 config error.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NexusError as exc:
+    except (NexusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import MissingField, ParseError, UnknownKey
+from .errors import ConfigError, MissingField, ParseError, UnknownKey
 from .mlp import ACTIVATIONS
 from .optimizers import DEFAULT_GRAD_FLOOR, SCHEDULE_KINDS
 
@@ -135,7 +135,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def _coerce(key: str, raw, expected_type):
+def _coerce(raw, expected_type):
     if isinstance(raw, bool):  # bool is an int subtype; never accept it for numbers
         raise ValueError(f"expected {expected_type.__name__}, got bool ({raw!r})")
     if expected_type is float and isinstance(raw, int):
@@ -150,7 +150,7 @@ def _coerce(key: str, raw, expected_type):
 def _validate_one(key: str, raw):
     expected_type, _, _, validator, _ = SCHEMA[key]
     try:
-        value = _coerce(key, raw, expected_type)
+        value = _coerce(raw, expected_type)
         if validator is not None:
             value = validator(value)
     except (ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
@@ -199,5 +199,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {type(exc).__name__}: {exc}") from exc
+    return parse_config_text(text, source=str(path))

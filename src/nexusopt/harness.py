@@ -9,10 +9,11 @@ problem.* keys of its problem.kind, and ``train`` reads the rest (total_steps,
 metric_cadence, name, and the optimizer.*, schedule.* and nexus.* keys).
 Every random choice flows from the config seed through labeled substreams
 (problem, init, tasks), so two runs of the same config produce bit-identical
-metric logs. Metric rows are collected in memory during training; after it
-ends, any old summary.json is removed, then metrics.csv is written and
-fsync'd before the new summary.json is renamed into place, so an output
-directory without a summary marks an incomplete write.
+metric logs. A run directory has one lifecycle, in ``run_into``: it is made
+and any old summary.json removed before the run starts; after the run,
+``write_outputs`` writes every outcome, finished or failed, from the record
+kept in memory: metrics.csv (fsync'd), config.resolved.json, and summary.json
+last, renamed into place, so a directory without a summary is incomplete.
 
 A metrics emit runs one forward and one backward pass per task
 (``losses_and_grads``): the K losses average to the training loss, and the
@@ -37,7 +38,7 @@ import contextlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,11 +62,11 @@ from .tasks import (
     train_grad,
 )
 
-CSV_HEADER = "step,lr,train_loss,ood_loss,mean_pairwise_cos,grad_norm,pseudo_grad_norm"
-
 
 @dataclass
 class MetricsRow:
+    """One metrics.csv row; its fields are the file's columns, in order."""
+
     step: int
     lr: float
     train_loss: float
@@ -75,13 +76,11 @@ class MetricsRow:
     pseudo_grad_norm: float | None
 
     def to_csv(self) -> str:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
+        step, *values = (getattr(self, f.name) for f in fields(self))
+        return ",".join([str(step), *("" if x is None else repr(float(x)) for x in values)])
 
-        return ",".join(
-            [str(self.step), fmt(self.lr), fmt(self.train_loss), fmt(self.ood_loss),
-             fmt(self.mean_pairwise_cos), fmt(self.grad_norm), fmt(self.pseudo_grad_norm)]
-        )
+
+CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -89,7 +88,7 @@ class RunRecord:
     config: dict
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
+    wall_clock: float | None = None
     final_theta: np.ndarray | None = None
 
 
@@ -279,42 +278,38 @@ def write_json_atomic(path: str, doc) -> None:
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
-    """metrics.csv (fsync'd), then config.resolved.json and summary.json.
-
-    A summary.json already in out_dir is removed first and the new one is
-    written last and atomically, so its absence marks an incomplete run.
+    """Write a run's record into out_dir, which ``run_into`` has made and
+    cleared of summary.json: metrics.csv (fsync'd), config.resolved.json, then
+    summary.json last and atomically. The summary is the record's, with its
+    wall_clock when it has one; a failed run's record has none.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "summary.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(summary_path)
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in record.rows:
             fh.write(row.to_csv() + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     write_json_atomic(os.path.join(out_dir, "config.resolved.json"), record.config)
-    summary = dict(record.summary)
-    summary["wall_clock"] = record.wall_clock
-    write_json_atomic(summary_path, summary)
+    summary = record.summary if record.wall_clock is None else {**record.summary, "wall_clock": record.wall_clock}
+    write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
 
 
 def run_into(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run cfg and write its outcome into out_dir; return the run's summary.
 
-    A run that finishes gets ``write_outputs`` and returns its summary without
-    wall_clock. A run that raises a NexusError leaves only a summary.json,
-    {"error": "<class>: <message>"}, which is also what it returns.
+    out_dir is made and its summary.json removed before the run starts, so an
+    unusable path fails before any training and a crash leaves no summary.
+    Every outcome goes through ``write_outputs``: a finished run's record, or
+    for a NexusError the config's resolved keys, no rows and the summary
+    {"error": "<class>: <message>"}. The summary returned has no wall_clock.
     """
+    os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "summary.json"))
     try:
         record = run(cfg)
     except NexusError as exc:
-        summary = {"error": f"{type(exc).__name__}: {exc}"}
-        os.makedirs(out_dir, exist_ok=True)
-        write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
-        return summary
+        record = RunRecord(cfg.resolved(), summary={"error": f"{type(exc).__name__}: {exc}"})
     write_outputs(record, out_dir)
     return record.summary
 
@@ -347,8 +342,9 @@ def sweep(
     worker processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids
     oversubscribing the cores. The process that runs a config writes its directory, and only
     the summary comes back, so an exception other than a NexusError, which
-    propagates at its run's position, still leaves the runs before it on disk,
-    and with workers, the runs after it already sent to a worker may finish too.
+    propagates at its run's position, still leaves the runs before it on disk
+    and its own directory without a summary, and with workers, the runs after
+    it already sent to a worker may finish too.
     Each run directory is named after its overrides, with "/" replaced
     by "_", so every run lands directly inside ``out_dir``. sweep.json maps
     each label to its summary; when exactly two runs result, a diff.json with

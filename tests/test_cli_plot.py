@@ -10,6 +10,7 @@ import pytest
 import nexusopt
 from nexusopt.cli import main, worker_count as sweep_workers
 from nexusopt.errors import EmptyData, FieldMissing
+from nexusopt.harness import CSV_HEADER
 from nexusopt.svgplot import plot
 
 CONFIG_TEXT = (
@@ -61,6 +62,40 @@ def test_cli_config_error_exit_code(tmp_path, config_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content", [None, b"seed = 1\n\xff\n"], ids=["missing", "not_utf8"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, command, content):
+    path = tmp_path / "exp.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}", "--out", "{afile}"],
+    ["sweep", "--config", "{config}", "--out", "{afile}"],
+    ["validate", "--suite", "nsgd_identity", "--out", "{missing}/r.json"],
+    ["plot", "{missing}/metrics.csv", "--fields", "train_loss", "--out", "{tmp}/x.svg"],
+], ids=["run_out_is_a_file", "sweep_out_is_a_file", "validate_out_in_a_missing_dir", "plot_of_a_missing_csv"])
+def test_cli_output_errors_print_one_line(tmp_path, config_file, monkeypatch, capsys, argv):
+    # an --out that cannot be a run directory fails before any problem is built
+    def unreachable(*args):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr("nexusopt.harness.build_problem", unreachable)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    paths = {"config": config_file, "afile": afile, "missing": tmp_path / "nope", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert afile.read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "exp.cfg"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key", ["problem.curvature", "schedule.base_lr", "problem.depth"])
 def test_cli_non_finite_value_exit_code(tmp_path, config_file, key):
     bad = tmp_path / "bad.cfg"
@@ -77,7 +112,7 @@ def test_cli_run_error_summary_names_step_and_task(tmp_path):
     cfg.write_text(CONFIG_TEXT + "optimizer.kind = \"nexus_adamw\"\nnexus.grad_floor = 1e9\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert os.listdir(out) == ["summary.json"]
+    assert sorted(os.listdir(out)) == ["config.resolved.json", "metrics.csv", "summary.json"]
     error = json.loads((out / "summary.json").read_text())["error"]
     assert error.startswith("DegenerateGradient: outer step 1, task ")
 
@@ -204,7 +239,7 @@ def test_cli_run_with_a_malformed_taskset_file_records_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"].startswith("ConfigError: cannot read task set")
-    assert not (out / "metrics.csv").exists()
+    assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
     assert "run failed" in capsys.readouterr().err
 
 
@@ -222,7 +257,7 @@ def test_cli_run_with_a_wsd_decay_longer_than_the_run_records_error(tmp_path, ca
     assert summary["error"] == (
         "ConfigError: invalid schedule.decay_steps: warmup_steps + decay_steps exceed total_steps: 8 + 5 > 10"
     )
-    assert not (out / "metrics.csv").exists()
+    assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
     assert "run failed" in capsys.readouterr().err
 
 
@@ -237,7 +272,7 @@ def test_cli_sweep_with_a_wsd_decay_longer_than_the_run_finishes_the_other_runs(
     assert "error" not in index["decay_steps=1"]
     assert index["decay_steps=5"]["error"].startswith("ConfigError: invalid schedule.decay_steps")
     assert (out / "decay_steps=1" / "metrics.csv").exists()
-    assert not (out / "decay_steps=5" / "metrics.csv").exists()
+    assert (out / "decay_steps=5" / "metrics.csv").read_text() == CSV_HEADER + "\n"
     assert "run decay_steps=5 failed: ConfigError" in capsys.readouterr().err
 
 
@@ -261,7 +296,7 @@ def test_cli_sweep_with_a_bad_taskset_path_finishes_the_other_runs(tmp_path, mon
     assert "error" not in index[good_label]
     assert index[bad_label]["error"].startswith("ConfigError: cannot read task set")
     assert (out / good_label / "metrics.csv").exists()
-    assert not (out / bad_label / "metrics.csv").exists()
+    assert (out / bad_label / "metrics.csv").read_text() == CSV_HEADER + "\n"
     assert f"run {bad_label} failed: ConfigError" in capsys.readouterr().err
 
 
@@ -332,7 +367,7 @@ def test_cli_rejects_missing_referenced_file(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"].startswith("ConfigError: cannot read task set")
-    assert not (out / "metrics.csv").exists()
+    assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
 
 
 def test_cli_run_failure_records_error(tmp_path):
@@ -349,7 +384,7 @@ def test_cli_run_failure_records_error(tmp_path):
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert "error" in summary
-    assert not (out / "metrics.csv").exists()
+    assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize("extra, named", [

@@ -57,6 +57,8 @@ def test_run_is_deterministic_and_cadenced(tmp_path):
     rec_b = run(cfg)
     assert [r.step for r in rec_a.rows] == [0, 5, 10]
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    dir_a.mkdir()
+    dir_b.mkdir()
     write_outputs(rec_a, dir_a)
     write_outputs(rec_b, dir_b)
     assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
@@ -395,6 +397,7 @@ def test_resolved_config_records_only_keys_that_take_effect(tmp_path, kind, drop
         assert {key for key in unrecorded if key.startswith(("optimizer.", "nexus."))} == dropped
         rec_changed = run(cfg.with_overrides({key: changed[key] for key in unrecorded}))
         out = tmp_path / f"{problem_kind}-{schedule_kind}"
+        out.mkdir()
         write_outputs(rec_changed, out)
         expected = CSV_HEADER + "\n" + "".join(row.to_csv() + "\n" for row in rec.rows)
         assert (out / "metrics.csv").read_bytes() == expected.encode(), (problem_kind, schedule_kind)
@@ -435,14 +438,41 @@ def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["config.resolved.json", "metrics.csv"]
 
 
-def test_failed_rewrite_removes_the_previous_summary(tmp_path):
-    write_outputs(run(make_cfg().with_overrides({"total_steps": 4})), tmp_path)
+@pytest.mark.parametrize("stage", ["train", "write_outputs"])
+def test_failed_rewrite_removes_the_previous_summary(tmp_path, monkeypatch, stage):
+    # a rerun that stops with an exception other than a NexusError, in training
+    # or in writing, leaves its directory marked incomplete
+    run_into(make_cfg().with_overrides({"total_steps": 4}), str(tmp_path))
     assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 4
-    rec = run(make_cfg())
-    rec.summary["unserialisable"] = object()
-    with pytest.raises(TypeError):
-        write_outputs(rec, tmp_path)
+    if stage == "train":
+        def crash(cfg, problem):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(harness, "train", crash)
+        raised = RuntimeError
+    else:
+        rec = run(make_cfg())
+        rec.summary["unserialisable"] = object()
+        monkeypatch.setattr(harness, "run", lambda cfg: rec)
+        raised = TypeError
+    with pytest.raises(raised):
+        run_into(make_cfg(), str(tmp_path))
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_a_failed_rerun_leaves_no_byte_of_the_earlier_run(tmp_path):
+    run_into(make_cfg(), str(tmp_path / "d"))
+    failing = make_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "nexus.grad_floor": 1e9})
+    summary = run_into(failing, str(tmp_path / "d"))
+    assert summary["error"].startswith("DegenerateGradient: outer step 1, task ")
+    run_into(failing, str(tmp_path / "fresh"))
+    names = ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert sorted(os.listdir(tmp_path / "d")) == names
+    for name in names:
+        assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert json.loads((tmp_path / "d" / "config.resolved.json").read_text()) == failing.resolved()
+    assert (tmp_path / "d" / "metrics.csv").read_text() == CSV_HEADER + "\n"
+    assert json.loads((tmp_path / "d" / "summary.json").read_text()) == summary == {"error": summary["error"]}
 
 
 def test_custom_taskset_round_trip(tmp_path):
@@ -497,6 +527,12 @@ def test_run_into_calls_run_and_write_outputs_through_the_module(tmp_path, monke
     assert calls == ["run", "write_outputs"]
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written.pop("wall_clock") > 0 and written == summary
+    # a failed run takes the same two calls
+    calls.clear()
+    summary = run_into(make_cfg().with_overrides({"optimizer.kind": "nsgd_adamw", "nexus.grad_floor": 1e9}),
+                       str(tmp_path))
+    assert calls == ["run", "write_outputs"]
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary and "error" in summary
 
 
 def test_sweep_paired_runs_emit_diff(tmp_path):
@@ -515,7 +551,7 @@ def test_sweep_keeps_going_past_a_failed_run(tmp_path, workers=1):
     assert np.isfinite(ok["train_loss"])
     assert sorted(os.listdir(tmp_path / ok_label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
     assert bad["error"].startswith("DegenerateGradient: outer step 1, task ")
-    assert os.listdir(tmp_path / bad_label) == ["summary.json"]
+    assert sorted(os.listdir(tmp_path / bad_label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
     assert json.loads((tmp_path / bad_label / "summary.json").read_text()) == bad
     index = json.loads((tmp_path / "sweep.json").read_text())
     assert index[bad_label] == bad
@@ -543,7 +579,9 @@ def test_sweep_crash_keeps_the_runs_before_it_on_disk(tmp_path, monkeypatch, wor
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         sweep(make_cfg(), str(out), {"problem.kind": ["quadratic_family", "custom_taskset_file"]}, workers=workers)
-    assert sorted(os.listdir(out)) == ["kind=quadratic_family"]
+    # the crashed run's directory was made before it started, and holds no summary
+    assert sorted(os.listdir(out)) == ["kind=custom_taskset_file", "kind=quadratic_family"]
+    assert os.listdir(out / "kind=custom_taskset_file") == []
     assert sorted(os.listdir(out / "kind=quadratic_family")) == ["config.resolved.json", "metrics.csv", "summary.json"]
 
 
@@ -610,7 +648,7 @@ def test_sweep_keeps_going_past_a_task_file_with_a_bad_tensor_index(tmp_path):
         f"ConfigError: cannot read task set {paths[1]!r}: "
         "ValueError: third tensor index '0,0,5' out of range for dimension 3"
     )
-    assert os.listdir(out / labels[1]) == ["summary.json"]
+    assert sorted(os.listdir(out / labels[1])) == ["config.resolved.json", "metrics.csv", "summary.json"]
     for label, summary in ((labels[0], good_a), (labels[2], good_c)):
         assert np.isfinite(summary["train_loss"])
         assert sorted(os.listdir(out / label)) == ["config.resolved.json", "metrics.csv", "summary.json"]
@@ -747,7 +785,7 @@ def test_sweep_in_workers_equals_serial_in_input_order(tmp_path):
     failed = [label for label, summary in serial if "error" in summary]
     assert len(failed) == 2 and all("kind=nexus_adamw" in label for label in failed)
     for label, summary in serial:
-        names = ("summary.json",) if "error" in summary else ("metrics.csv", "config.resolved.json")
+        names = ("metrics.csv", "config.resolved.json") + (("summary.json",) if "error" in summary else ())
         for name in names:
             assert (tmp_path / "parallel" / label / name).read_bytes() == (tmp_path / "serial" / label / name).read_bytes()
     assert (tmp_path / "parallel" / "sweep.json").read_bytes() == (tmp_path / "serial" / "sweep.json").read_bytes()

@@ -150,19 +150,20 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # Fields of dataclasses and NamedTuples. A field of class C counts as read when
 # some Attribute of its name is loaded outside C's __post_init__, which only
 # validates, in a module of src/nexusopt that defines C or imports C by name: a
-# read in another method (such as MetricsRow.to_csv) counts, and so does a read
-# of another field or method of the same spelling in such a module, but not one
-# in a module that never names C (cli's r.bound reads CheckResult.bound, not
+# read in another method of C counts, and so does a read of another field or
+# method of the same spelling in such a module, but not one in a module that
+# never names C (cli's r.bound reads CheckResult.bound, not
 # FlatnessClosenessBound.bound). Every field of a class defined in a module
 # that calls asdict or astuple counts as read, as validate's CheckResult goes
-# whole into its report. A field with a default counts as set when a call to
-# its class (or to cls inside it) passes it by position, by keyword or through
-# */**, a replace or _replace call passes it by keyword, or an Attribute of its
-# name is assigned outside its class's __post_init__; a default_factory field
-# also counts as set when a method is called on an Attribute of its name, as
-# record.rows.append(row) fills a list. The list of unread fields gives its
-# reasons and only shrinks; every defaulted field is set today, so that check
-# has no list.
+# whole into its report, and so does every field of a class whose own body
+# calls fields(), as MetricsRow.to_csv writes each field as a column. A field
+# with a default counts as set when a call to its class (or to cls inside it)
+# passes it by position, by keyword or through */**, a replace or _replace call
+# passes it by keyword, or an Attribute of its name is assigned outside its
+# class's __post_init__; a default_factory field also counts as set when a
+# method is called on an Attribute of its name, as record.rows.append(row)
+# fills a list. The list of unread fields gives its reasons and only shrinks;
+# every defaulted field is set today, so that check has no list.
 KEEP_UNREAD_FIELDS = {
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
     "TransferCheck.lhs": "ROADMAP item 5 moves the transfer claim into validate",
@@ -220,6 +221,8 @@ def unread_fields(trees):
     unread = set()
     for tree, cls, fields in record_classes(trees):
         if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("asdict", "astuple") for n in ast.walk(tree)):
+            continue
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "fields" for n in ast.walk(cls)):
             continue
         readers = [loads[key] for key, names in imports.items() if key == id(tree) or cls.name in names]
         validating = post_init_ids(cls)
