@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingMinimizer
+from .errors import NexusError
 from .numerics import as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
 from .tasks import QuadraticTask, TaskSet, is_quadratic, train_grad
@@ -73,7 +73,7 @@ def closeness(theta: np.ndarray, ts: TaskSet) -> float:
     dists = []
     for k, t in enumerate(ts.tasks):
         if not is_quadratic(t):
-            raise MissingMinimizer(f"task {k} is not a QuadraticTask without a tensor, so it has no analytic minimizer")
+            raise NexusError(f"task {k} is not a QuadraticTask without a tensor, so it has no analytic minimizer")
         dists.append(norm(theta - t.minimizer))
     return float(np.mean(np.asarray(dists) ** 2))
 
@@ -118,7 +118,7 @@ def flatness_closeness_bound(theta_train: np.ndarray, downstream, minimizer=None
     elif isinstance(downstream, QuadraticTask):
         theta_star = downstream.minimizer
     else:
-        raise MissingMinimizer("supply a located minimizer for non-analytic downstream tasks")
+        raise NexusError("supply a located minimizer for non-analytic downstream tasks")
     delta = theta_train - theta_star
     dist = norm(delta)
     min_loss = downstream.loss(theta_star)

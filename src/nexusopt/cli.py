@@ -7,6 +7,7 @@ or unusable output path, 2 config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -54,9 +55,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_report_path(path: str) -> None:
+    """Raise, naming path, the OSError that writing a report to it would meet:
+    path is a directory, or its directory is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_validate(args) -> int:
     from .validate import report_to_dict, validate_theorems
 
+    if args.out:
+        _check_report_path(args.out)  # before any suite runs
     results = validate_theorems(args.suite, gamma_override=args.gamma, workers=worker_count())
     report = report_to_dict(results)
     if args.out:

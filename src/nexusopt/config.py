@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, MissingField, ParseError, UnknownKey
+from .errors import ConfigError
 from .mlp import ACTIVATIONS
 from .optimizers import DEFAULT_GRAD_FLOOR, SCHEDULE_KINDS
 
@@ -117,7 +117,7 @@ class ExperimentConfig:
         merged = dict(self.values)
         for key, value in overrides.items():
             if key not in SCHEMA:
-                raise UnknownKey(f"unknown config key {key!r}", key)
+                raise ConfigError(f"unknown config key {key!r}", key)
             merged[key] = _validate_one(key, value)
         return ExperimentConfig(merged)
 
@@ -154,7 +154,7 @@ def _validate_one(key: str, raw):
         if validator is not None:
             value = validator(value)
     except (ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
-        raise ParseError(f"invalid value for {key}: {exc}", key) from exc
+        raise ConfigError(f"invalid value for {key}: {exc}", key) from exc
     return value
 
 
@@ -178,22 +178,22 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             continue
         key, eq, raw_value = line.partition("=")
         if not eq or "#" in key:
-            raise ParseError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key = key.strip()
         raw_value = raw_value.strip()
         if key not in SCHEMA:
-            raise UnknownKey(f"{source}:{lineno}: unknown config key {key!r}", key)
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}", key)
         if key in values:
-            raise ParseError(f"{source}:{lineno}: duplicate key {key!r}", key)
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}", key)
         try:
             parsed = _decode_value(raw_value)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
+            raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
         values[key] = _validate_one(key, parsed)
     for key, (_, required, default, _, _) in SCHEMA.items():
         if key not in values:
             if required:
-                raise MissingField(f"required config key {key!r} missing", key)
+                raise ConfigError(f"required config key {key!r} missing", key)
             values[key] = default
     return ExperimentConfig(values)
 

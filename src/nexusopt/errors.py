@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own class;
-generic misuse (wrong argument types and the like) stays with the builtins.
+A failure gets its own class only when some ``except`` clause in the package
+names it: a bad config, a degenerate gradient, a non-finite value and a
+dimension mismatch. Every other package failure raises ``NexusError`` with a
+message that says what went wrong; generic misuse (wrong argument types and
+the like) stays with the builtins.
 """
 
 from __future__ import annotations
@@ -15,16 +18,8 @@ class NonFiniteValue(NexusError):
     """A probe or intermediate produced NaN/Inf."""
 
 
-class ZeroDirection(NexusError):
-    """A direction vector with zero norm was supplied where one is required."""
-
-
 class DimensionMismatch(NexusError):
     """Vector/matrix dimensions do not agree."""
-
-
-class SingularSystem(NexusError):
-    """A linear system that should be SPD-solvable turned out singular."""
 
 
 class DegenerateGradient(NexusError):
@@ -40,54 +35,9 @@ class DegenerateGradient(NexusError):
         self.step = step
 
 
-class StepOutOfRange(NexusError):
-    """Schedule queried outside [0, total_steps]."""
-
-
-class StepSizeOutOfRange(NexusError):
-    """Contraction factor requested for a step size outside (0, 2/(L+mu)]."""
-
-
-class MissingMinimizer(NexusError):
-    """A task minimizer was needed but neither analytic nor supplied."""
-
-
-class NotStationary(NexusError):
-    """An operation that assumes a stationary point was handed a non-stationary one."""
-
-
-class EnumerationTooLarge(NexusError):
-    """Exact sequence enumeration would exceed the configured cap."""
-
-
 class ConfigError(NexusError):
-    """Base class for experiment-config validation failures."""
+    """An experiment config, or a command's input, failed validation."""
 
     def __init__(self, message: str, path: str | None = None):
         super().__init__(message)
         self.path = path
-
-
-class ParseError(ConfigError):
-    """Config file is syntactically malformed."""
-
-
-class UnknownKey(ConfigError):
-    """Config contains a key outside the schema."""
-
-
-class MissingField(ConfigError):
-    """A required config key is absent."""
-
-
-class FieldMissing(NexusError):
-    """Requested metrics field absent from a CSV file."""
-
-    def __init__(self, field: str, path: str):
-        super().__init__(f"field {field!r} missing from {path}")
-        self.field = field
-        self.file = path
-
-
-class EmptyData(NexusError):
-    """A metrics CSV contained no data rows."""

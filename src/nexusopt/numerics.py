@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, ZeroDirection
+from .errors import DimensionMismatch, NexusError, NonFiniteValue
 
 
 def as_params(values, dim: int | None = None) -> np.ndarray:
@@ -103,7 +103,7 @@ def fd_hvp(grad_fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, v: np
     v = as_params(v, len(theta))
     vnorm = norm(v)
     if vnorm == 0.0:
-        raise ZeroDirection("direction vector has zero norm")
+        raise NexusError("direction vector has zero norm")
     eps = 1e-5 * (1.0 + norm(theta)) / vnorm
     hi = np.asarray(grad_fn(theta + eps * v), dtype=np.float64)
     lo = np.asarray(grad_fn(theta - eps * v), dtype=np.float64)

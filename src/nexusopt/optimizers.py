@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGradient, StepOutOfRange
+from .errors import DegenerateGradient, NexusError
 from .numerics import as_params, norm
 
 DEFAULT_GRAD_FLOOR = 1e-12
@@ -137,7 +137,7 @@ class Schedule:
 
 def schedule_lr(s: Schedule, step: int) -> float:
     if step < 0 or step > s.total_steps:
-        raise StepOutOfRange(f"step {step} outside [0, {s.total_steps}]")
+        raise NexusError(f"step {step} outside [0, {s.total_steps}]")
     if s.kind == "constant":
         return s.base_lr
     if s.warmup_steps > 0 and step < s.warmup_steps:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import closeness
-from .errors import DegenerateGradient, EnumerationTooLarge, NotStationary, StepSizeOutOfRange
+from .errors import DegenerateGradient, NexusError
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm, nsgd_step, sgd_step
@@ -221,7 +221,7 @@ def expected_pseudo_gradient_exact(ts: TaskSet, theta: np.ndarray, cfg: NexusCon
     n, M = len(ts), cfg.inner_steps
     count = n**M
     if count > ENUMERATION_CAP:
-        raise EnumerationTooLarge(f"{n}^{M} = {count} sequences exceed cap {ENUMERATION_CAP}")
+        raise NexusError(f"{n}^{M} = {count} sequences exceed cap {ENUMERATION_CAP}")
     total = np.zeros(ts.dim)
     for seq in itertools.product(range(n), repeat=M):
         total += inner_loop(theta, ts, cfg, seq)
@@ -366,7 +366,7 @@ def closeness_bound_check(ts: TaskSet) -> ClosenessChainReport:
     grads = task_grads(ts, theta)
     resid = norm(mean_grad(grads))
     if resid > 1e-9:
-        raise NotStationary(f"|train gradient| = {resid:g} > 1e-9 at stationary_point(ts)")
+        raise NexusError(f"|train gradient| = {resid:g} > 1e-9 at stationary_point(ts)")
     K = len(ts)
     curvs = []
     for t in ts.tasks:
@@ -451,7 +451,7 @@ def convergence_contraction(mu: float, L: float, gamma: float) -> float:
     if not 0 < mu <= L:
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if not 0 < gamma <= 2.0 / (L + mu):
-        raise StepSizeOutOfRange(f"gamma must lie in (0, {2.0 / (L + mu):g}], got {gamma}")
+        raise NexusError(f"gamma must lie in (0, {2.0 / (L + mu):g}], got {gamma}")
     return 1.0 - 2.0 * gamma * mu * L / (L + mu)
 
 

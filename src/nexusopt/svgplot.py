@@ -11,7 +11,7 @@ import csv
 import html
 import os
 
-from .errors import EmptyData, FieldMissing
+from .errors import ConfigError, NexusError
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 30, 50
@@ -22,14 +22,12 @@ def _read_series(path: str, fields: list) -> dict:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        if "step" not in header:
-            raise FieldMissing("step", path)
-        for f in fields:
+        for f in ["step", *fields]:
             if f not in header:
-                raise FieldMissing(f, path)
+                raise NexusError(f"field {f!r} missing from {path}")
         rows = list(reader)
     if not rows:
-        raise EmptyData(f"{path} contains no data rows")
+        raise NexusError(f"{path} contains no data rows")
     series = {}
     for f in fields:
         points = []
@@ -46,7 +44,7 @@ def plot(metrics_csv_paths, fields, out_svg: str) -> str:
         metrics_csv_paths = [metrics_csv_paths]
     fields = list(fields)
     if not fields:
-        raise FieldMissing("<none requested>", "<no file>")
+        raise ConfigError("no fields requested")
     all_series = []  # (label, points)
     for path in metrics_csv_paths:
         run_name = os.path.basename(os.path.dirname(os.path.abspath(path))) or os.path.basename(path)
@@ -55,7 +53,7 @@ def plot(metrics_csv_paths, fields, out_svg: str) -> str:
             all_series.append((f"{run_name}:{f}", data[f]))
     points_flat = [p for _, pts in all_series for p in pts]
     if not points_flat:
-        raise EmptyData("no plottable values in the requested fields")
+        raise NexusError("no plottable values in the requested fields")
 
     xs = [p[0] for p in points_flat]
     ys = [p[1] for p in points_flat]

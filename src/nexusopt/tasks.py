@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, NexusError
 from .numerics import RngStream, as_params
 
 
@@ -309,7 +309,7 @@ def stationary_point(ts: TaskSet) -> np.ndarray:
     try:
         theta = np.linalg.solve(A_sum, rhs)
     except np.linalg.LinAlgError as exc:  # cannot occur under the SPD precondition; guarded anyway
-        raise SingularSystem("summed Hessian is singular") from exc
+        raise NexusError("summed Hessian is singular") from exc
     return theta
 
 

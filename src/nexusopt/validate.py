@@ -312,10 +312,17 @@ def validate_theorems(suite: str = "all", gamma_override: float | None = None, w
     ``workers`` forked worker processes (one suite runs in this process); each
     suite seeds its own fixtures, so the results are the same bits for any
     worker count. When several suites raise, the error of the first of them in
-    dispatch order is the one raised.
+    dispatch order is the one raised. An unknown suite, or a gamma override
+    that is not finite and > 0 or is given for a suite other than all and
+    second_order, is a ConfigError, raised before any suite runs.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if gamma_override is not None:
+        if suite not in ("all", "second_order"):
+            raise ConfigError(f"a gamma override applies to the second_order suite (or all), not {suite!r}")
+        if not (math.isfinite(gamma_override) and gamma_override > 0):
+            raise ConfigError(f"a gamma override must be finite and > 0, got {gamma_override!r}")
     names = _DISPATCH_ORDER if suite == "all" else (suite,)
     jobs = [(name, gamma_override) for name in names]
     by_name = dict(zip(names, map_in_workers(_run_suite, jobs, workers)))

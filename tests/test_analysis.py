@@ -9,7 +9,7 @@ from nexusopt.analysis import (
     gradient_cosines,
     mean_pairwise_cosine,
 )
-from nexusopt.errors import DegenerateGradient, MissingMinimizer
+from nexusopt.errors import DegenerateGradient, NexusError
 from nexusopt.numerics import norm, rng_root, rng_substream
 from nexusopt.tasks import (
     QuadraticTask,
@@ -138,7 +138,7 @@ def test_closeness_needs_minimizers_for_non_analytic_tasks():
 
     spec = MLPSpec((2, 2, 1))
     task = MLPTask(spec, DataSource(np.ones((4, 2)), np.zeros((4, 1))))
-    with pytest.raises(MissingMinimizer):
+    with pytest.raises(NexusError, match="task 0 is not a QuadraticTask without a tensor"):
         closeness(np.zeros(spec.n_params), TaskSet([task]))
 
 
@@ -149,7 +149,7 @@ def test_closeness_rejects_a_cubic_task(third_bound):
         QuadraticTask(random_spd_matrix(3, rng_substream(rng, "A")), rng.generator.standard_normal(3)),
         random_cubic_task(3, rng_substream(rng, "B"), third_bound),
     ])
-    with pytest.raises(MissingMinimizer, match="task 1 "):
+    with pytest.raises(NexusError, match="task 1 is not a QuadraticTask without a tensor"):
         closeness(np.zeros(3), ts)
 
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt import mlp
-from nexusopt.errors import DimensionMismatch, NonFiniteValue, ZeroDirection
+from nexusopt.errors import DimensionMismatch, NexusError, NonFiniteValue
 from nexusopt.mlp import (
     DataSource,
     MLPSpec,
@@ -138,7 +138,7 @@ def test_sample_order_is_irrelevant():
 def test_hvp_rejects_zero_direction():
     rng = rng_root(7)
     task, spec = random_task(rng)
-    with pytest.raises(ZeroDirection):
+    with pytest.raises(NexusError, match="direction vector has zero norm"):
         task.hvp(np.zeros(spec.n_params), np.zeros(spec.n_params))
 
 

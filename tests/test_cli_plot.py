@@ -9,7 +9,7 @@ import pytest
 
 import nexusopt
 from nexusopt.cli import main, worker_count as sweep_workers
-from nexusopt.errors import EmptyData, FieldMissing
+from nexusopt.errors import NexusError
 from nexusopt.harness import CSV_HEADER
 from nexusopt.svgplot import plot
 
@@ -78,14 +78,18 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, command, cont
     ["run", "--config", "{config}", "--out", "{afile}"],
     ["sweep", "--config", "{config}", "--out", "{afile}"],
     ["validate", "--suite", "nsgd_identity", "--out", "{missing}/r.json"],
+    ["validate", "--suite", "nsgd_identity", "--out", "{tmp}"],
     ["plot", "{missing}/metrics.csv", "--fields", "train_loss", "--out", "{tmp}/x.svg"],
-], ids=["run_out_is_a_file", "sweep_out_is_a_file", "validate_out_in_a_missing_dir", "plot_of_a_missing_csv"])
+], ids=["run_out_is_a_file", "sweep_out_is_a_file", "validate_out_in_a_missing_dir", "validate_out_is_a_dir",
+        "plot_of_a_missing_csv"])
 def test_cli_output_errors_print_one_line(tmp_path, config_file, monkeypatch, capsys, argv):
-    # an --out that cannot be a run directory fails before any problem is built
-    def unreachable(*args):
-        raise AssertionError("the problem was built")
+    # an --out that cannot be a run directory fails before any problem is built,
+    # and one that cannot be a report before any suite runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the problem was built or a suite ran")
 
     monkeypatch.setattr("nexusopt.harness.build_problem", unreachable)
+    monkeypatch.setattr("nexusopt.validate.validate_theorems", unreachable)
     afile = tmp_path / "afile"
     afile.write_text("kept")
     paths = {"config": config_file, "afile": afile, "missing": tmp_path / "nope", "tmp": tmp_path}
@@ -94,6 +98,7 @@ def test_cli_output_errors_print_one_line(tmp_path, config_file, monkeypatch, ca
     assert sorted(os.listdir(tmp_path)) == ["afile", "exp.cfg"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert ".tmp" not in err  # the path given, not the report's temporary file
 
 
 @pytest.mark.parametrize("key", ["problem.curvature", "schedule.base_lr", "problem.depth"])
@@ -168,6 +173,21 @@ def test_cli_validate_rejects_an_unknown_suite_and_names_the_suites(tmp_path, ca
     assert not report_path.exists()
     err = capsys.readouterr().err
     assert "'bogus'" in err and "second_order" in err and "nsgd_identity" in err
+
+
+@pytest.mark.parametrize("suite, gamma, message", [
+    ("second_order", "-1", "must be finite and > 0, got -1.0"),
+    ("second_order", "0", "must be finite and > 0, got 0.0"),
+    ("second_order", "nan", "must be finite and > 0, got nan"),
+    ("all", "inf", "must be finite and > 0, got inf"),
+    ("closeness", "5", "applies to the second_order suite (or all), not 'closeness'"),
+])
+def test_cli_validate_rejects_a_bad_gamma_override(tmp_path, capsys, suite, gamma, message):
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--suite", suite, "--gamma", gamma, "--out", str(report_path)]) == 2
+    assert not report_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a gamma override ") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
@@ -343,15 +363,25 @@ def test_plot_missing_field(tmp_path, config_file):
     out = tmp_path / "r"
     main(["run", "--config", str(config_file), "--out", str(out)])
     target = tmp_path / "x.svg"
-    with pytest.raises(FieldMissing):
+    with pytest.raises(NexusError, match="field 'no_such_field' missing from "):
         plot(str(out / "metrics.csv"), ["no_such_field"], str(target))
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fields", ["", ",,"])
+def test_cli_plot_of_no_fields_is_a_config_error(tmp_path, capsys, fields):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(CSV_HEADER + "\n0,0.1,1.0,1.0,0.5,1.0,0.0\n")
+    svg = tmp_path / "p.svg"
+    assert main(["plot", str(metrics), "--fields", fields, "--out", str(svg)]) == 2
+    assert not svg.exists()
+    assert capsys.readouterr().err == "config error: no fields requested\n"
 
 
 def test_plot_empty_csv(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("step,lr,train_loss,ood_loss,mean_pairwise_cos,grad_norm,pseudo_grad_norm\n")
-    with pytest.raises(EmptyData):
+    with pytest.raises(NexusError, match="empty.csv contains no data rows"):
         plot(str(empty), ["train_loss"], str(tmp_path / "y.svg"))
     assert not (tmp_path / "y.svg").exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nexusopt.errors import NonFiniteValue, ZeroDirection
+from nexusopt.errors import NexusError, NonFiniteValue
 from nexusopt.numerics import fd_gradient, fd_hvp, norm, rng_root, rng_substream
 from nexusopt.tasks import QuadraticTask
 
@@ -57,7 +57,7 @@ def test_fd_hvp_matches_cubic_hessian():
 
 
 def test_fd_hvp_rejects_zero_direction():
-    with pytest.raises(ZeroDirection):
+    with pytest.raises(NexusError, match="direction vector has zero norm"):
         fd_hvp(lambda th: th, np.ones(2), np.zeros(2))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nexusopt.errors import DegenerateGradient, StepOutOfRange
+from nexusopt.errors import DegenerateGradient, NexusError
 from nexusopt.numerics import fd_gradient, rng_root
 from nexusopt.optimizers import (
     AdamWState,
@@ -138,9 +138,9 @@ def test_cosine_schedule_midpoint():
 
 def test_schedule_step_out_of_range():
     s = Schedule("constant", base_lr=0.1, total_steps=5)
-    with pytest.raises(StepOutOfRange):
+    with pytest.raises(NexusError, match=r"step 6 outside \[0, 5\]"):
         schedule_lr(s, 6)
-    with pytest.raises(StepOutOfRange):
+    with pytest.raises(NexusError, match=r"step -1 outside \[0, 5\]"):
         schedule_lr(s, -1)
 
 

@@ -18,6 +18,11 @@ its ``__init__``. A default that no call changes is a constant, and the code
 says so. Functions on ``KEEP_WITHOUT_CALLER`` are skipped, and
 ``KEEP_UNSET_DEFAULTS`` lists the other exceptions, each with its reason; it
 too only shrinks.
+
+Every exception class defined in ``errors.py`` is named by an ``except``
+clause, alone or in a tuple, in some module of ``src/nexusopt``: a failure
+that no caller handles by its class raises the nearest base class that one
+does, with a message that says what went wrong.
 """
 
 import ast
@@ -90,6 +95,20 @@ def test_every_public_name_has_a_program_caller():
     assert not no_caller, f"public names with no program caller: {no_caller}"
     gained = sorted(KEEP_WITHOUT_CALLER.keys() - uncalled)
     assert not gained, f"listed names that gained a caller or are gone, take them off the list: {gained}"
+
+
+def test_every_exception_class_is_named_by_an_except_clause():
+    trees = package_trees()
+    errors = next(tree for path, tree in trees.items() if path.name == "errors.py")
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for tree in trees.values():
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                caught |= {getattr(node, "id", None) or getattr(node, "attr", None) for node in types}
+    uncaught = sorted(defined - caught)
+    assert not uncaught, f"exception classes no except clause names, raise their nearest caught base: {uncaught}"
 
 
 KEEP_UNSET_DEFAULTS = {
