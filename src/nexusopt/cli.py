@@ -46,7 +46,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_overrides({"seed": args.seed})
-    out_dir = args.out or cfg["output_dir"] or cfg["name"]
+    out_dir = args.out or cfg["name"]
     summary = run_into(cfg, out_dir)
     if "error" in summary:
         print(f"run failed: {summary['error']}", file=sys.stderr)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one experiment config")
     p_run.add_argument("--config", required=True, help="path to the experiment config")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=None, help="output directory (default: ./<name>)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(fn=cmd_run)
 

@@ -51,6 +51,13 @@ def _fraction(v):
     return v
 
 
+def _decay_rate(v):
+    # AdamW's bias correction divides by 1 - beta**t, which is 0 at beta = 1
+    if not 0.0 <= v < 1.0:
+        raise ValueError(f"must lie in [0, 1), got {v}")
+    return v
+
+
 def _widths(v):
     # type() rather than isinstance: a bool is an int, and [8, true, 1] must not parse as [8, 1, 1]
     if not isinstance(v, list) or len(v) < 2 or not all(type(x) is int and x > 0 for x in v):
@@ -65,42 +72,39 @@ _MLP = ("problem.kind", ("mlp_multisource",))
 _ADAMW = ("optimizer.kind", tuple(kind for kind in OPTIMIZER_KINDS if kind != "sgd"))
 _DUAL_LOOP = ("optimizer.kind", DUAL_LOOP_MODES)
 
-# key -> (type, required, default, validator, applies under)
+# key -> (type, default, validator, applies under); a default of None marks a required key
 SCHEMA = {
-    "name": (str, False, "run", None, ALWAYS),
-    "seed": (int, True, None, None, ALWAYS),
-    "total_steps": (int, False, 100, _non_negative, ALWAYS),
-    "metric_cadence": (int, False, 1, _positive, ALWAYS),
-    "output_dir": (str, False, "", None, ALWAYS),
-    "problem.kind": (str, False, "quadratic_family", _choice(PROBLEM_KINDS), ALWAYS),
-    "problem.k": (int, False, 4, _positive, ("problem.kind", ("quadratic_family", "mlp_multisource", "cubic_set"))),
-    "problem.dim": (int, False, 4, _positive, ("problem.kind", ("quadratic_family", "cubic_set"))),
-    "problem.curvature": (float, False, 1.0, _positive, _QUADRATIC),
-    "problem.variance": (float, False, 1.0, _non_negative, _QUADRATIC),
-    "problem.depth": (float, False, 0.0, None, _QUADRATIC),
-    "problem.third_bound": (float, False, 0.3, _non_negative, ("problem.kind", ("cubic_set",))),
-    "problem.n_per_source": (int, False, 512, _positive, _MLP),
-    "problem.shared_fraction": (float, False, 0.5, _fraction, _MLP),
-    "problem.widths": (list, False, [8, 16, 8, 1], _widths, _MLP),
-    "problem.activation": (str, False, "tanh", _choice(ACTIVATIONS), _MLP),
-    "problem.path": (str, False, "", None, ("problem.kind", ("custom_taskset_file",))),
-    "problem.init_scale": (float, False, 1.0, _positive, ALWAYS),
-    "optimizer.kind": (str, False, "adamw", _choice(OPTIMIZER_KINDS), ALWAYS),
-    "optimizer.beta1": (float, False, 0.9, _fraction, _ADAMW),
-    "optimizer.beta2": (float, False, 0.95, _fraction, _ADAMW),
-    "optimizer.eps": (float, False, 1e-10, _positive, _ADAMW),
-    "optimizer.weight_decay": (float, False, 0.0, _non_negative, _ADAMW),
-    "optimizer.clip_norm": (float, False, 0.0, _non_negative, ALWAYS),  # 0 disables clipping
-    "schedule.kind": (str, False, "constant", _choice(SCHEDULE_KINDS), ALWAYS),
-    "schedule.base_lr": (float, False, 0.01, _non_negative, ALWAYS),
-    "schedule.warmup_steps": (int, False, 0, _non_negative, ("schedule.kind", ("cosine", "wsd"))),
-    "schedule.decay_steps": (int, False, 0, _non_negative, ("schedule.kind", ("wsd",))),
-    "nexus.gamma": (float, False, 0.01, _positive, _DUAL_LOOP),
-    "nexus.inner_steps": (int, False, 4, _positive, ("optimizer.kind", ("nexus_adamw", "nexus_dot_adamw"))),
-    "nexus.sampling": (str, False, "iid_uniform", _choice(SAMPLING_KINDS), _DUAL_LOOP),
-    "nexus.grad_floor": (
-        float, False, DEFAULT_GRAD_FLOOR, _positive, ("optimizer.kind", ("nsgd_adamw", "nexus_adamw"))
-    ),
+    "name": (str, "run", None, ALWAYS),
+    "seed": (int, None, None, ALWAYS),
+    "total_steps": (int, 100, _non_negative, ALWAYS),
+    "metric_cadence": (int, 1, _positive, ALWAYS),
+    "problem.kind": (str, "quadratic_family", _choice(PROBLEM_KINDS), ALWAYS),
+    "problem.k": (int, 4, _positive, ("problem.kind", ("quadratic_family", "mlp_multisource", "cubic_set"))),
+    "problem.dim": (int, 4, _positive, ("problem.kind", ("quadratic_family", "cubic_set"))),
+    "problem.curvature": (float, 1.0, _positive, _QUADRATIC),
+    "problem.variance": (float, 1.0, _non_negative, _QUADRATIC),
+    "problem.depth": (float, 0.0, None, _QUADRATIC),
+    "problem.third_bound": (float, 0.3, _non_negative, ("problem.kind", ("cubic_set",))),
+    "problem.n_per_source": (int, 512, _positive, _MLP),
+    "problem.shared_fraction": (float, 0.5, _fraction, _MLP),
+    "problem.widths": (list, [8, 16, 8, 1], _widths, _MLP),
+    "problem.activation": (str, "tanh", _choice(ACTIVATIONS), _MLP),
+    "problem.path": (str, "", None, ("problem.kind", ("custom_taskset_file",))),
+    "problem.init_scale": (float, 1.0, _positive, ALWAYS),
+    "optimizer.kind": (str, "adamw", _choice(OPTIMIZER_KINDS), ALWAYS),
+    "optimizer.beta1": (float, 0.9, _decay_rate, _ADAMW),
+    "optimizer.beta2": (float, 0.95, _decay_rate, _ADAMW),
+    "optimizer.eps": (float, 1e-10, _positive, _ADAMW),
+    "optimizer.weight_decay": (float, 0.0, _non_negative, _ADAMW),
+    "optimizer.clip_norm": (float, 0.0, _non_negative, ALWAYS),  # 0 disables clipping
+    "schedule.kind": (str, "constant", _choice(SCHEDULE_KINDS), ALWAYS),
+    "schedule.base_lr": (float, 0.01, _non_negative, ALWAYS),
+    "schedule.warmup_steps": (int, 0, _non_negative, ("schedule.kind", ("cosine", "wsd"))),
+    "schedule.decay_steps": (int, 0, _non_negative, ("schedule.kind", ("wsd",))),
+    "nexus.gamma": (float, 0.01, _positive, _DUAL_LOOP),
+    "nexus.inner_steps": (int, 4, _positive, ("optimizer.kind", ("nexus_adamw", "nexus_dot_adamw"))),
+    "nexus.sampling": (str, "iid_uniform", _choice(SAMPLING_KINDS), _DUAL_LOOP),
+    "nexus.grad_floor": (float, DEFAULT_GRAD_FLOOR, _positive, ("optimizer.kind", ("nsgd_adamw", "nexus_adamw"))),
 }
 
 
@@ -125,7 +129,7 @@ class ExperimentConfig:
         """The keys that take effect under this config's kinds, by SCHEMA's last column."""
         resolved = {}
         for key, value in self.values.items():
-            applies = SCHEMA[key][4]
+            applies = SCHEMA[key][3]
             if applies is ALWAYS or self.values[applies[0]] in applies[1]:
                 resolved[key] = value
         return resolved
@@ -148,7 +152,7 @@ def _coerce(raw, expected_type):
 
 
 def _validate_one(key: str, raw):
-    expected_type, _, _, validator, _ = SCHEMA[key]
+    expected_type, _, validator, _ = SCHEMA[key]
     try:
         value = _coerce(raw, expected_type)
         if validator is not None:
@@ -190,9 +194,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
         values[key] = _validate_one(key, parsed)
-    for key, (_, required, default, _, _) in SCHEMA.items():
+    for key, (_, default, _, _) in SCHEMA.items():
         if key not in values:
-            if required:
+            if default is None:
                 raise ConfigError(f"required config key {key!r} missing", key)
             values[key] = default
     return ExperimentConfig(values)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -167,6 +168,8 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
     clipping. When every task is a quadratic, a QuadraticTask without a
     third-derivative tensor, the summary adds the closeness of the final
     parameters; a cubic_set task has a tensor even at problem.third_bound = 0.
+    An emit whose train_loss, ood_loss, grad_norm or pseudo_grad_norm is not
+    finite raises NonFiniteValue naming the step: the run has diverged.
     """
     ts, ood_task = problem.taskset, problem.ood_task
     total_steps, metric_cadence = cfg["total_steps"], cfg["metric_cadence"]
@@ -202,7 +205,14 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
         losses, G = losses_and_grads(ts, theta)
         tl = sum(losses) / len(ts)
         ood = ood_task.loss(theta) if ood_task is not None else None
-        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), norm(mean_grad(G)), last_pg_norm)
+        grad_norm = norm(mean_grad(G))
+        # theta can stay finite while a loss or a norm overflows; such a run has diverged
+        for quantity, value in (
+            ("train_loss", tl), ("ood_loss", ood), ("grad_norm", grad_norm), ("pseudo_grad_norm", last_pg_norm)
+        ):
+            if value is not None and not math.isfinite(value):
+                raise NonFiniteValue(f"step {step}: {quantity} is {value}")
+        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), grad_norm, last_pg_norm)
         return row, G
 
     start = time.perf_counter()

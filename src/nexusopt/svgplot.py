@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import html
+import math
 import os
 
 from .errors import ConfigError, NexusError
@@ -19,21 +20,34 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def _read_series(path: str, fields: list) -> dict:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for f in ["step", *fields]:
-            if f not in header:
-                raise NexusError(f"field {f!r} missing from {path}")
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for f in ["step", *fields]:
+                if f not in header:
+                    raise NexusError(f"field {f!r} missing from {path}")
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field beyond csv.field_size_limit()
+        raise NexusError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
     if not rows:
         raise NexusError(f"{path} contains no data rows")
+
+    def number(index: int, row: dict, f: str) -> float:
+        try:
+            value = float(row[f])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # a nan or inf point would put nan coordinates in the SVG
+            raise NexusError(f"{path} data row {index}: field {f!r} is not a finite number: {row[f]!r}")
+        return value
+
     series = {}
     for f in fields:
         points = []
-        for row in rows:
+        for index, row in enumerate(rows, start=1):
             if row[f] != "" and row[f] is not None:
-                points.append((float(row["step"]), float(row[f])))
+                points.append((number(index, row, "step"), number(index, row, f)))
         series[f] = points
     return series
 

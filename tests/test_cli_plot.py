@@ -45,6 +45,15 @@ def test_cli_run_and_plot(tmp_path, config_file, capsys):
     assert len(points) == rows
 
 
+@pytest.mark.parametrize("name_line, run_dir", [("", "run"), ('name = "trial"\n', "trial")])
+def test_cli_run_without_out_writes_to_the_config_name(tmp_path, monkeypatch, capsys, name_line, run_dir):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + name_line)
+    assert main(["run", "--config", "exp.cfg"]) == 0
+    assert sorted(os.listdir(tmp_path / run_dir)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert capsys.readouterr().out == f"wrote {run_dir} (6 steps)\n"
+
+
 def test_cli_seed_override_changes_outputs(tmp_path, config_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(config_file), "--out", str(out_a)])
@@ -110,6 +119,53 @@ def test_cli_non_finite_value_exit_code(tmp_path, config_file, key):
     out = tmp_path / "sweepout"
     assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", f"{key}=0.5,NaN"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["optimizer.beta1", "optimizer.beta2"])
+def test_cli_sweep_rejects_a_decay_rate_of_one(tmp_path, config_file, capsys, key):
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", f"{key}=0.5,1.0"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: invalid value for {key}: must lie in [0, 1), got 1.0\n"
+
+
+def strict_json(path):
+    """The JSON document at path, failing on the Infinity and NaN tokens that JSON does not allow."""
+    def reject(token):
+        raise AssertionError(f"{path} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("extra, error", [
+    ("problem.init_scale = 1e300\n", "NonFiniteValue: step 0: train_loss is inf"),
+    ('optimizer.kind = "nexus_adamw"\nnexus.gamma = 1e300\n', "NonFiniteValue: step 2: pseudo_grad_norm is inf"),
+], ids=["overflowing_loss", "overflowing_pseudo_gradient"])
+def test_cli_run_that_diverges_is_a_failed_run(tmp_path, capsys, extra, error):
+    # theta stays finite in both runs, so only the emitted row shows the divergence
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CONFIG_TEXT + extra)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert strict_json(out / "summary.json") == {"error": error}
+    assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
+    assert capsys.readouterr().err == f"run failed: {error}\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_sweep_with_a_diverging_run_finishes_the_other_runs(tmp_path, config_file, monkeypatch, capsys):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", "problem.init_scale=1,1e300"]) == 1
+    index = strict_json(out / "sweep.json")
+    assert sorted(index) == ["init_scale=1", "init_scale=1e+300"]
+    assert "error" not in index["init_scale=1"]
+    assert index["init_scale=1e+300"] == {"error": "NonFiniteValue: step 0: train_loss is inf"}
+    assert strict_json(out / "diff.json")["final_metric_deltas"] == dict.fromkeys(
+        ("train_loss", "ood_loss", "mean_pairwise_cos"))
+    assert (out / "init_scale=1e+300" / "metrics.csv").read_text() == CSV_HEADER + "\n"
+    assert "run init_scale=1e+300 failed: NonFiniteValue" in capsys.readouterr().err
 
 
 def test_cli_run_error_summary_names_step_and_task(tmp_path):
@@ -366,6 +422,23 @@ def test_plot_missing_field(tmp_path, config_file):
     with pytest.raises(NexusError, match="field 'no_such_field' missing from "):
         plot(str(out / "metrics.csv"), ["no_such_field"], str(target))
     assert not target.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"step,train_loss\n0,1.0\n2,abc\n", "{path} data row 2: field 'train_loss' is not a finite number: 'abc'"),
+    (b"step,train_loss\nx,1.0\n", "{path} data row 1: field 'step' is not a finite number: 'x'"),
+    (b"step,train_loss\n0,1.0\n2,inf\n", "{path} data row 2: field 'train_loss' is not a finite number: 'inf'"),
+    (b"step,train_loss\n0,\xff\n", "cannot read {path}: UnicodeDecodeError: "),
+    (b"step,train_loss\n0," + b"1" * 200_000 + b"\n", "cannot read {path}: Error: field larger than field limit"),
+], ids=["bad_cell", "bad_step", "inf_cell", "not_utf8", "oversized_field"])
+def test_cli_plot_of_a_bad_csv_prints_one_line(tmp_path, capsys, content, message):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_bytes(content)
+    svg = tmp_path / "p.svg"
+    assert main(["plot", str(metrics), "--fields", "train_loss", "--out", str(svg)]) == 1
+    assert not svg.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=metrics)) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fields", ["", ",,"])

@@ -58,8 +58,10 @@ def test_bad_value_is_a_parse_error():
         parse_config_text("seed = 1\ntotal_steps = \"many\"\n")
     with pytest.raises(ConfigError, match="expected 'key = value', got 'broken line'"):
         parse_config_text("seed = 1\nbroken line\n")
-    # a negative variance, a momentum above 1, and a boolean where a number is expected
-    for line in ("problem.variance = -1", "optimizer.beta1 = 1.5", "nexus.gamma = true"):
+    # a negative variance, a momentum of 1 or above (AdamW's bias correction divides
+    # by 1 - beta**t), and a boolean where a number is expected
+    for line in ("problem.variance = -1", "optimizer.beta1 = 1.5", "optimizer.beta1 = 1", "optimizer.beta2 = 1.0",
+                 "nexus.gamma = true"):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=f"invalid value for {key}: ") as err:
             parse_config_text(f"seed = 1\n{line}\n")
@@ -120,6 +122,7 @@ def test_int_accepted_for_float_fields():
 
 @pytest.mark.parametrize("key, value", [
     ("accum_steps", "2"), ("nexus.variant", "\"dot\""), ("problem.d_in", "8"), ("problem.d_out", "1"),
+    ("output_dir", '"x"'),
 ])
 def test_removed_keys_are_unknown(key, value):
     with pytest.raises(ConfigError, match=f"unknown config key {key!r}") as err:
@@ -139,8 +142,8 @@ def test_every_schema_key_is_read():
 
 
 def test_hash_inside_a_string_value_is_not_a_comment():
-    cfg = parse_config_text('seed = 1\noutput_dir = "runs/#3"  # where\n')
-    assert cfg["output_dir"] == "runs/#3"
+    cfg = parse_config_text('seed = 1\nname = "runs/#3"  # where\n')
+    assert cfg["name"] == "runs/#3"
     renamed = cfg.with_overrides({"name": "run#2"})
     assert parse_config_text(renamed.to_text()).values == renamed.values
 

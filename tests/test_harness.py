@@ -15,7 +15,15 @@ from numpy.testing import assert_allclose
 import nexusopt
 from nexusopt import harness, mlp
 from nexusopt.analysis import gradient_cosines, mean_pairwise_cosine
-from nexusopt.config import OPTIMIZER_KINDS, PROBLEM_KINDS, SCHEMA, SCHEDULE_KINDS, load_config, parse_config_text
+from nexusopt.config import (
+    ALWAYS,
+    OPTIMIZER_KINDS,
+    PROBLEM_KINDS,
+    SCHEMA,
+    SCHEDULE_KINDS,
+    load_config,
+    parse_config_text,
+)
 from nexusopt.errors import ConfigError, DegenerateGradient, NexusError
 from nexusopt.harness import (
     CSV_HEADER,
@@ -405,6 +413,41 @@ def test_resolved_config_records_only_keys_that_take_effect(tmp_path, kind, drop
         assert json.loads((out / "config.resolved.json").read_text()) == rec_changed.config
 
 
+# for each key recorded under every kind: a value that changes what make_cfg's run writes
+ALWAYS_CHANGED = {
+    "name": "renamed",
+    "seed": 124,
+    "total_steps": 8,
+    "metric_cadence": 2,
+    "problem.kind": "cubic_set",
+    "problem.init_scale": 2.0,
+    "optimizer.kind": "sgd",
+    "optimizer.clip_norm": 0.01,
+    "schedule.kind": "cosine",
+    "schedule.base_lr": 0.2,
+}
+
+
+def test_every_key_recorded_under_every_kind_takes_effect(tmp_path):
+    # config.resolved.json records each of these keys for every run, so each
+    # must change what run_into writes; a key with no listed change fails too
+    def written(cfg, out_dir):
+        run_into(cfg, str(out_dir))
+        summary = json.loads((out_dir / "summary.json").read_text())
+        del summary["wall_clock"]
+        return (out_dir / "metrics.csv").read_bytes(), summary
+
+    cfg = make_cfg()
+    base = written(cfg, tmp_path / "base")
+    inert = [
+        key for key, spec in SCHEMA.items() if spec[-1] is ALWAYS and (
+            key not in ALWAYS_CHANGED
+            or written(cfg.with_overrides({key: ALWAYS_CHANGED[key]}), tmp_path / key) == base
+        )
+    ]
+    assert inert == []
+
+
 def test_each_changed_value_changes_a_run_where_its_key_applies(tmp_path):
     # so the byte-identical rows above come from the table, not from values that change nothing
     kinds = itertools.product(PROBLEM_KINDS, OPTIMIZER_KINDS, SCHEDULE_KINDS)
@@ -427,7 +470,7 @@ def test_shipped_configs_record_only_the_keys_that_take_effect():
     assert set(SCHEMA) - set(mlp_cfg) == (
         quadratic_only | {"problem.dim", "problem.third_bound", "problem.path", "schedule.decay_steps"}
     )
-    assert (len(quadratic), len(mlp_cfg)) == (21, 25)
+    assert (len(quadratic), len(mlp_cfg)) == (20, 24)
 
 
 def test_failed_write_outputs_leaves_no_partial_summary(tmp_path):
