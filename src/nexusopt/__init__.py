@@ -10,11 +10,11 @@ individual task minimizers.
 Submodules:
   numerics    vectors, splittable RNG streams, finite-difference oracles
   tasks       one quadratic task class with an optional third-derivative
-              tensor (a cubic), task families, task sets, serialization
+              tensor (a cubic), task families, task sets, serialization,
+              gradient cosines and closeness
   mlp         tiny MLP regression tasks, closed-form backprop, synthetic sources
   optimizers  SGD, normalized SGD, decoupled AdamW, lr schedules, clipping
   nexus       the inner loop over a given task sequence
-  analysis    similarity matrices, closeness, transfer, flatness bounds
   oracles     exact expectations, expansions, error bounds, gap formulas
   validate    theorem-validation suites
   config      strict flat dotted-key experiment configs

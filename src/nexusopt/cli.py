@@ -46,7 +46,12 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_overrides({"seed": args.seed})
-    out_dir = args.out or cfg["name"]
+    out_dir = args.out
+    if not out_dir:
+        # the sweep's rule for a run directory's label keeps ./<name> a child of the working directory
+        out_dir = cfg["name"].replace("/", "_")
+        if out_dir in ("", ".", ".."):
+            raise ConfigError(f"name {cfg['name']!r} names no run directory; give --out", "name")
     summary = run_into(cfg, out_dir)
     if "error" in summary:
         print(f"run failed: {summary['error']}", file=sys.stderr)
@@ -118,7 +123,10 @@ def cmd_sweep(args) -> int:
         key = key.strip()
         if key in overrides:
             raise ConfigError(f"--set {key} given twice; list all its values in one --set")
-        overrides[key] = [_parse_override_value(v) for v in _split_override_values(values)]
+        try:
+            overrides[key] = [_parse_override_value(v) for v in _split_override_values(values)]
+        except RecursionError as exc:
+            raise ConfigError(f"--set {key}: a value is nested too deeply to decode", key) from exc
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, summary["error"]) for label, summary in results if "error" in summary]

@@ -193,6 +193,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             parsed = _decode_value(raw_value)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{source}:{lineno}: value for {key} is nested too deeply to decode", key) from exc
         values[key] = _validate_one(key, parsed)
     for key, (_, default, _, _) in SCHEMA.items():
         if key not in values:

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import closeness, gradient_cosines, mean_pairwise_cosine
 from .config import DUAL_LOOP_MODES, ExperimentConfig
 from .errors import ConfigError, DegenerateGradient, DimensionMismatch, NexusError, NonFiniteValue
 from .mlp import MLPSpec, MLPTask, make_synthetic_sources
@@ -54,9 +53,12 @@ from .parallel import map_in_workers
 from .tasks import (
     TaskFamily,
     TaskSet,
+    closeness,
+    gradient_cosines,
     is_quadratic,
     losses_and_grads,
     mean_grad,
+    mean_pairwise_cosine,
     random_cubic_task,
     sample_family,
     taskset_from_json,
@@ -139,7 +141,7 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 ts = taskset_from_json(fh.read())
-        except (OSError, KeyError, TypeError, ValueError, DimensionMismatch, NonFiniteValue) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError, DimensionMismatch, NonFiniteValue) as exc:
             raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
         return Problem(ts, theta0, None)
@@ -202,17 +204,19 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
         """(the row measured at theta, the gradient matrix G it was measured from)."""
         # one forward pass per task gives its loss and its row of G, which gives grad_norm and the cosines
         lr = schedule_lr(schedule, step)
-        losses, G = losses_and_grads(ts, theta)
-        tl = sum(losses) / len(ts)
-        ood = ood_task.loss(theta) if ood_task is not None else None
-        grad_norm = norm(mean_grad(G))
-        # theta can stay finite while a loss or a norm overflows; such a run has diverged
-        for quantity, value in (
-            ("train_loss", tl), ("ood_loss", ood), ("grad_norm", grad_norm), ("pseudo_grad_norm", last_pg_norm)
-        ):
-            if value is not None and not math.isfinite(value):
-                raise NonFiniteValue(f"step {step}: {quantity} is {value}")
-        row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), grad_norm, last_pg_norm)
+        # theta can stay finite while a loss or a norm overflows; such a run has diverged. Every
+        # value is checked below, so numpy's overflow warnings would only precede the one error
+        with np.errstate(over="ignore"):
+            losses, G = losses_and_grads(ts, theta)
+            tl = sum(losses) / len(ts)
+            ood = ood_task.loss(theta) if ood_task is not None else None
+            grad_norm = norm(mean_grad(G))
+            for quantity, value in (
+                ("train_loss", tl), ("ood_loss", ood), ("grad_norm", grad_norm), ("pseudo_grad_norm", last_pg_norm)
+            ):
+                if value is not None and not math.isfinite(value):
+                    raise NonFiniteValue(f"step {step}: {quantity} is {value}")
+            row = MetricsRow(step, lr, tl, ood, pairwise_cos(G), grad_norm, last_pg_norm)
         return row, G
 
     start = time.perf_counter()

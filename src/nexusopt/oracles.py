@@ -19,12 +19,13 @@ Two distinct "similarity gradient" objects appear and are easy to conflate:
   acts on the *projected* unit gradient. It matches finite differences and
   vanishes identically for parallel gradients.
 
-* ``alignment_pair_direction`` is J_i h_j + J_j h_i with
+* The alignment pair direction is J_i h_j + J_j h_i with
   J_i = (I - P_i) H_i / ||g_i|| the Jacobian of the normalized-gradient field
   (projection applied *after* the Hessian product). This is the quantity the
   inner loop's second-order dynamics actually produce, diagonal pairs
   included; it coincides with ``cosgrad_analytic`` when the Hessians commute
-  with the gradient projectors (isotropic curvature), but not in general.
+  with the gradient projectors (isotropic curvature), but not in general. The
+  oracles need it only summed over pairs; the tests' reference gives one pair.
 
 The expansion oracles below use the second form because they must reproduce
 the exact enumeration to the stated order; the first form is kept for
@@ -34,12 +35,11 @@ verifying the similarity-gradient formula itself against finite differences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import closeness
 from .errors import DegenerateGradient, NexusError
 from .nexus import NexusConfig, inner_loop
 from .numerics import RngStream, as_params, norm
@@ -48,6 +48,7 @@ from .tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    closeness,
     is_quadratic,
     mean_grad,
     random_spd_matrix,
@@ -113,13 +114,6 @@ def quadratic_smoothness_constants(ts: TaskSet, theta: np.ndarray, radius: float
     if g_lower <= 0:
         raise DegenerateGradient(f"gradient lower bound {g_lower:g} not positive over the probed region")
     return SmoothnessConstants(g_lower, h_bound, 0.0)
-
-
-def lipschitz_constants(c: SmoothnessConstants) -> tuple:
-    """(L1, L2): Lipschitz constants of the normalized gradient and of its Jacobian."""
-    L1 = c.hessian_bound / c.grad_lower
-    L2 = (3.0 * c.hessian_bound**2 + c.hessian_lipschitz * c.grad_lower) / c.grad_lower**2
-    return L1, L2
 
 
 def second_order_error_bound(c: SmoothnessConstants, inner_steps: int, gamma: float) -> float:
@@ -194,15 +188,6 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros_like(theta)
     term_j = task_j.hvp(theta, proj_i) / loc_j.n if norm(proj_i) > 0 else np.zeros_like(theta)
     return term_i + term_j
-
-
-def alignment_pair_direction(task_i, task_j, theta: np.ndarray) -> np.ndarray:
-    """J_i h_j + J_j h_i: the per-pair alignment direction produced by the
-    inner-loop dynamics (diagonal pairs i == j included by callers); tests
-    check the (K-1)/(4K) coefficient of second_order_direction against it."""
-    theta = as_params(theta)
-    loc_i, loc_j = _locals(TaskSet([task_i, task_j]), theta, DEFAULT_GRAD_FLOOR)
-    return _jacobian_apply(loc_i, theta, loc_j.h) + _jacobian_apply(loc_j, theta, loc_i.h)
 
 
 # --------------------------------------------------------------------------
@@ -306,31 +291,6 @@ def third_order_direction(ts: TaskSet, theta: np.ndarray, cfg: NexusConfig) -> n
                 for hc in units:
                     third += c_off * _second_derivative(loc, hb, hc)
     return _second_order(ts, cfg, _first_order(ts, cfg, units), js) + cfg.gamma**3 * third
-
-
-def gamma2_coefficient_from_enumeration(
-    ts: TaskSet, theta: np.ndarray, cfg: NexusConfig, nodes=None
-) -> np.ndarray:
-    """Extract the gamma^2 coefficient of E[pseudo-gradient] from exact enumerations.
-
-    For the dot variant on quadratics the expectation is a degree-M polynomial
-    in gamma with zero constant term, so interpolation at M distinct nodes is
-    exact; for the cosine variant the same extraction carries an O(gamma)
-    contamination, which is itself invariant under loss rescaling. The fit
-    needs a gamma^2 column, so it takes at least two nodes; the default is
-    max(M, 2) evenly spaced nodes up to cfg.gamma. With M = 1 the expectation
-    is linear in gamma and the coefficient is 0 up to rounding.
-    """
-    n_nodes = max(cfg.inner_steps, 2)
-    if nodes is None:
-        nodes = [cfg.gamma * (k + 1) / n_nodes for k in range(n_nodes)]
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if len(nodes) < n_nodes:
-        raise ValueError(f"need at least {n_nodes} nodes to fit the gamma^1..gamma^{n_nodes} polynomial")
-    values = [expected_pseudo_gradient_exact(ts, theta, replace(cfg, gamma=float(g))) for g in nodes]
-    V = np.vander(nodes, N=len(nodes) + 1, increasing=True)[:, 1:]  # columns gamma^1 .. gamma^len
-    coeffs, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
-    return coeffs[1]
 
 
 # --------------------------------------------------------------------------

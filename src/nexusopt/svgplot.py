@@ -36,7 +36,7 @@ def _read_series(path: str, fields: list) -> dict:
     def number(index: int, row: dict, f: str) -> float:
         try:
             value = float(row[f])
-        except ValueError:
+        except (ValueError, TypeError):  # TypeError: a short row's missing cell reads None
             value = math.nan
         if not math.isfinite(value):  # a nan or inf point would put nan coordinates in the SVG
             raise NexusError(f"{path} data row {index}: field {f!r} is not a finite number: {row[f]!r}")

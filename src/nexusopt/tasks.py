@@ -13,6 +13,10 @@ tensor itself (``tensor_operator_bound``), never stored beside it.
 Mixture weights are folded multiplicatively into the task objects at
 ``TaskSet`` construction (a weighted quadratic is again a quadratic), so all
 downstream code sees a plain average over tasks.
+
+Training and the oracles measure a task set here too: a ``task_grads`` matrix,
+its mean, the cosines of its rows and their off-diagonal mean, and the
+``closeness`` of a point to the minimizers of a quadratic set.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NexusError
-from .numerics import RngStream, as_params
+from .numerics import RngStream, as_params, norm
+from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
 
 
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -284,6 +289,46 @@ def mean_grad(G: np.ndarray) -> np.ndarray:
 
 def train_grad(ts: TaskSet, theta: np.ndarray) -> np.ndarray:
     return mean_grad(task_grads(ts, theta))
+
+
+def gradient_cosines(G: np.ndarray) -> np.ndarray:
+    """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
+
+    Each entry is its own dot product over the two norms; a single G @ G.T
+    may sum in another order and move the entries in the last bits. The rows
+    are taken as views once, and ``rows[i].dot(rows[j])`` is the ddot that
+    ``G[i] @ G[j]`` calls, with the same bits for every G whose strides are
+    positive, without indexing G twice per pair. The dot product and the
+    product of norms commute exactly, so the lower triangle mirrors the upper one.
+    """
+    rows = list(G)
+    norms = [checked_norm(g, DEFAULT_GRAD_FLOOR, k) for k, g in enumerate(rows)]
+    K = len(rows)
+    S = np.empty((K, K))
+    for i in range(K):
+        for j in range(i, K):
+            S[i, j] = S[j, i] = float(rows[i].dot(rows[j])) / (norms[i] * norms[j])
+    return S
+
+
+def mean_pairwise_cosine(S: np.ndarray) -> float:
+    """Mean of the off-diagonal entries; nan for a single task."""
+    K = S.shape[0]
+    if K < 2:
+        return float("nan")
+    mask = ~np.eye(K, dtype=bool)
+    return float(S[mask].mean())
+
+
+def closeness(theta: np.ndarray, ts: TaskSet) -> float:
+    """Mean squared distance between theta and each task's minimizer; every task must be a quadratic."""
+    theta = as_params(theta, ts.dim)
+    dists = []
+    for k, t in enumerate(ts.tasks):
+        if not is_quadratic(t):
+            raise NexusError(f"task {k} is not a QuadraticTask without a tensor, so it has no analytic minimizer")
+        dists.append(norm(theta - t.minimizer))
+    return float(np.mean(np.asarray(dists) ** 2))
 
 
 def sample_family(family: TaskFamily, K: int, rng: RngStream) -> TaskSet:

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import gradient_cosines
 from .errors import ConfigError, DegenerateGradient
 from .nexus import NexusConfig
 from .numerics import fd_gradient, norm, rng_root, rng_substream
@@ -45,7 +44,7 @@ from .oracles import (
     third_order_direction,
 )
 from .parallel import map_in_workers
-from .tasks import TaskFamily, TaskSet, random_cubic_task, random_spd_matrix, task_grads
+from .tasks import TaskFamily, TaskSet, gradient_cosines, random_cubic_task, random_spd_matrix, task_grads
 
 
 @dataclass

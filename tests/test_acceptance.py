@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from nexusopt.analysis import flatness_closeness_bound
 from nexusopt.config import parse_config_text
 from nexusopt.harness import run
 from nexusopt.mlp import DataSource, MLPSpec, MLPTask
@@ -17,7 +16,6 @@ from nexusopt.nexus import NexusConfig
 from nexusopt.numerics import fd_gradient, rng_root, rng_substream
 from nexusopt.oracles import (
     cosgrad_analytic,
-    gamma2_coefficient_from_enumeration,
     random_probe_point,
     random_quadratic_taskset,
 )
@@ -31,6 +29,7 @@ from nexusopt.validate import (
     check_second_order,
     check_third_order,
 )
+from reference import flatness_closeness_bound, gamma2_coefficient_from_enumeration
 
 
 def report(name: str, ok: bool, detail: str, started: float | None = None, budget: float | None = None) -> None:

@@ -2,25 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nexusopt.analysis import (
-    closeness,
-    first_order_transfer,
-    flatness_closeness_bound,
-    gradient_cosines,
-    mean_pairwise_cosine,
-)
 from nexusopt.errors import DegenerateGradient, NexusError
 from nexusopt.numerics import norm, rng_root, rng_substream
 from nexusopt.tasks import (
     QuadraticTask,
     TaskFamily,
     TaskSet,
+    closeness,
+    gradient_cosines,
+    mean_pairwise_cosine,
     random_cubic_task,
     random_spd_matrix,
     sample_family,
     stationary_point,
     task_grads,
 )
+from reference import first_order_transfer, flatness_closeness_bound
 
 
 def test_cosine_matrix_identical_tasks():

@@ -45,13 +45,31 @@ def test_cli_run_and_plot(tmp_path, config_file, capsys):
     assert len(points) == rows
 
 
-@pytest.mark.parametrize("name_line, run_dir", [("", "run"), ('name = "trial"\n', "trial")])
+@pytest.mark.parametrize("name_line, run_dir", [
+    ("", "run"),
+    ('name = "trial"\n', "trial"),
+    ('name = "a/b"\n', "a_b"),
+    ('name = "../escaped"\n', ".._escaped"),
+], ids=["default", "trial", "slash", "parent"])
 def test_cli_run_without_out_writes_to_the_config_name(tmp_path, monkeypatch, capsys, name_line, run_dir):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + name_line)
+    # the name becomes a directory label by the sweep's rule, "/" to "_", so the run stays in ./
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    (workdir / "exp.cfg").write_text(CONFIG_TEXT + name_line)
     assert main(["run", "--config", "exp.cfg"]) == 0
-    assert sorted(os.listdir(tmp_path / run_dir)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert sorted(os.listdir(workdir / run_dir)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+    assert sorted(os.listdir(tmp_path)) == ["work"]
     assert capsys.readouterr().out == f"wrote {run_dir} (6 steps)\n"
+
+
+@pytest.mark.parametrize("name", ["", ".", ".."])
+def test_cli_run_without_out_of_a_name_that_is_no_directory_is_a_config_error(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + f'name = "{name}"\n')
+    assert main(["run", "--config", "exp.cfg"]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
+    assert capsys.readouterr().err == f"config error: name {name!r} names no run directory; give --out\n"
 
 
 def test_cli_seed_override_changes_outputs(tmp_path, config_file):
@@ -166,6 +184,51 @@ def test_cli_sweep_with_a_diverging_run_finishes_the_other_runs(tmp_path, config
         ("train_loss", "ood_loss", "mean_pairwise_cos"))
     assert (out / "init_scale=1e+300" / "metrics.csv").read_text() == CSV_HEADER + "\n"
     assert "run init_scale=1e+300 failed: NonFiniteValue" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_whose_loss_overflows_prints_no_warning(tmp_path, capsys):
+    # every value an emit evaluates is checked for finiteness, so an overflow there is reported once, as the error
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CONFIG_TEXT + "problem.init_scale = 1e300\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "run failed: NonFiniteValue: step 0: train_loss is inf\n"
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("entry", ["config_value", "set_value", "taskset_file"])
+def test_cli_json_nested_too_deeply_is_a_config_error(tmp_path, config_file, monkeypatch, capsys, entry):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    out = tmp_path / "out"
+    if entry == "config_value":
+        config_file.write_text(CONFIG_TEXT + f"problem.widths = {DEEP}\n")
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        error = f"config error: {config_file}:7: value for problem.widths is nested too deeply to decode\n"
+        assert capsys.readouterr().err == error
+    elif entry == "set_value":
+        assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", f"problem.widths={DEEP}"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "config error: --set problem.widths: a value is nested too deeply to decode\n"
+    else:
+        # a task-set file is read when its run starts: the run fails, and a sweep goes on to its other runs
+        (tmp_path / "deep.json").write_text(DEEP)
+        config_file.write_text(CONFIG_TEXT + 'problem.kind = "custom_taskset_file"\nproblem.path = "deep.json"\n')
+        error = "ConfigError: cannot read task set 'deep.json': RecursionError: maximum recursion depth exceeded"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+        assert strict_json(out / "summary.json")["error"].startswith(error)
+        sweep_out = tmp_path / "sweepout"
+        argv = ["sweep", "--config", str(config_file), "--out", str(sweep_out),
+                "--set", 'problem.path="deep.json","nofile.json"']
+        assert main(argv) == 1
+        index = strict_json(sweep_out / "sweep.json")
+        assert sorted(index) == ["path=deep.json", "path=nofile.json"]
+        assert index["path=deep.json"]["error"].startswith(error)
+        assert index["path=nofile.json"]["error"].startswith("ConfigError: cannot read task set 'nofile.json': ")
+        assert all(os.listdir(sweep_out / label) for label in index)
 
 
 def test_cli_run_error_summary_names_step_and_task(tmp_path):
@@ -428,9 +491,10 @@ def test_plot_missing_field(tmp_path, config_file):
     (b"step,train_loss\n0,1.0\n2,abc\n", "{path} data row 2: field 'train_loss' is not a finite number: 'abc'"),
     (b"step,train_loss\nx,1.0\n", "{path} data row 1: field 'step' is not a finite number: 'x'"),
     (b"step,train_loss\n0,1.0\n2,inf\n", "{path} data row 2: field 'train_loss' is not a finite number: 'inf'"),
+    (b"train_loss,step\n1.0,0\n2.0\n", "{path} data row 2: field 'step' is not a finite number: None"),
     (b"step,train_loss\n0,\xff\n", "cannot read {path}: UnicodeDecodeError: "),
     (b"step,train_loss\n0," + b"1" * 200_000 + b"\n", "cannot read {path}: Error: field larger than field limit"),
-], ids=["bad_cell", "bad_step", "inf_cell", "not_utf8", "oversized_field"])
+], ids=["bad_cell", "bad_step", "inf_cell", "short_row", "not_utf8", "oversized_field"])
 def test_cli_plot_of_a_bad_csv_prints_one_line(tmp_path, capsys, content, message):
     metrics = tmp_path / "metrics.csv"
     metrics.write_bytes(content)

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 import nexusopt
 from nexusopt import harness, mlp
-from nexusopt.analysis import gradient_cosines, mean_pairwise_cosine
 from nexusopt.config import (
     ALWAYS,
     OPTIMIZER_KINDS,
@@ -38,7 +37,7 @@ from nexusopt.mlp import MLPTask
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.optimizers import AdamWState, Schedule, adamw_step, nsgd_direction, schedule_lr
 from nexusopt.oracles import random_quadratic_taskset
-from nexusopt.tasks import task_grads, taskset_from_json, taskset_to_json
+from nexusopt.tasks import gradient_cosines, mean_pairwise_cosine, task_grads, taskset_from_json, taskset_to_json
 
 
 def train_loss(ts, theta):

@@ -12,15 +12,12 @@ from nexusopt.numerics import fd_gradient, rng_root, rng_substream
 from nexusopt.oracles import (
     CurvatureBounds,
     SmoothnessConstants,
-    alignment_pair_direction,
     closeness_bound_check,
     common_minimizer_taskset,
     convergence_contraction,
     cosgrad_analytic,
     expected_pseudo_gradient_exact,
-    gamma2_coefficient_from_enumeration,
     general_gap_bound,
-    lipschitz_constants,
     measure_sgd_contraction,
     monte_carlo_generalization_gap,
     nsgd_nexus_identity_check,
@@ -41,6 +38,7 @@ from nexusopt.tasks import (
     stationary_point,
     train_grad,
 )
+from reference import alignment_pair_direction, gamma2_coefficient_from_enumeration, lipschitz_constants
 
 
 def monte_carlo_pseudo_gradient(ts, theta, cfg, rng, n_draws):

@@ -31,13 +31,8 @@ import pathlib
 import nexusopt
 
 KEEP_WITHOUT_CALLER = {
-    "first_order_transfer": "ROADMAP item 5 moves the transfer claim into validate",
-    "flatness_closeness_bound": "ROADMAP item 5 moves the flatness/closeness expansion (A10) into validate",
-    "gamma2_coefficient_from_enumeration": "ROADMAP item 5 moves the dot variant's scale pathology (A11) into validate",
-    "lipschitz_constants": "ROADMAP item 4 derives the third-order error bound from L1 and L2",
     "taskset_to_json": "writes the task-set format that problem.kind = custom_taskset_file reads",
     "ExperimentConfig.to_text": "writes the config format that load_config reads",
-    "alignment_pair_direction": "the test reference for the pair term that the oracles docstring defines",
 }
 
 
@@ -171,11 +166,10 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # validates, in a module of src/nexusopt that defines C or imports C by name: a
 # read in another method of C counts, and so does a read of another field or
 # method of the same spelling in such a module, but not one in a module that
-# never names C (cli's r.bound reads CheckResult.bound, not
-# FlatnessClosenessBound.bound). Every field of a class defined in a module
-# that calls asdict or astuple counts as read, as validate's CheckResult goes
-# whole into its report, and so does every field of a class whose own body
-# calls fields(), as MetricsRow.to_csv writes each field as a column. A field
+# never names C. Every field of a class defined in a module that calls asdict
+# or astuple counts as read, as validate's CheckResult goes whole into its
+# report, and so does every field of a class whose own body calls fields(), as
+# MetricsRow.to_csv writes each field as a column. A field
 # with a default counts as set when a call to its class (or to cls inside it)
 # passes it by position, by keyword or through */**, a replace or _replace call
 # passes it by keyword, or an Attribute of its name is assigned outside its
@@ -185,13 +179,6 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # every defaulted field is set today, so that check has no list.
 KEEP_UNREAD_FIELDS = {
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
-    "TransferCheck.lhs": "ROADMAP item 5 moves the transfer claim into validate",
-    "TransferCheck.rhs": "ROADMAP item 5 moves the transfer claim into validate",
-    "TransferCheck.residual": "ROADMAP item 5 moves the transfer claim into validate",
-    "FlatnessClosenessBound.downstream_min_loss": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
-    "FlatnessClosenessBound.closeness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
-    "FlatnessClosenessBound.flatness_term": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
-    "FlatnessClosenessBound.bound": "ROADMAP item 5 moves the flatness/closeness expansion into validate",
 }
 
 
