@@ -12,46 +12,20 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import decode_axis, load_config
 from .errors import ConfigError, NexusError
-from .harness import run_into, sweep, write_json_atomic
+from .harness import run_dir_label, run_into, sweep, write_json_atomic
 
 # validate (and with it oracles) and svgplot are imported inside the subcommands
 # that call them: without cached bytecode they are a third of the package's
 # compile time, which every start of a run or a sweep would otherwise pay
 
 
-def _parse_override_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw  # bare string
-
-
-def _split_override_values(values: str) -> list:
-    """values split at each comma outside [...], so a list value stays whole."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(values):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(values[start:i])
-            start = i + 1
-    return parts + [values[start:]]
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_overrides({"seed": args.seed})
-    out_dir = args.out
-    if not out_dir:
-        # the sweep's rule for a run directory's label keeps ./<name> a child of the working directory
-        out_dir = cfg["name"].replace("/", "_")
-        if out_dir in ("", ".", ".."):
-            raise ConfigError(f"name {cfg['name']!r} names no run directory; give --out", "name")
+    out_dir = args.out or run_dir_label(cfg["name"], "name", "; give --out")
     summary = run_into(cfg, out_dir)
     if "error" in summary:
         print(f"run failed: {summary['error']}", file=sys.stderr)
@@ -124,7 +98,7 @@ def cmd_sweep(args) -> int:
         if key in overrides:
             raise ConfigError(f"--set {key} given twice; list all its values in one --set")
         try:
-            overrides[key] = [_parse_override_value(v) for v in _split_override_values(values)]
+            overrides[key] = decode_axis(values)
         except RecursionError as exc:
             raise ConfigError(f"--set {key}: a value is nested too deeply to decode", key) from exc
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
@@ -163,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="directory for the per-run subdirectories")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the root seed")
     p_sweep.add_argument("--set", action="append", metavar="KEY=V1,V2",
-                         help="override axis (repeatable); commas inside [...] belong to a list value")
+                         help="override axis (repeatable); a value is a JSON literal that ends at a comma or the end, "
+                              "or else a bare string up to the next comma")
     p_sweep.add_argument("--num-seeds", type=int, default=0,
                          help="add a seed axis of this many derived seeds")
     p_sweep.set_defaults(fn=cmd_sweep)

@@ -1,17 +1,19 @@
 """Experiment configuration: a strict, flat, dotted-key text format.
 
-One assignment per line, ``key.path = value``, ``#`` comments allowed. Values
-are JSON literals (numbers, strings, booleans, lists). The schema is closed:
-unknown keys are rejected with their exact path, and the seed is mandatory --
-hyperparameter provenance is the point of the harness. SCHEMA's last column
-names the kinds under which each key takes effect; a run records only those
-keys (``ExperimentConfig.resolved``) as its config.resolved.json.
+One assignment per line, ``key.path = value``, ``#`` comments allowed. Values are JSON
+literals (numbers, strings, booleans, lists). A sweep's ``--set`` values go through the same
+JSON-literal reader (``decode_axis``), which takes any other value as a bare string. The
+schema is closed: unknown keys are rejected with their exact path, and the seed is mandatory
+-- hyperparameter provenance is the point of the harness. SCHEMA's last column names the
+kinds under which each key takes effect; a run records only those keys
+(``ExperimentConfig.resolved``) as its config.resolved.json.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -162,6 +164,10 @@ def _validate_one(key: str, raw):
     return value
 
 
+_BLANK = re.compile(r"[ \t\n\r]*")  # JSON's blank space
+_BARE = re.compile(r"[^,]*")
+
+
 def _decode_value(raw_value: str):
     """The JSON literal that starts raw_value; only blank space or a comment may follow it."""
     value, end = json.JSONDecoder().raw_decode(raw_value)
@@ -169,6 +175,25 @@ def _decode_value(raw_value: str):
     if rest and not rest.startswith("#"):
         raise json.JSONDecodeError("Extra data", raw_value, end)
     return value
+
+
+def decode_axis(text: str) -> list:
+    """The values of a sweep axis, ``--set key=text``: from each value's start, a JSON literal that ends,
+    after blank space, just before a comma or at the end of text, or else a bare string up to the next
+    comma. So a comma or a bracket inside a JSON string or list stays in its value."""
+    values, pos, decoder = [], 0, json.JSONDecoder()
+    while pos <= len(text):
+        try:
+            value, end = decoder.raw_decode(text, _BLANK.match(text, pos).end())
+            end = _BLANK.match(text, end).end()
+        except ValueError:  # no JSON literal starts here, or an integer too long for int()
+            end = -1
+        if end != len(text) and text[end:end + 1] != ",":
+            end = _BARE.match(text, pos).end()
+            value = text[pos:end]
+        values.append(value)
+        pos = end + 1
+    return values
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -191,7 +216,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}", key)
         try:
             parsed = _decode_value(raw_value)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
             raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
         except RecursionError as exc:
             raise ConfigError(f"{source}:{lineno}: value for {key} is nested too deeply to decode", key) from exc

@@ -328,6 +328,17 @@ def run_into(cfg: ExperimentConfig, out_dir: str) -> dict:
     return record.summary
 
 
+def run_dir_label(label: str, what: str, hint: str = "") -> str:
+    """label as a run directory's name directly inside its parent: each "/" becomes "_". A label
+    that no directory can take is a ConfigError naming it as what: one that holds a NUL byte or a
+    lone surrogate, is "", "." or ".." after the rule, or is longer than 255 bytes (NAME_MAX) in UTF-8."""
+    name = label.replace("/", "_")
+    encoded = name.encode("utf-8", "replace")  # a lone surrogate, which no file name holds, becomes "?"
+    if "\0" in name or name in ("", ".", "..") or len(encoded) > 255 or encoded.decode("utf-8") != name:
+        raise ConfigError(f"{what} {label!r} names no run directory{hint}")
+    return name
+
+
 def _run_into_job(job) -> dict:
     """run_into(cfg, out_dir) for job = (cfg, out_dir): one sweep run, in the process that runs it."""
     return run_into(*job)
@@ -359,8 +370,9 @@ def sweep(
     propagates at its run's position, still leaves the runs before it on disk
     and its own directory without a summary, and with workers, the runs after
     it already sent to a worker may finish too.
-    Each run directory is named after its overrides, with "/" replaced
-    by "_", so every run lands directly inside ``out_dir``. sweep.json maps
+    Each run directory is named after its overrides by ``run_dir_label``,
+    so every run lands directly inside ``out_dir``, and a label that no
+    directory can take is a ConfigError before any is made. sweep.json maps
     each label to its summary; when exactly two runs result, a diff.json with
     final-metric deltas is emitted alongside. A run that raises a NexusError
     has the error summary of ``run_into`` (None deltas) and the sweep goes on.
@@ -380,12 +392,12 @@ def sweep(
     for combo in combos:
         patch = dict(zip(keys, combo))
         label = "-".join(f"{k.split('.')[-1]}={v}" for k, v in patch.items()) or "base"
-        jobs.append((label.replace("/", "_"), base.with_overrides(patch)))
-    labels = [label for label, _ in jobs]
+        jobs.append((base.with_overrides(patch), run_dir_label(label, "run label")))
+    labels = [label for _, label in jobs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"sweep run directories collide: {sorted(labels)}")
 
-    run_jobs = [(cfg, os.path.join(out_dir, label)) for label, cfg in jobs]
+    run_jobs = [(cfg, os.path.join(out_dir, label)) for cfg, label in jobs]
     results = list(zip(labels, map_in_workers(_run_into_job, run_jobs, workers)))
     write_json_atomic(os.path.join(out_dir, "sweep.json"), dict(results))
     if len(results) == 2:

@@ -50,7 +50,8 @@ def test_cli_run_and_plot(tmp_path, config_file, capsys):
     ('name = "trial"\n', "trial"),
     ('name = "a/b"\n', "a_b"),
     ('name = "../escaped"\n', ".._escaped"),
-], ids=["default", "trial", "slash", "parent"])
+    (f'name = "{"x" * 255}"\n', "x" * 255),
+], ids=["default", "trial", "slash", "parent", "255_bytes"])
 def test_cli_run_without_out_writes_to_the_config_name(tmp_path, monkeypatch, capsys, name_line, run_dir):
     # the name becomes a directory label by the sweep's rule, "/" to "_", so the run stays in ./
     workdir = tmp_path / "work"
@@ -63,10 +64,11 @@ def test_cli_run_without_out_writes_to_the_config_name(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == f"wrote {run_dir} (6 steps)\n"
 
 
-@pytest.mark.parametrize("name", ["", ".", ".."])
+@pytest.mark.parametrize("name", ["", ".", "..", "a\u0000b", "\ud800", "x" * 300, "\u00e9" * 128],
+                         ids=["empty", "dot", "dotdot", "nul", "lone_surrogate", "300_bytes", "256_utf8_bytes"])
 def test_cli_run_without_out_of_a_name_that_is_no_directory_is_a_config_error(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + f'name = "{name}"\n')
+    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + f"name = {json.dumps(name)}\n")
     assert main(["run", "--config", "exp.cfg"]) == 2
     assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
     assert capsys.readouterr().err == f"config error: name {name!r} names no run directory; give --out\n"
@@ -326,6 +328,26 @@ def test_cli_sweep(tmp_path, config_file):
     assert code == 0
     assert (out / "diff.json").exists()
     assert len([d for d in os.listdir(out) if (out / d).is_dir()]) == 2
+
+
+def test_cli_sweep_keeps_a_comma_inside_a_json_string(tmp_path, config_file, monkeypatch):
+    monkeypatch.setenv("NEXUS_OPT_THREADS", "1")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", 'name="a,b",c']) == 0
+    assert sorted(d for d in os.listdir(out) if (out / d).is_dir()) == ["name=a,b", "name=c"]
+    assert json.loads((out / "name=a,b" / "summary.json").read_text())["name"] == "a,b"
+
+
+@pytest.mark.parametrize("axis", [
+    'name="a\\u0000b"',
+    'problem.path="ok.json","a\\u0000b"',
+    "name=a," + "x" * 300,
+], ids=["nul_in_name", "nul_in_path", "overlong_name"])
+def test_cli_sweep_over_a_label_that_no_directory_can_take_writes_nothing(tmp_path, config_file, capsys, axis):
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", axis]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: run label ")
 
 
 def test_cli_run_and_a_one_run_sweep_write_the_same_outputs(tmp_path, config_file):

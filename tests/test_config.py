@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 import nexusopt
-from nexusopt.config import SCHEMA, load_config, parse_config_text
+from nexusopt.config import SCHEMA, decode_axis, load_config, parse_config_text
 from nexusopt.errors import ConfigError
 from nexusopt.harness import build_problem
 from nexusopt.numerics import rng_root
@@ -158,3 +158,42 @@ def test_only_a_comment_may_follow_a_value():
     ):
         with pytest.raises(ConfigError, match=message):
             parse_config_text(f"seed = 1\n{line}\n")
+
+
+def test_an_integer_too_long_for_python_is_a_config_error():
+    # json reads digits with int(), which refuses more than 4300 of them
+    with pytest.raises(ConfigError, match="value for seed is not a JSON literal"):
+        parse_config_text(f"seed = {'1' * 5000}\n")
+
+
+@pytest.mark.parametrize("text, values", [
+    # forms that the README and the tests use, read as the old comma-and-bracket split read them
+    ("[8,16,8,1],[8,32,1]", [[8, 16, 8, 1], [8, 32, 1]]),
+    ("adamw,nexus_adamw", ["adamw", "nexus_adamw"]),
+    ("0.1,0.2", [0.1, 0.2]),
+    ("a,,b", ["a", "", "b"]),
+    ("1abc,2", ["1abc", 2]),
+    ("true,false", [True, False]),
+    ('{"k": [1,2]},x', [{"k": [1, 2]}, "x"]),
+    ("null", [None]),
+    ("1, 2", [1, 2]),
+    (" a , b", [" a ", " b"]),
+    ("a,", ["a", ""]),
+    (",", ["", ""]),
+    ("", [""]),
+    ("NaN,Infinity", [float("nan"), float("inf")]),
+    ('"ok.json","nofile.json"', ["ok.json", "nofile.json"]),
+    # a bracket or comma inside a JSON string or list stays in its value
+    ('"x[",y', ["x[", "y"]),
+    ('"]",b,c', ["]", "b", "c"]),
+    ('"a,b",c', ["a,b", "c"]),
+    ('[1,"]",2],3', [[1, "]", 2], 3]),
+    # a bare string runs up to the next comma, unclosed brackets or not
+    ("a[b,c", ["a[b", "c"]),
+    ("[1,2", ["[1", 2]),
+    # so does an integer too long for int(), which json cannot read
+    ("1" * 5000 + ",2", ["1" * 5000, 2]),
+])
+def test_an_axis_value_is_a_json_literal_up_to_a_comma_or_else_a_bare_string(text, values):
+    # repr, so that NaN equals NaN
+    assert repr(decode_axis(text)) == repr(values)
