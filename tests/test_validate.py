@@ -25,6 +25,60 @@ def test_suites_in_workers_equal_the_serial_report_bitwise(started_pools):
     assert [_fields(r) for r in parallel] == [_fields(r) for r in serial]
 
 
+# Each check of `validate --suite all`: its status, the bits of its measured value
+# (float.hex) and the edges (lower, upper) of the interval that it passes in, None for an
+# open edge. The bits are those of OpenBLAS's SkylakeX kernel, like every other pin in
+# the tests. A change to one check edits its own row and leaves the others alone.
+VALIDATE_ALL_CHECKS = {
+    "second_order_residual_within_bound": ("pass", "0x1.36696fb4c2400p-5", None, 1.0),
+    "second_order_residual_slope": ("pass", "0x1.7cb320e78e364p+1", 2.8, 3.2),
+    "cossim_gradient_matches_fd": ("pass", "0x1.1bcfa7b7dc074p-23", None, 1e-06),
+    "third_order_residual_slope": ("pass", "0x1.feecd10c524edp+1", 3.8, 4.2),
+    "third_order_tensor_term_zero_on_quadratics": ("pass", "0x0.0p+0", 0.0, 0.0),
+    "closeness_chain_inequalities": ("pass", "0x1.fcda8aec44ec0p-7", -1e-10, None),
+    "convergence_per_step_kappa_2": ("pass", "0x1.c5b83f82282c0p-4", None, 0.11111111111211117),
+    "convergence_cumulative_kappa_2": ("pass", "-0x1.f1d7152b5b37ep+8", None, -439.4449154662439),
+    "convergence_per_step_kappa_5": ("pass", "0x1.c68bf28bb8891p-2", None, 0.4444444444454445),
+    "convergence_cumulative_kappa_5": ("pass", "-0x1.1024c6595b76cp+8", None, -162.18604324226578),
+    "convergence_per_step_kappa_10": ("pass", "0x1.56ae8c5917637p-1", None, 0.6694214876043058),
+    "convergence_cumulative_kappa_10": ("pass", "-0x1.1bc4f1fc591f5p+7", None, -80.26827818386043),
+    "quadratic_gap_matches_theory": ("pass", "0x1.c6101adb7b1ffp+0", None, 3.0),
+    "strongly_convex_bound_holds": ("pass", "-0x1.0c1d3e34eb402p-4", None, 0.0),
+    "nsgd_equals_two_step_nexus": ("pass", "0x1.3a59a1adbb257p-48", None, 1e-12),
+}
+
+
+def _gate(check) -> tuple:
+    """The edges (lower, upper) that a record's status was judged against, from its bound
+    and tolerance: what these two fields mean differs from check to check."""
+    name = check.check_name
+    if name.endswith("_slope"):
+        return check.tolerance, check.bound
+    if name.startswith("convergence_"):
+        return None, check.bound + check.tolerance
+    if name == "closeness_chain_inequalities":
+        return check.bound, None
+    if name == "third_order_tensor_term_zero_on_quadratics":
+        return check.bound, check.bound
+    return None, check.bound
+
+
+def _bits(status, measured, lower, upper) -> tuple:
+    def edge(v):
+        return None if v is None else float.hex(v)
+
+    return status, measured, edge(lower), edge(upper)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_check_keeps_its_status_measured_bits_and_edges(workers):
+    checks = validate_theorems("all", workers=workers)
+    got = {c.check_name: _bits(c.status, float.hex(c.measured), *_gate(c)) for c in checks}
+    assert list(got) == list(VALIDATE_ALL_CHECKS)
+    for name, row in VALIDATE_ALL_CHECKS.items():
+        assert got[name] == _bits(*row), name
+
+
 def test_a_suite_error_in_a_worker_reaches_the_caller(monkeypatch, started_pools):
     def degenerate():
         raise DegenerateGradient("x", 3)
