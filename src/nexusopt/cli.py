@@ -55,8 +55,7 @@ def cmd_validate(args) -> int:
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     for r in results:
-        print(f"[{r.status.upper():4}] {r.check_name}: measured={r.measured:.6g} bound={r.bound:.6g}",
-              file=sys.stderr)
+        print(f"[{r.status.upper():4}] {r.check_name}: measured={r.reading}", file=sys.stderr)
     return 0 if report["all_passed"] else 1
 
 

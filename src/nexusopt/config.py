@@ -26,10 +26,19 @@ DUAL_LOOP_MODES = ("nsgd_adamw", "nexus_adamw", "nexus_dot_adamw")
 SAMPLING_KINDS = ("iid_uniform", "fixed_sequence")
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; when longer than 40 characters, its first 40 and the
+    length of the value (of a string) or of the repr."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(value) if isinstance(value, str) else len(text)} characters)"
+
+
 def _choice(options):
     def check(v):
         if v not in options:
-            raise ValueError(f"must be one of {options}, got {v!r}")
+            raise ValueError(f"must be one of {options}, got {_shown(v)}")
         return v
 
     return check
@@ -63,7 +72,7 @@ def _decay_rate(v):
 def _widths(v):
     # type() rather than isinstance: a bool is an int, and [8, true, 1] must not parse as [8, 1, 1]
     if not isinstance(v, list) or len(v) < 2 or not all(type(x) is int and x > 0 for x in v):
-        raise ValueError(f"must list at least the input and output widths as positive integers, got {v!r}")
+        raise ValueError(f"must list at least the input and output widths as positive integers, got {_shown(v)}")
     return [int(x) for x in v]
 
 
@@ -123,7 +132,7 @@ class ExperimentConfig:
         merged = dict(self.values)
         for key, value in overrides.items():
             if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}", key)
+                raise ConfigError(f"unknown config key {_shown(key)}", key)
             merged[key] = _validate_one(key, value)
         return ExperimentConfig(merged)
 
@@ -147,7 +156,7 @@ def _coerce(raw, expected_type):
     if expected_type is float and isinstance(raw, int):
         return float(raw)
     if not isinstance(raw, expected_type):
-        raise ValueError(f"expected {expected_type.__name__}, got {type(raw).__name__} ({raw!r})")
+        raise ValueError(f"expected {expected_type.__name__}, got {type(raw).__name__} ({_shown(raw)})")
     if expected_type is float and not math.isfinite(raw):  # json reads NaN, Infinity and -Infinity
         raise ValueError(f"must be finite, got {raw!r}")
     return raw
@@ -207,17 +216,21 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             continue
         key, eq, raw_value = line.partition("=")
         if not eq or "#" in key:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {_shown(raw_line)}")
         key = key.strip()
         raw_value = raw_value.strip()
         if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}", key)
+            raise ConfigError(f"{source}:{lineno}: unknown config key {_shown(key)}", key)
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}", key)
         try:
             parsed = _decode_value(raw_value)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
-            raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {raw_value!r}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {_shown(raw_value)}",
+                              key) from exc
+        except ValueError as exc:  # json reads digits with int(), which refuses more than 4300 of them
+            raise ConfigError(f"{source}:{lineno}: value for {key} is an integer too long to read: "
+                              f"{_shown(raw_value)}", key) from exc
         except RecursionError as exc:
             raise ConfigError(f"{source}:{lineno}: value for {key} is nested too deeply to decode", key) from exc
         values[key] = _validate_one(key, parsed)

@@ -50,8 +50,8 @@ def test_a1_second_order_identity():
     report(
         "A1",
         ok,
-        f"residual/bound max {bound_r.measured:.3g} (<= 1), slopes within [2.8, 3.2] "
-        f"(worst reported {slope_r.measured:.3f}) over 20 quadratic sets, K in (2,3), d in (2,5)",
+        f"residual/bound max {bound_r.reading}, slope nearest an edge {slope_r.reading} "
+        f"over 20 quadratic sets, K in (2,3), d in (2,5)",
         t0, 30,
     )
 
@@ -84,8 +84,8 @@ def test_a2_cossim_gradient_formula():
     report(
         "A2",
         ok,
-        f"analytic vs fd similarity gradient: rel err {quad_cubic.measured:.2e} (<=1e-6, 50 "
-        f"quadratic/cubic pairs), {worst_mlp:.2e} (<=1e-3, 10 MLP pairs with fd HVPs)",
+        f"analytic vs fd similarity gradient: rel err {quad_cubic.reading} (50 quadratic/cubic "
+        f"pairs), {worst_mlp:.2e} (<=1e-3, 10 MLP pairs with fd HVPs)",
         t0, 30,
     )
 
@@ -94,7 +94,7 @@ def test_a3_convergence_contraction():
     t0 = time.perf_counter()
     results = check_convergence()
     ok = all(r.passed for r in results)
-    detail = "; ".join(f"{r.check_name} {r.measured:.4g}<= {r.bound:.4g}" for r in results)
+    detail = "; ".join(f"{r.check_name} {r.reading}" for r in results)
     report("A3", ok, detail, t0, 10)
 
 
@@ -102,7 +102,7 @@ def test_a4_closeness_bound_chain():
     t0 = time.perf_counter()
     results = check_closeness()
     r = results[0]
-    report("A4", r.passed, f"min slack {r.measured:.3g} >= -1e-10 over 100 SPD sets, K in (2,4,8)", t0, 10)
+    report("A4", r.passed, f"min slack {r.reading} over 100 SPD sets, K in (2,4,8)", t0, 10)
 
 
 def test_a5_quadratic_generalization():
@@ -114,8 +114,8 @@ def test_a5_quadratic_generalization():
     report(
         "A5",
         ok,
-        f"max |gap - a*sigma^2/K|/SE = {gap.measured:.2f} (<=3) over 9 grid points; anisotropic "
-        f"bound margin {-bound.measured:.3g} >= 0",
+        f"max |gap - a*sigma^2/K|/SE {gap.reading} over 9 grid points; anisotropic "
+        f"gap + 3 SE - bound {bound.reading}",
         t0, 60,
     )
 
@@ -124,7 +124,7 @@ def test_a6_nsgd_nexus_identity():
     t0 = time.perf_counter()
     results = check_nsgd_identity()
     r = results[0]
-    report("A6", r.passed, f"max trajectory divergence {r.measured:.2e} <= 1e-12, 10 instances x 50 pairs", t0, 5)
+    report("A6", r.passed, f"max trajectory divergence {r.reading}, 10 instances x 50 pairs", t0, 5)
 
 
 def test_a7_k1_degeneration_bitwise():
@@ -160,8 +160,8 @@ def test_a8_third_order_term():
     report(
         "A8",
         ok,
-        f"cubic K=2 residual slope after the gamma^3 term within [3.8, 4.2] (worst "
-        f"{slope.measured:.3f}); quadratic tensor term exactly zero ({zero.measured:g})",
+        f"cubic K=2 residual slope after the gamma^3 term nearest an edge {slope.reading}; "
+        f"quadratic tensor term {zero.reading}",
         t0, 60,
     )
 

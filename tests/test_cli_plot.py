@@ -249,14 +249,19 @@ def test_cli_validate_suite(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["all_passed"]
-    assert {"check_name", "status", "measured", "bound", "tolerance"} <= set(report["checks"][0])
+    assert {"check_name", "status", "measured", "lower", "upper"} <= set(report["checks"][0])
     # without --out the report goes to stdout, and the table to stderr
     capsys.readouterr()
     assert main(["validate", "--suite", "third_order"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
     assert report["all_passed"]
     assert [c["check_name"] for c in report["checks"]] == [
         "third_order_residual_slope", "third_order_tensor_term_zero_on_quadratics"
+    ]
+    assert err.splitlines() == [
+        "[PASS] third_order_residual_slope: measured=4.01408 in [3.8, 4.2]",
+        "[PASS] third_order_tensor_term_zero_on_quadratics: measured=0 in [0, 0]",
     ]
 
 
@@ -266,10 +271,40 @@ def test_cli_validate_negative_control(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "r.json").read_text())
     failed = [c for c in report["checks"] if c["status"] == "fail"]
-    assert any(c["measured"] > c["bound"] for c in failed)
+    # the residual/bound ratio is infinite where the bound gives no coverage
+    assert [(c["check_name"], c["measured"], c["upper"]) for c in failed] == [
+        ("second_order_residual_within_bound", None, 1.0)
+    ]
 
 
-VALIDATE_ALL_SHA256 = "e0039a72bd78282394126aeacaa5ac940f3eec7fecc6021c67483ed08e4683e3"
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _judged(check) -> str:
+    measured, lower, upper = check["measured"], check["lower"], check["upper"]
+    inside = measured is not None and (lower is None or lower <= measured) and (upper is None or measured <= upper)
+    return "pass" if inside else "fail"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--suite", "all"], 0),
+    (["--suite", "second_order", "--gamma", "10"], 1),
+])
+def test_every_validate_status_follows_from_the_reports_own_numbers(tmp_path, capsys, argv, code):
+    report_path = tmp_path / "report.json"
+    assert main(["validate", *argv, "--out", str(report_path)]) == code
+    report = _strict_json(report_path.read_text())
+    assert main(["validate", *argv]) == code
+    assert _strict_json(capsys.readouterr().out) == report
+    assert [c["status"] for c in report["checks"]] == [_judged(c) for c in report["checks"]]
+    assert report["all_passed"] is (code == 0)
+
+
+VALIDATE_ALL_SHA256 = "dd8e6e18b6a5a7cb56f796678dd8ae348da5f9990262f2afc21d351d4abce404"
 
 
 def test_cli_validate_all_in_two_workers_writes_the_recorded_report(tmp_path, monkeypatch, started_pools):
@@ -348,6 +383,24 @@ def test_cli_sweep_over_a_label_that_no_directory_can_take_writes_nothing(tmp_pa
     assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", axis]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error: run label ")
+
+
+def test_an_integer_too_long_to_read_is_a_short_config_error_in_a_run_and_a_sweep(
+    tmp_path, config_file, capsys, monkeypatch
+):
+    digits = "1" * 5000
+    monkeypatch.chdir(tmp_path)  # the message names the config by the path it was given
+    (tmp_path / "long_seed.cfg").write_text(f"seed = {digits}\n")
+    assert main(["run", "--config", "long_seed.cfg", "--out", str(tmp_path / "run")]) == 2
+    run_err = capsys.readouterr().err
+    assert "value for seed is an integer too long to read" in run_err and "(5000 characters)" in run_err
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--set", f"seed={digits}"]) == 2
+    sweep_err = capsys.readouterr().err
+    assert "invalid value for seed: expected int, got str" in sweep_err and "(5000 characters)" in sweep_err
+    for err in (run_err, sweep_err):
+        assert len(err) < 200
+    assert not (tmp_path / "run").exists() and not out.exists()
 
 
 def test_cli_run_and_a_one_run_sweep_write_the_same_outputs(tmp_path, config_file):

@@ -162,8 +162,25 @@ def test_only_a_comment_may_follow_a_value():
 
 def test_an_integer_too_long_for_python_is_a_config_error():
     # json reads digits with int(), which refuses more than 4300 of them
-    with pytest.raises(ConfigError, match="value for seed is not a JSON literal"):
+    with pytest.raises(ConfigError, match="value for seed is an integer too long to read") as err:
         parse_config_text(f"seed = {'1' * 5000}\n")
+    assert str(err.value) == f"<string>:1: value for seed is an integer too long to read: '{'1' * 39}... (5000 characters)"
+    assert err.value.path == "seed"
+
+
+def test_a_long_value_is_echoed_as_a_prefix_and_its_length():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"seed = 1\nproblem.activation = \"{'x' * 300}\"\n")
+    assert str(err.value).endswith(f"got '{'x' * 39}... (300 characters)")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\nproblem.widths = [" + "0, " * 100 + "0]\n")
+    assert str(err.value).endswith(f"got [{'0, ' * 13}... (303 characters)")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"seed = 1\n{'k' * 5000} = 1\n")
+    assert str(err.value) == f"<string>:2: unknown config key '{'k' * 39}... (5000 characters)"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\n").with_overrides({"k" * 5000: 1})
+    assert str(err.value) == f"unknown config key '{'k' * 39}... (5000 characters)"
 
 
 @pytest.mark.parametrize("text, values", [
