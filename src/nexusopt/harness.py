@@ -2,7 +2,8 @@
 records, and on-disk outputs. ``run_into`` is the one path from a config to
 its output directory, for a single run and for each run of a sweep, which
 runs in forked worker processes through ``parallel.map_in_workers`` when more
-than one worker is asked for; each worker writes the directories of its runs.
+than one worker is asked for; each worker writes the directories of its runs,
+and the parent writes the error record of a run whose worker died.
 
 A run reads one validated config: ``build_problem`` reads seed and the
 problem.* keys of its problem.kind, and ``train`` reads the rest (total_steps,
@@ -323,7 +324,14 @@ def run_into(cfg: ExperimentConfig, out_dir: str) -> dict:
     try:
         record = run(cfg)
     except NexusError as exc:
-        record = RunRecord(cfg.resolved(), summary={"error": f"{type(exc).__name__}: {exc}"})
+        return _write_failed_run(cfg, out_dir, exc)
+    write_outputs(record, out_dir)
+    return record.summary
+
+
+def _write_failed_run(cfg: ExperimentConfig, out_dir: str, exc: NexusError) -> dict:
+    """Write a failed run's record, the summary {"error": "<class>: <message>"}, into out_dir."""
+    record = RunRecord(cfg.resolved(), summary={"error": f"{type(exc).__name__}: {exc}"})
     write_outputs(record, out_dir)
     return record.summary
 
@@ -342,6 +350,13 @@ def run_dir_label(label: str, what: str, hint: str = "") -> str:
 def _run_into_job(job) -> dict:
     """run_into(cfg, out_dir) for job = (cfg, out_dir): one sweep run, in the process that runs it."""
     return run_into(*job)
+
+
+def _lost_run(job, exc: NexusError) -> dict:
+    """The failed run's record of job = (cfg, out_dir), whose worker died: written by the parent."""
+    cfg, out_dir = job
+    os.makedirs(out_dir, exist_ok=True)  # the worker may have died before making it
+    return _write_failed_run(cfg, out_dir, exc)
 
 
 def derive_sweep_seeds(root_seed: int, count: int) -> list:
@@ -365,17 +380,21 @@ def sweep(
     count with a "seed" key in ``overrides``, is a ConfigError. Each run is a
     ``run_into`` call, through ``map_in_workers`` in up to ``workers`` forked
     worker processes; each inherits OPENBLAS_NUM_THREADS, and 1 avoids
-    oversubscribing the cores. The process that runs a config writes its directory, and only
-    the summary comes back, so an exception other than a NexusError, which
-    propagates at its run's position, still leaves the runs before it on disk
-    and its own directory without a summary, and with workers, the runs after
-    it already sent to a worker may finish too.
+    oversubscribing the cores. The process that runs a config writes its
+    directory, and only the summary comes back. A run that raises a NexusError
+    has the error summary of ``run_into`` and the sweep goes on. So does a run
+    whose worker dies (the OOM killer, a crash inside BLAS, a kill): this
+    process writes that run's error record through ``write_outputs``, its
+    summary naming the signal, and a new worker takes the runs left. Any other
+    exception propagates at its run's position and starts no further run: the
+    runs before it are on disk, its own directory has no summary, and with
+    workers, the runs after it already running finish too.
     Each run directory is named after its overrides by ``run_dir_label``,
     so every run lands directly inside ``out_dir``, and a label that no
     directory can take is a ConfigError before any is made. sweep.json maps
-    each label to its summary; when exactly two runs result, a diff.json with
-    final-metric deltas is emitted alongside. A run that raises a NexusError
-    has the error summary of ``run_into`` (None deltas) and the sweep goes on.
+    each label to its summary, a failed run's included; when exactly two runs
+    result, a diff.json with final-metric deltas (None beside a failed run) is
+    emitted alongside.
     """
     import itertools
 
@@ -398,7 +417,7 @@ def sweep(
         raise ConfigError(f"sweep run directories collide: {sorted(labels)}")
 
     run_jobs = [(cfg, os.path.join(out_dir, label)) for cfg, label in jobs]
-    results = list(zip(labels, map_in_workers(_run_into_job, run_jobs, workers)))
+    results = list(zip(labels, map_in_workers(_run_into_job, run_jobs, workers, on_death=_lost_run)))
     write_json_atomic(os.path.join(out_dir, "sweep.json"), dict(results))
     if len(results) == 2:
         (label_a, summary_a), (label_b, summary_b) = results

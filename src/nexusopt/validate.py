@@ -13,7 +13,9 @@ The suites are independent and separately seeded, so ``validate_theorems``
 runs them in forked worker processes through ``parallel.map_in_workers``, as
 many as it is given (the CLI passes the sweep's worker count). It dispatches
 them longest first, so that the longest suite does not start last, and joins
-their results in table order: the report is the same bytes for any count.
+their results in table order: the report is the same bytes for any count. A
+suite whose worker dies fails the whole report with a NexusError naming the
+suite and the signal, and no further suite starts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGradient
+from .errors import ConfigError, DegenerateGradient, NexusError
 from .nexus import NexusConfig
 from .numerics import fd_gradient, norm, rng_root, rng_substream
 from .oracles import (
@@ -322,6 +324,11 @@ def _run_suite(job) -> list:
     return fn()
 
 
+def _lost_suite(job, exc: NexusError):
+    """A suite's worker died: no check of it can be reported."""
+    raise NexusError(f"suite {job[0]}: {exc}") from exc
+
+
 def validate_theorems(suite: str = "all", gamma_override: float | None = None, workers: int = 1) -> list:
     """Run one suite (or all) and return the list of CheckResults, in ``_SUITE_FNS`` order.
 
@@ -329,7 +336,9 @@ def validate_theorems(suite: str = "all", gamma_override: float | None = None, w
     ``workers`` forked worker processes (one suite runs in this process); each
     suite seeds its own fixtures, so the results are the same bits for any
     worker count. When several suites raise, the error of the first of them in
-    dispatch order is the one raised. An unknown suite, or a gamma override
+    dispatch order is the one raised; a suite whose worker dies raises a
+    NexusError "suite <name>: ..." that names the signal, and the suites
+    already running finish first. An unknown suite, or a gamma override
     that is not finite and > 0 or is given for a suite other than all and
     second_order, is a ConfigError, raised before any suite runs.
     """
@@ -342,7 +351,7 @@ def validate_theorems(suite: str = "all", gamma_override: float | None = None, w
             raise ConfigError(f"a gamma override must be finite and > 0, got {gamma_override!r}")
     names = _DISPATCH_ORDER if suite == "all" else (suite,)
     jobs = [(name, gamma_override) for name in names]
-    by_name = dict(zip(names, map_in_workers(_run_suite, jobs, workers)))
+    by_name = dict(zip(names, map_in_workers(_run_suite, jobs, workers, on_death=_lost_suite)))
     return [check for name in (_SUITE_FNS if suite == "all" else names) for check in by_name[name]]
 
 

@@ -1,7 +1,9 @@
-import concurrent.futures
+import os
+import signal
 
 import pytest
 
+from nexusopt import parallel
 from nexusopt.mlp import MLPSpec, MLPTask, make_synthetic_sources
 from nexusopt.numerics import rng_root, rng_substream
 from nexusopt.tasks import QuadraticTask, TaskSet, random_cubic_task, random_spd_matrix
@@ -30,14 +32,33 @@ def task_sets():
 
 
 @pytest.fixture()
-def started_pools(monkeypatch):
-    """The max_workers of every ProcessPoolExecutor started while the test runs."""
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
+def forked_workers(monkeypatch):
+    """The number of workers that each map_in_workers call forked while the test
+    runs, one entry per call that forked any, a replacement for a dead worker included."""
+    counts, calls = [], []
+    real = parallel._fork_worker
 
-    def recording(max_workers, **kwargs):
-        started.append(max_workers)
-        return real(max_workers, **kwargs)
+    def recording(fn, items, inherited):
+        # each call forks workers over its own list of items
+        if not calls or calls[-1] is not items:
+            calls.append(items)
+            counts.append(0)
+        counts[-1] += 1
+        return real(fn, items, inherited)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    return started
+    monkeypatch.setattr(parallel, "_fork_worker", recording)
+    return counts
+
+
+@pytest.fixture()
+def kill_this_worker():
+    """A function that SIGKILLs the process that calls it, which must be a worker
+    the test forked: in the test's own process it raises instead."""
+    test_pid = os.getpid()
+
+    def kill():
+        if os.getpid() == test_pid:
+            raise AssertionError("only a forked worker may kill itself")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return kill

@@ -307,20 +307,20 @@ def test_every_validate_status_follows_from_the_reports_own_numbers(tmp_path, ca
 VALIDATE_ALL_SHA256 = "dd8e6e18b6a5a7cb56f796678dd8ae348da5f9990262f2afc21d351d4abce404"
 
 
-def test_cli_validate_all_in_two_workers_writes_the_recorded_report(tmp_path, monkeypatch, started_pools):
+def test_cli_validate_all_in_two_workers_writes_the_recorded_report(tmp_path, monkeypatch, forked_workers):
     monkeypatch.setenv("NEXUS_OPT_THREADS", "2")
     report_path = tmp_path / "report.json"
     assert main(["validate", "--suite", "all", "--out", str(report_path)]) == 0
-    assert started_pools == ([2] if len(os.sched_getaffinity(0)) >= 2 else [])
+    assert forked_workers == ([2] if len(os.sched_getaffinity(0)) >= 2 else [])
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == VALIDATE_ALL_SHA256
 
 
-def test_cli_validate_one_suite_starts_no_worker_pool(tmp_path, monkeypatch, started_pools):
+def test_cli_validate_one_suite_starts_no_worker_pool(tmp_path, monkeypatch, forked_workers):
     monkeypatch.setenv("NEXUS_OPT_THREADS", "2")
     report_path = tmp_path / "r.json"
     assert main(["validate", "--suite", "second_order", "--gamma", "10", "--out", str(report_path)]) == 1
     assert json.loads(report_path.read_text())["all_passed"] is False
-    assert started_pools == []
+    assert forked_workers == []
 
 
 def test_cli_validate_rejects_an_unknown_suite_and_names_the_suites(tmp_path, capsys):
@@ -644,22 +644,31 @@ def test_cli_sweep_rejects_a_conflicting_axis_and_writes_nothing(tmp_path, confi
 
 def test_cli_run_and_sweep_load_no_validate_oracles_plot_or_worker_pool(tmp_path, config_file):
     """A fresh interpreter: the CLI module, a run and a one-worker sweep import
-    none of the modules that only validate, plot or a worker pool call."""
+    none of the modules that only validate, plot or a worker pool call, and a
+    two-worker sweep and validate load no worker pool either."""
     script = (
-        "import sys\n"
-        "UNUSED = ('nexusopt.validate', 'nexusopt.oracles', 'nexusopt.svgplot', 'csv', 'html',\n"
-        "          'multiprocessing', 'concurrent.futures')\n"
-        "def loaded(): return [m for m in UNUSED if m in sys.modules]\n"
+        "import os, sys\n"
+        "POOL = ('multiprocessing', 'concurrent.futures')\n"
+        "UNUSED = ('nexusopt.validate', 'nexusopt.oracles', 'nexusopt.svgplot', 'csv', 'html') + POOL\n"
+        "def loaded(modules=UNUSED): return [m for m in modules if m in sys.modules]\n"
         "from nexusopt.cli import main\n"
         "print(loaded())\n"
         f"assert main(['run', '--config', {str(config_file)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         f"assert main(['sweep', '--config', {str(config_file)!r}, '--out', {str(tmp_path / 'sweep')!r},\n"
         "             '--set', 'optimizer.kind=adamw,sgd']) == 0\n"
         "print(loaded())\n"
+        "os.environ['NEXUS_OPT_THREADS'] = '2'\n"
+        f"assert main(['sweep', '--config', {str(config_file)!r}, '--out', {str(tmp_path / 'sweep2')!r},\n"
+        "             '--set', 'optimizer.kind=adamw,sgd']) == 0\n"
+        "print(loaded(POOL))\n"
+        f"assert main(['validate', '--suite', 'all', '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+        "print(loaded(POOL))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nexusopt.__file__)), NEXUS_OPT_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]"] * 4
     assert (tmp_path / "sweep" / "sweep.json").exists()
+    assert (tmp_path / "sweep2" / "sweep.json").read_bytes() == (tmp_path / "sweep" / "sweep.json").read_bytes()
+    assert (tmp_path / "report.json").exists()

@@ -750,15 +750,15 @@ def test_sweep_rejects_colliding_run_directories(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_sweep_caps_workers_at_the_number_of_runs(tmp_path, started_pools):
+def test_sweep_caps_workers_at_the_number_of_runs(tmp_path, forked_workers):
     kinds = ["adamw", "nexus_adamw"]
     results = sweep(make_cfg(), str(tmp_path / "two"), {"optimizer.kind": kinds}, workers=16)
     expected = [run(make_cfg().with_overrides({"optimizer.kind": kind})).summary for kind in kinds]
     assert [summary for _, summary in results] == expected
-    assert started_pools == [2]
+    assert forked_workers == [2]
     ((_, summary),) = sweep(make_cfg(), str(tmp_path / "one"), {"optimizer.kind": kinds[:1]}, workers=16)
     assert summary == expected[0]
-    assert started_pools == [2]  # a single run goes on in this process
+    assert forked_workers == [2]  # a single run goes on in this process
 
 
 def _child_pids(pid):
@@ -807,6 +807,46 @@ def test_sweep_workers_exit_when_the_parent_is_killed(tmp_path):
         for pid in filter(_running, workers):
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_a_sweep_run_whose_worker_dies_fails_alone(tmp_path, monkeypatch, capsys, kill_this_worker):
+    """A run that kills its worker fails alone: the sweep goes on and exits 1."""
+    from nexusopt import cli
+
+    config = os.path.join(REPO_ROOT, "configs", "quadratic_baseline.cfg")
+    steps = [2000, 2001, 2002, 2003, 2004]
+    sweep(load_config(config), str(tmp_path / "ref"), {"total_steps": steps})
+    real_run = harness.run
+
+    def run_or_die(cfg):
+        if cfg["total_steps"] == 3:
+            kill_this_worker()
+        return real_run(cfg)
+
+    monkeypatch.setattr(harness, "run", run_or_die)
+    monkeypatch.setattr(cli, "worker_count", lambda: 2)
+    out = tmp_path / "out"
+    axis = "total_steps=2000,2001,3,2002,2003,2004"
+    assert cli.main(["sweep", "--config", config, "--out", str(out), "--set", axis]) == 1
+    labels = [f"total_steps={n}" for n in (2000, 2001, 3, 2002, 2003, 2004)]
+    index = json.loads((out / "sweep.json").read_text())
+    assert sorted(index) == sorted(labels)
+    error = "NexusError: the worker process running it was killed by SIGKILL"
+    assert index["total_steps=3"] == {"error": error}
+    bad = out / "total_steps=3"
+    assert json.loads((bad / "summary.json").read_text()) == {"error": error}
+    assert (bad / "metrics.csv").read_text() == CSV_HEADER + "\n"
+    resolved = load_config(config).with_overrides({"total_steps": 3}).resolved()
+    assert json.loads((bad / "config.resolved.json").read_text()) == resolved
+    for n in steps:
+        got, ref = out / f"total_steps={n}", tmp_path / "ref" / f"total_steps={n}"
+        assert sorted(os.listdir(got)) == ["config.resolved.json", "metrics.csv", "summary.json"]
+        for name in ("metrics.csv", "config.resolved.json"):
+            assert (got / name).read_bytes() == (ref / name).read_bytes()
+        summary, ref_summary = (json.loads((d / "summary.json").read_text()) for d in (got, ref))
+        assert summary.pop("wall_clock") > 0 and ref_summary.pop("wall_clock") > 0
+        assert summary == ref_summary == index[f"total_steps={n}"]
+    assert capsys.readouterr().err == f"run total_steps=3 failed: {error}\n"
 
 
 def test_parallel_sweep_writes_the_serial_outputs(tmp_path):

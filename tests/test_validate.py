@@ -17,11 +17,11 @@ def _fields(result):
     return [struct.pack("<d", v) if isinstance(v, float) else v for v in dataclasses.astuple(result)]
 
 
-def test_suites_in_workers_equal_the_serial_report_bitwise(started_pools):
+def test_suites_in_workers_equal_the_serial_report_bitwise(forked_workers):
     serial = validate_theorems("all", workers=1)
-    assert started_pools == []
+    assert forked_workers == []
     parallel = validate_theorems("all", workers=2)
-    assert started_pools == [2]
+    assert forked_workers == [2]
     assert [_fields(r) for r in parallel] == [_fields(r) for r in serial]
 
 
@@ -61,17 +61,30 @@ def test_every_check_keeps_its_status_measured_bits_and_edges(workers):
         assert got[name] == (status, measured, _hex(lower), _hex(upper)), name
 
 
-def test_a_suite_error_in_a_worker_reaches_the_caller(monkeypatch, started_pools):
+def test_a_suite_error_in_a_worker_reaches_the_caller(monkeypatch, forked_workers):
     def degenerate():
         raise DegenerateGradient("x", 3)
 
     monkeypatch.setitem(validate._SUITE_FNS, "closeness", degenerate)
     with pytest.raises(DegenerateGradient) as err:
         validate_theorems("all", workers=2)
-    assert started_pools == [2]
+    assert forked_workers == [2]
     assert type(err.value) is DegenerateGradient
     assert str(err.value) == "x"
     assert err.value.task_index == 3
+
+
+def test_a_suite_whose_worker_dies_fails_validate_in_one_line(tmp_path, monkeypatch, capsys, kill_this_worker):
+    from nexusopt import cli
+
+    monkeypatch.setitem(validate._SUITE_FNS, "closeness", kill_this_worker)
+    monkeypatch.setattr(cli, "worker_count", lambda: 2)
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", "--suite", "all", "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suite closeness: the worker process running it was killed by SIGKILL\n"
+    assert not report.exists()
 
 
 def _stub_suite(name, fail_with=None):
@@ -80,22 +93,22 @@ def _stub_suite(name, fail_with=None):
     return [CheckResult(f"{name}_{i}", "pass", 0.0, 0.0, 0.0) for i in range(2)]
 
 
-def test_suites_are_dispatched_longest_first_and_joined_in_table_order(monkeypatch, started_pools):
+def test_suites_are_dispatched_longest_first_and_joined_in_table_order(monkeypatch, forked_workers):
     assert sorted(validate._DISPATCH_ORDER) == sorted(validate._SUITE_FNS)
     assert validate._DISPATCH_ORDER[0] == "generalization"
     handed = []
     real = validate.map_in_workers
 
-    def recording(fn, items, workers):
-        handed.append((fn, list(items), workers))
-        return real(fn, items, workers)
+    def recording(fn, items, workers, on_death):
+        handed.append((fn, list(items), workers, on_death))
+        return real(fn, items, workers, on_death)
 
     monkeypatch.setattr(validate, "map_in_workers", recording)
     for name in validate._SUITE_FNS:
         monkeypatch.setitem(validate._SUITE_FNS, name, functools.partial(_stub_suite, name))
     results = validate_theorems("all", workers=2)
-    assert handed == [(validate._run_suite, [(name, None) for name in validate._DISPATCH_ORDER], 2)]
-    assert started_pools == [2]
+    assert handed == [(validate._run_suite, [(name, None) for name in validate._DISPATCH_ORDER], 2, validate._lost_suite)]
+    assert forked_workers == [2]
     assert [r.check_name for r in results] == [f"{name}_{i}" for name in validate._SUITE_FNS for i in range(2)]
 
 
