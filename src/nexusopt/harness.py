@@ -199,7 +199,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
             value = mean_pairwise_cosine(gradient_cosines(G))
         except DegenerateGradient:
             return None
-        return value if np.isfinite(value) else None
+        return value if math.isfinite(value) else None
 
     def emit(step: int) -> tuple:
         """(the row measured at theta, the gradient matrix G it was measured from)."""

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import RngStream, as_params, fd_hvp, rng_substream
+from .numerics import RngStream, all_finite, as_params, fd_hvp, rng_substream
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -122,7 +122,7 @@ class DataSource:
             raise DimensionMismatch("inputs and targets must be 2-D (n x dim)")
         if self.inputs.shape[0] != self.targets.shape[0] or self.inputs.shape[0] < 1:
             raise DimensionMismatch("inputs and targets must share n >= 1 rows")
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+        if not (all_finite(self.inputs) and all_finite(self.targets)):
             raise ValueError("data source contains non-finite entries")
 
     @property
@@ -267,8 +267,9 @@ class MLPTask:
         return self._mse(self._forward(theta)[-1])
 
     def _mse(self, err: np.ndarray) -> float:
-        # the bits of weight * np.mean(err**2), without np.mean's per-call overhead
-        return float(self.weight * (np.square(err).sum() / err.size))
+        # the bits of weight * np.mean(err**2), without the per-call overhead of
+        # np.mean or of ndarray.sum's Python wrapper, which calls np.add.reduce
+        return float(self.weight * (np.add.reduce(np.square(err), axis=None) / err.size))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self._backprop(theta, with_loss=False)[1]
@@ -302,11 +303,12 @@ class MLPTask:
             bias_grad = grads[2 * layer + 1]  # None: folded into the weight's gradient
             # einsum adds the rows one by one, as .sum(axis=0) does on more than
             # one column but with less overhead; a single column is contiguous,
-            # so .sum pairwise-sums it and einsum would not
+            # so .sum pairwise-sums it and einsum would not. np.add.reduce is
+            # what .sum calls, without its Python wrapper
             if bias_grad is not None and delta.shape[1] > 1:
                 np.einsum("ij->j", delta, out=bias_grad)
             elif bias_grad is not None:
-                delta.sum(axis=0, out=bias_grad)
+                np.add.reduce(delta, axis=0, out=bias_grad)
             if layer > 0:
                 h = hs[layer]  # not read again: tanh' overwrites it
                 delta = delta @ plan.arrays[2 * layer].T

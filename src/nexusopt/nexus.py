@@ -62,7 +62,7 @@ def inner_loop(theta: np.ndarray, ts, cfg: NexusConfig, sequence, first_grad=Non
     minibatch as in standard training.
     """
     current = as_params(theta)
-    ghat = np.zeros_like(current)
+    ghat = np.zeros(current.shape[0])
     for i, k in enumerate(sequence):
         k = int(k)
         g = first_grad if i == 0 and first_grad is not None else ts[k].grad(current)

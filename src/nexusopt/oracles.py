@@ -185,8 +185,8 @@ def cosgrad_analytic(task_i, task_j, theta: np.ndarray) -> np.ndarray:
     loc_i, loc_j = _locals(TaskSet([task_i, task_j]), theta, DEFAULT_GRAD_FLOOR)
     proj_j = _proj(loc_i.h, loc_j.h)
     proj_i = _proj(loc_j.h, loc_i.h)
-    term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros_like(theta)
-    term_j = task_j.hvp(theta, proj_i) / loc_j.n if norm(proj_i) > 0 else np.zeros_like(theta)
+    term_i = task_i.hvp(theta, proj_j) / loc_i.n if norm(proj_j) > 0 else np.zeros(theta.shape[0])
+    term_j = task_j.hvp(theta, proj_i) / loc_j.n if norm(proj_i) > 0 else np.zeros(theta.shape[0])
     return term_i + term_j
 
 

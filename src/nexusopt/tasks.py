@@ -22,12 +22,13 @@ its mean, the cosines of its rows and their off-diagonal mean, and the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NexusError
-from .numerics import RngStream, as_params, norm
+from .numerics import RngStream, all_finite, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
 
 
@@ -35,9 +36,11 @@ def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) at its default rtol 1e-5, without its per-call overhead.
 
     This is np.isclose's own rule, finite or not: within tolerance where b is
-    finite, else exactly equal (equal infs are close, NaN is not).
+    finite, else exactly equal (equal infs are close, NaN is not). The mask is
+    counted as all_finite counts, without ndarray.all's Python wrapper.
     """
-    return bool((((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)) | (a == b)).all())
+    close = ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)) | (a == b)
+    return bool(np.count_nonzero(close) == close.size)
 
 
 def _check_spd(A: np.ndarray) -> None:
@@ -45,11 +48,11 @@ def _check_spd(A: np.ndarray) -> None:
         raise DimensionMismatch(f"Hessian must be square, got shape {A.shape}")
     if not _allclose(A, A.T, 1e-12):
         raise ValueError("Hessian must be symmetric")
-    if not np.isfinite(A).all():  # equal infs pass the symmetry check, and eigvalsh turns them into NaN
+    if not all_finite(A):  # equal infs pass the symmetry check, and eigvalsh turns them into NaN
         raise ValueError("Hessian must be finite")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs.min() <= 0:
-        raise ValueError(f"Hessian must be positive definite, min eigenvalue {eigs.min():g}")
+    smallest = np.linalg.eigvalsh(A)[0]  # eigvalsh returns the eigenvalues in ascending order
+    if smallest <= 0:
+        raise ValueError(f"Hessian must be positive definite, min eigenvalue {smallest:g}")
 
 
 def symmetrize_tensor(T: np.ndarray) -> np.ndarray:
@@ -98,7 +101,7 @@ class QuadraticTask:
         d = self.minimizer.shape[0]
         if self.hessian.shape[0] != d:
             raise DimensionMismatch("Hessian and minimizer dimensions differ")
-        if not np.isfinite(self.offset):
+        if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset}")
         if self.third is None:
             return
@@ -107,7 +110,7 @@ class QuadraticTask:
             raise DimensionMismatch(f"third tensor must have shape {(d, d, d)}, got {self.third.shape}")
         if not _allclose(self.third, symmetrize_tensor(self.third), 1e-10):
             raise ValueError("third tensor must be symmetric under index permutations")
-        if not np.isfinite(self.third).all():  # an inf on the diagonal passes the symmetry check
+        if not all_finite(self.third):  # an inf on the diagonal passes the symmetry check
             raise ValueError("third tensor must be finite")
 
     @property
@@ -221,7 +224,7 @@ def _checked_weights(weights, K: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (K,):
         raise DimensionMismatch("one weight per task required")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+    if not all_finite(weights) or np.any(weights < 0):
         raise ValueError("weights must be finite and non-negative")
     return weights
 

@@ -1,11 +1,12 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from nexusopt.errors import NexusError, NonFiniteValue
-from nexusopt.numerics import fd_gradient, fd_hvp, norm, rng_root, rng_substream
+from nexusopt.numerics import all_finite, as_params, fd_gradient, fd_hvp, norm, rng_root, rng_substream
 from nexusopt.tasks import QuadraticTask
 
 
@@ -59,6 +60,15 @@ def test_fd_hvp_matches_cubic_hessian():
 def test_fd_hvp_rejects_zero_direction():
     with pytest.raises(NexusError, match="direction vector has zero norm"):
         fd_hvp(lambda th: th, np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("probe_sign", [1.0, -1.0], ids=["plus_probe", "minus_probe"])
+def test_fd_hvp_rejects_a_non_finite_gradient_probe(probe_sign):
+    def grad_fn(th):
+        return np.array([np.inf, 1.0]) if th[0] * probe_sign > 0 else th
+
+    with pytest.raises(NonFiniteValue, match="gradient probe returned non-finite values"):
+        fd_hvp(grad_fn, np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_substream_determinism():
@@ -123,3 +133,50 @@ def test_norm_equals_np_linalg_norm_bitwise(case):
     value = norm(x)
     assert type(value) is float
     assert struct.pack("<d", value) == struct.pack("<d", float(np.linalg.norm(x)))
+
+
+def _finiteness_cases():
+    with_infs = np.array([1.0, np.inf, 2.0, -np.inf, 3.0])
+    cube = np.ones((2, 3, 4))
+    cube[1, 2, 3] = np.inf
+    return {
+        "finite": np.array([1.0, -2.0, 3.5]),
+        "nan": np.array([1.0, np.nan]),
+        "plus_inf": np.array([np.inf, 0.0]),
+        "minus_inf": np.array([0.0, -np.inf]),
+        "both_infs": np.array([np.inf, -np.inf]),
+        "largest_floats": np.array([1.7e308, -1.7e308]),
+        "smallest_subnormal": np.array([5e-324, -5e-324]),
+        "negative_zero": np.array([-0.0]),
+        "empty": np.empty(0),
+        "empty_matrix": np.empty((0, 3)),
+        "strided_view_skipping_infs": with_infs[::2],
+        "strided_view_with_an_inf": with_infs[1::2],
+        "matrix_with_a_nan": np.array([[1.0, 2.0], [np.nan, 3.0]]),
+        "finite_matrix": np.arange(6.0).reshape(2, 3),
+        "cube_with_an_inf": cube,
+        "finite_cube": np.ones((2, 3, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_finiteness_cases()))
+def test_all_finite_gives_the_verdict_of_isfinite_all(case):
+    x = _finiteness_cases()[case]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = all_finite(x)
+    assert type(verdict) is bool
+    assert verdict == bool(np.isfinite(x).all())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["plus_inf", "minus_inf", "nan"])
+def test_as_params_rejects_each_non_finite_value(bad):
+    with pytest.raises(NonFiniteValue, match="parameter vector contains NaN/Inf"):
+        as_params([0.0, bad, 1.0])
+
+
+def test_as_params_accepts_the_largest_floats():
+    values = [1.7e308, -1.7e308, 5e-324]
+    with np.errstate(all="raise"):
+        theta = as_params(values)
+    assert theta.dtype == np.float64 and theta.tolist() == values
