@@ -11,7 +11,7 @@ Submodules:
   numerics    vectors, splittable RNG streams, finite-difference oracles
   tasks       one quadratic task class with an optional third-derivative
               tensor (a cubic), task families, task sets, serialization,
-              gradient cosines and closeness
+              the mean gradient cosine and closeness
   mlp         tiny MLP regression tasks, closed-form backprop, synthetic sources
   optimizers  SGD, normalized SGD, decoupled AdamW, lr schedules, clipping
   nexus       the inner loop over a given task sequence

@@ -25,14 +25,13 @@ class DimensionMismatch(NexusError):
 class DegenerateGradient(NexusError):
     """Gradient norm fell below the configured floor.
 
-    Carries the offending task index and, when raised during training, the
-    outer step (either may be None when unknown).
+    Carries the offending task index (None when unknown); when raised during
+    training, the message names the outer step.
     """
 
-    def __init__(self, message: str, task_index: int | None = None, step: int | None = None):
+    def __init__(self, message: str, task_index: int | None = None):
         super().__init__(message)
         self.task_index = task_index
-        self.step = step
 
 
 class ConfigError(NexusError):

@@ -55,7 +55,6 @@ from .tasks import (
     TaskFamily,
     TaskSet,
     closeness,
-    gradient_cosines,
     is_quadratic,
     losses_and_grads,
     mean_grad,
@@ -196,7 +195,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
 
     def pairwise_cos(G: np.ndarray) -> float | None:
         try:
-            value = mean_pairwise_cosine(gradient_cosines(G))
+            value = mean_pairwise_cosine(G)
         except DegenerateGradient:
             return None
         return value if math.isfinite(value) else None
@@ -239,9 +238,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
                     theta, ts, nexus_cfg, sequence, first_grad=None if G is None else G[sequence[0]]
                 )
             except DegenerateGradient as exc:
-                raise DegenerateGradient(
-                    f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index, step
-                ) from exc
+                raise DegenerateGradient(f"outer step {step}, task {exc.task_index}: {exc}", exc.task_index) from exc
             last_pg_norm = norm(direction)
         else:
             direction = train_grad(ts, theta) if G is None else mean_grad(G)

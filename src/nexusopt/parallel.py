@@ -136,7 +136,10 @@ def map_in_workers(fn, items, workers: int = 1, on_death=_raise):
     if workers <= 1:
         yield from map(fn, items)
         return
-    import selectors  # imported here, like the workers: a serial start needs neither
+    # imported here: a serial start needs neither. signal is imported before the first
+    # fork (ctypes comes with numpy), so that a worker finds both loaded and imports nothing
+    import selectors
+    import signal  # noqa: F401
 
     selector = selectors.DefaultSelector()
     busy = {}  # a running worker's result pipe -> (pid, task pipe, index of its item)

@@ -15,8 +15,8 @@ Mixture weights are folded multiplicatively into the task objects at
 downstream code sees a plain average over tasks.
 
 Training and the oracles measure a task set here too: a ``task_grads`` matrix,
-its mean, the cosines of its rows and their off-diagonal mean, and the
-``closeness`` of a point to the minimizers of a quadratic set.
+its mean, the mean cosine of its rows, and the ``closeness`` of a point to the
+minimizers of a quadratic set.
 """
 
 from __future__ import annotations
@@ -294,33 +294,27 @@ def train_grad(ts: TaskSet, theta: np.ndarray) -> np.ndarray:
     return mean_grad(task_grads(ts, theta))
 
 
-def gradient_cosines(G: np.ndarray) -> np.ndarray:
-    """K x K cosine matrix of the rows of a (K, d) per-task gradient matrix.
+def mean_pairwise_cosine(G: np.ndarray) -> float:
+    """Mean cosine between distinct rows of a (K, d) per-task gradient matrix; nan for a single task.
 
-    Each entry is its own dot product over the two norms; a single G @ G.T
-    may sum in another order and move the entries in the last bits. The rows
-    are taken as views once, and ``rows[i].dot(rows[j])`` is the ddot that
-    ``G[i] @ G[j]`` calls, with the same bits for every G whose strides are
-    positive, without indexing G twice per pair. The dot product and the
-    product of norms commute exactly, so the lower triangle mirrors the upper one.
+    Every row's norm is checked first, in row order. Each cosine is its own dot
+    product over the two norms; a single G @ G.T may sum in another order and
+    move it in the last bits. The rows are taken as views once, and
+    ``rows[i].dot(rows[j])`` is the ddot that ``G[i] @ G[j]`` calls, with the
+    same bits for every G whose strides are positive. Each cosine is taken
+    once and written twice into C, which holds row by row the off-diagonal
+    entries of the K x K cosine matrix, so the mean sums them in that order.
     """
     rows = list(G)
     norms = [checked_norm(g, DEFAULT_GRAD_FLOOR, k) for k, g in enumerate(rows)]
     K = len(rows)
-    S = np.empty((K, K))
-    for i in range(K):
-        for j in range(i, K):
-            S[i, j] = S[j, i] = float(rows[i].dot(rows[j])) / (norms[i] * norms[j])
-    return S
-
-
-def mean_pairwise_cosine(S: np.ndarray) -> float:
-    """Mean of the off-diagonal entries; nan for a single task."""
-    K = S.shape[0]
     if K < 2:
         return float("nan")
-    mask = ~np.eye(K, dtype=bool)
-    return float(S[mask].mean())
+    C = np.empty((K, K - 1))
+    for i in range(K):
+        for j in range(i + 1, K):
+            C[i, j - 1] = C[j, i] = float(rows[i].dot(rows[j])) / (norms[i] * norms[j])
+    return float(C.mean())
 
 
 def closeness(theta: np.ndarray, ts: TaskSet) -> float:

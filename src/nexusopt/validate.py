@@ -49,7 +49,7 @@ from .oracles import (
     third_order_direction,
 )
 from .parallel import map_in_workers
-from .tasks import TaskFamily, TaskSet, gradient_cosines, random_cubic_task, random_spd_matrix, task_grads
+from .tasks import TaskFamily, TaskSet, mean_pairwise_cosine, random_cubic_task, random_spd_matrix, task_grads
 
 
 @dataclass
@@ -159,8 +159,8 @@ def check_second_order(gamma_override: float | None = None) -> list:
             ts = TaskSet([random_cubic_task(dim, rng_substream(rng, str(j)), 0.4) for j in range(2)])
         theta = random_probe_point(ts, rng_substream(rng, "probe"))
         analytic = cosgrad_analytic(ts[0], ts[1], theta)
-        # the cosine behind the mean_pairwise_cos column, bit for bit
-        fd = fd_gradient(lambda x: gradient_cosines(task_grads(ts, x))[0, 1], theta, eps=1e-6)
+        # the mean_pairwise_cos column's function; at K = 2 it is the pair's cosine, bit for bit
+        fd = fd_gradient(lambda x: mean_pairwise_cosine(task_grads(ts, x)), theta, eps=1e-6)
         denom = max(norm(fd), 1e-12)
         worst_rel = max(worst_rel, norm(analytic - fd) / denom)
     results.append(
@@ -309,8 +309,8 @@ _SUITE_FNS = {
 }
 SUITES = ("all", *_SUITE_FNS)
 
-# _SUITE_FNS by serial time, longest first (best of 3: about 134, 83, 69, 31, 16
-# and 9 ms on a 2-core VM): two workers then finish in about half the serial total
+# _SUITE_FNS by serial time, longest first (best of 3: about 96, 50, 38, 22, 8
+# and 6 ms on a 2-core Xeon VM): two workers then finish in about half the serial total
 _DISPATCH_ORDER = ("generalization", "second_order", "closeness", "nsgd_identity", "convergence", "third_order")
 
 

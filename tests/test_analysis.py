@@ -9,7 +9,6 @@ from nexusopt.tasks import (
     TaskFamily,
     TaskSet,
     closeness,
-    gradient_cosines,
     mean_pairwise_cosine,
     random_cubic_task,
     random_spd_matrix,
@@ -18,40 +17,6 @@ from nexusopt.tasks import (
     task_grads,
 )
 from reference import first_order_transfer, flatness_closeness_bound
-
-
-def test_cosine_matrix_identical_tasks():
-    task = QuadraticTask(np.eye(2), np.ones(2))
-    S = gradient_cosines(task_grads(TaskSet([task, task]), np.zeros(2)))
-    assert_allclose(S, np.ones((2, 2)), atol=1e-14)
-
-
-def test_cosine_matrix_orthogonal_gradients():
-    ts = TaskSet([
-        QuadraticTask(np.eye(2), np.array([1.0, 0.0])),
-        QuadraticTask(np.eye(2), np.array([0.0, 1.0])),
-    ])
-    S = gradient_cosines(task_grads(ts, np.zeros(2)))
-    assert_allclose(S[0, 1], 0.0, atol=1e-15)
-    assert_allclose(np.diag(S), 1.0)
-
-
-def test_cosine_matrix_matches_brute_force():
-    rng = rng_root(1)
-    tasks = [
-        QuadraticTask(random_spd_matrix(4, rng_substream(rng, f"A{k}")), rng.generator.standard_normal(4))
-        for k in range(5)
-    ]
-    ts = TaskSet(tasks)
-    theta = rng.generator.standard_normal(4)
-    S = gradient_cosines(task_grads(ts, theta))
-    grads = [t.grad(theta) for t in tasks]
-    for i in range(5):
-        for j in range(5):
-            expected = grads[i] @ grads[j] / (np.linalg.norm(grads[i]) * np.linalg.norm(grads[j]))
-            assert abs(S[i, j] - expected) <= 1e-12
-    assert_allclose(S, S.T, atol=1e-15)
-    assert S.min() >= -1.0 - 1e-12 and S.max() <= 1.0 + 1e-12
 
 
 def per_pair_cosines(ts, theta):
@@ -65,14 +30,8 @@ def per_pair_cosines(ts, theta):
     return S
 
 
-def test_gradient_cosines_equal_the_per_pair_formula_bitwise(task_sets):
-    for name, ts, theta in task_sets:
-        expected = per_pair_cosines(ts, theta)
-        assert np.array_equal(gradient_cosines(task_grads(ts, theta)), expected), name
-
-
 def indexed_pair_cosines(G):
-    """gradient_cosines as first written: G indexed twice per pair, through @."""
+    """The K x K cosine matrix as first written: G indexed twice per pair, through @."""
     norms = [norm(g) for g in G]
     S = np.empty((len(G), len(G)))
     for i in range(len(G)):
@@ -81,23 +40,56 @@ def indexed_pair_cosines(G):
     return S
 
 
+def off_diagonal_mean(S):
+    """mean_pairwise_cosine as first written: the mean of a cosine matrix with its diagonal masked out."""
+    if len(S) < 2:
+        return float("nan")
+    return float(S[~np.eye(len(S), dtype=bool)].mean())
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "column_strided", "fortran"])
-@pytest.mark.parametrize("K", [1, 2, 8])
-def test_gradient_cosines_over_row_views_equal_the_indexed_form_bytewise(K, layout):
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+def test_mean_pairwise_cosine_equals_the_masked_matrix_mean_bytewise(K, layout):
     gen = rng_root(77).generator
     for d in (5, 289, 4097):  # 289: the shipped MLP's parameter count
         wide = gen.standard_normal((K, 2 * d))
         G = {"contiguous": wide[:, :d].copy(), "column_strided": wide[:, ::2],
              "fortran": np.asfortranarray(wide[:, :d])}[layout]
-        assert gradient_cosines(G).tobytes() == indexed_pair_cosines(G).tobytes(), d
+        assert mean_pairwise_cosine(G).hex() == off_diagonal_mean(indexed_pair_cosines(G)).hex(), d
 
 
-def test_cosine_matrix_degenerate_gradient_names_task():
+def test_mean_pairwise_cosine_equals_the_per_pair_formula_bitwise(task_sets):
+    for name, ts, theta in task_sets:
+        expected = off_diagonal_mean(per_pair_cosines(ts, theta))
+        assert mean_pairwise_cosine(task_grads(ts, theta)) == expected, name
+
+
+def test_mean_pairwise_cosine_of_two_rows_is_their_cosine():
+    G = rng_root(5).generator.standard_normal((2, 289))
+    assert mean_pairwise_cosine(G) == indexed_pair_cosines(G)[0, 1]
+    ts = TaskSet([
+        QuadraticTask(np.eye(2), np.array([1.0, 0.0])),
+        QuadraticTask(np.eye(2), np.array([0.0, 1.0])),
+    ])
+    assert mean_pairwise_cosine(task_grads(ts, np.zeros(2))) == 0.0
+
+
+def test_mean_pairwise_cosine_of_identical_and_opposite_rows():
+    row = np.array([3.0, 4.0])
+    assert mean_pairwise_cosine(np.array([row, row, row])) == 1.0
+    assert mean_pairwise_cosine(np.array([row, -row])) == -1.0
+
+
+def test_mean_pairwise_cosine_degenerate_gradient_names_the_first_task_below_the_floor():
     task = QuadraticTask(np.eye(2), np.zeros(2))
     other = QuadraticTask(np.eye(2), np.ones(2))
     with pytest.raises(DegenerateGradient) as err:
-        gradient_cosines(task_grads(TaskSet([other, task]), np.zeros(2)))
+        mean_pairwise_cosine(task_grads(TaskSet([other, task, task]), np.zeros(2)))
     assert err.value.task_index == 1
+
+
+def test_mean_pairwise_cosine_of_one_task_is_nan():
+    assert np.isnan(mean_pairwise_cosine(np.ones((1, 3))))
 
 
 def test_closeness_symmetric_pair():
@@ -245,9 +237,3 @@ def test_segment_curvature_rejects_tasks_without_certified_extremes():
     theta, minimizer = np.ones(spec.n_params), np.zeros(spec.n_params)
     with pytest.raises(TypeError, match="got MLPTask"):
         flatness_closeness_bound(theta, task, minimizer=minimizer)
-
-
-def test_mean_pairwise_cosine():
-    S = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]])
-    assert_allclose(mean_pairwise_cosine(S), 0.0)
-    assert np.isnan(mean_pairwise_cosine(np.ones((1, 1))))

@@ -1,10 +1,13 @@
 import io
+import json
 import os
+import subprocess
 import sys
 import threading
 
 import pytest
 
+import nexusopt
 from nexusopt.errors import NexusError
 from nexusopt.parallel import map_in_workers
 
@@ -134,3 +137,18 @@ def test_a_line_printed_around_a_fork_appears_exactly_once(capfd, monkeypatch):
     monkeypatch.undo()
     lines = capfd.readouterr().out.splitlines()
     assert sorted(lines) == sorted(["before the map", *(f"item {x}" for x in range(4))])
+
+
+def test_a_forked_worker_imports_no_module_of_its_own():
+    """A fresh interpreter, where nothing has imported the modules a worker's
+    set-up uses: each worker finds them loaded by the parent before the fork."""
+    script = (
+        "import json, sys\n"
+        "from nexusopt.parallel import map_in_workers\n"
+        "held = list(map_in_workers(lambda _: sorted(sys.modules), range(2), 2))\n"
+        "print(json.dumps(sorted(set().union(*held) - set(sys.modules))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nexusopt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -22,7 +22,10 @@ too only shrinks.
 Every exception class defined in ``errors.py`` is named by an ``except``
 clause, alone or in a tuple, in some module of ``src/nexusopt``: a failure
 that no caller handles by its class raises the nearest base class that one
-does, with a message that says what went wrong.
+does, with a message that says what went wrong. Every attribute that such a
+class's ``__init__`` sets on ``self`` is read, as ``name.attribute`` inside an
+``except ... as name`` clause, in some module other than ``errors.py``; the
+exceptions are on ``KEEP_UNREAD_FIELDS`` below.
 """
 
 import ast
@@ -92,10 +95,14 @@ def test_every_public_name_has_a_program_caller():
     assert not gained, f"listed names that gained a caller or are gone, take them off the list: {gained}"
 
 
+def exception_classes(trees):
+    errors = next(tree for path, tree in trees.items() if path.name == "errors.py")
+    return [node for node in errors.body if isinstance(node, ast.ClassDef)]
+
+
 def test_every_exception_class_is_named_by_an_except_clause():
     trees = package_trees()
-    errors = next(tree for path, tree in trees.items() if path.name == "errors.py")
-    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    defined = {node.name for node in exception_classes(trees)}
     caught = set()
     for tree in trees.values():
         for handler in ast.walk(tree):
@@ -175,10 +182,12 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # passes it by keyword, or an Attribute of its name is assigned outside its
 # class's __post_init__; a default_factory field also counts as set when a
 # method is called on an Attribute of its name, as record.rows.append(row)
-# fills a list. The list of unread fields gives its reasons and only shrinks;
-# every defaulted field is set today, so that check has no list.
+# fills a list. The list of unread fields, exception attributes included, gives
+# its reasons and only shrinks; every defaulted field is set today, so that
+# check has no list.
 KEEP_UNREAD_FIELDS = {
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
+    "ConfigError.path": "read only by tests/test_config.py, which checks which key failed",
 }
 
 
@@ -267,12 +276,51 @@ def unset_field_defaults(trees):
     return unset
 
 
-def test_every_record_field_is_read_by_the_program():
-    unread = unread_fields(package_trees())
-    never_read = sorted(unread - KEEP_UNREAD_FIELDS.keys())
+def kept_unread(trees, exceptions: bool):
+    """The KEEP_UNREAD_FIELDS entries of exception classes, or of the other classes."""
+    names = {cls.name for cls in exception_classes(trees)}
+    return {qual for qual in KEEP_UNREAD_FIELDS if (qual.split(".")[0] in names) == exceptions}
+
+
+def assert_read_but_kept(unread, kept):
+    never_read = sorted(unread - kept)
     assert not never_read, f"fields no program code reads, delete them: {never_read}"
-    now_read = sorted(KEEP_UNREAD_FIELDS.keys() - unread)
+    now_read = sorted(kept - unread)
     assert not now_read, f"listed fields that the program now reads or that are gone, take them off the list: {now_read}"
+
+
+def test_every_record_field_is_read_by_the_program():
+    trees = package_trees()
+    assert_read_but_kept(unread_fields(trees), kept_unread(trees, exceptions=False))
+
+
+def unread_exception_attributes(trees):
+    """Class.attribute for each attribute that an exception class's __init__
+    sets on self and no except clause outside errors.py reads from its name."""
+    read = set()
+    for path, tree in trees.items():
+        if path.name == "errors.py":
+            continue
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.name is not None:
+                read |= {
+                    node.attr for node in ast.walk(handler)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and getattr(node.value, "id", None) == handler.name
+                }
+    unread = set()
+    for cls in exception_classes(trees):
+        for init in (f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"):
+            for node in ast.walk(init):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr not in read:
+                    if getattr(node.value, "id", None) == "self":  # self.attr = ...
+                        unread.add(f"{cls.name}.{node.attr}")
+    return unread
+
+
+def test_every_exception_attribute_is_read_by_the_program():
+    trees = package_trees()
+    assert_read_but_kept(unread_exception_attributes(trees), kept_unread(trees, exceptions=True))
 
 
 def test_every_defaulted_record_field_is_set_by_the_program():
