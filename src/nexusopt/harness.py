@@ -204,9 +204,10 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
         """(the row measured at theta, the gradient matrix G it was measured from)."""
         # one forward pass per task gives its loss and its row of G, which gives grad_norm and the cosines
         lr = schedule_lr(schedule, step)
-        # theta can stay finite while a loss or a norm overflows; such a run has diverged. Every
-        # value is checked below, so numpy's overflow warnings would only precede the one error
-        with np.errstate(over="ignore"):
+        # theta can stay finite while a loss or a norm overflows, or inf - inf turns one into NaN;
+        # such a run has diverged. Every value is checked below, so numpy's warnings would only
+        # precede the one error
+        with np.errstate(over="ignore", invalid="ignore"):
             losses, G = losses_and_grads(ts, theta)
             tl = sum(losses) / len(ts)
             ood = ood_task.loss(theta) if ood_task is not None else None

@@ -2,13 +2,14 @@
 
 Exact expected pseudo-gradients by sequence enumeration, closed-form
 similarity gradients, Taylor expansions of the inner-loop expectation,
-error-bound constants, generalization-gap formulas, and convergence
-contractions. The expansions are public as the two- and three-term directions;
-their first-order term and normalized-gradient derivatives are private
-helpers. Every oracle makes one gradient evaluation per task per point, a row
-of one ``task_grads`` matrix, checked against the floor by training's
-``checked_norm``; at third order it takes each task's Hessian and tensor once
-per call too, and its pair and triple contractions reuse those values.
+error-bound constants, generalization-gap formulas with the exact expected
+gap they are checked against, and convergence contractions. The expansions
+are public as the two- and three-term directions; their first-order term and
+normalized-gradient derivatives are private helpers. Every oracle makes one
+gradient evaluation per task per point, a row of one ``task_grads`` matrix,
+checked against the floor by training's ``checked_norm``; at third order it
+takes each task's Hessian and tensor once per call too, and its pair and
+triple contractions reuse those values.
 
 Two distinct "similarity gradient" objects appear and are easy to conflate:
 
@@ -46,7 +47,6 @@ from .numerics import RngStream, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm, nsgd_step, sgd_step
 from .tasks import (
     QuadraticTask,
-    TaskFamily,
     TaskSet,
     closeness,
     is_quadratic,
@@ -364,46 +364,32 @@ def general_gap_bound(cb: CurvatureBounds, K: int, sigma_sq: float) -> float:
     return cb.lambda_max * (cb.kappa**2 + 1.0) / (2.0 * K) * sigma_sq
 
 
-def monte_carlo_generalization_gap(
-    family: TaskFamily, K: int, n_draws: int, rng: RngStream
-) -> tuple:
-    """Monte-Carlo estimate of the downstream gap; returns (mean, SE).
+def expected_gap_exact(A: np.ndarray, K: int, sigma_sq: float) -> float:
+    """Exact expected downstream gap for K training tasks sharing the SPD Hessian A.
 
-    Each draw samples fresh training minimizers and one downstream minimizer,
-    places the trained parameter at the training stationary point (the mean of
-    the minimizers for the isotropic family), and measures downstream loss
-    minus training loss.
+    The family: the K training minimizers t_1..t_K and the downstream one t_0
+    are i.i.d. t_j = mu + s*z_j with z_j ~ N(0, I_d) and s^2 = sigma_sq / d, so
+    sigma_sq is their total variance. The trained parameter is the training
+    stationary point, which for tasks sharing A is the mean theta_bar of
+    t_1..t_K, and the gap is the downstream loss there minus the training loss:
+    0.5 (theta_bar - t_0)^T A (theta_bar - t_0) minus the mean over k of
+    0.5 (theta_bar - t_k)^T A (theta_bar - t_k).
+
+    Let u be the coefficient row of theta_bar - t_0 over (t_0, .., t_K), and
+    v_k that of theta_bar - t_k. Each row sums to 0, so mu cancels, and with z
+    the stacked draws the gap is 0.5 s^2 z^T (Q kron A) z with
+    Q = u u^T - (1/K) sum_k v_k v_k^T. Since E[z^T M z] = tr(M), the expected
+    gap is 0.5 s^2 tr(Q kron A) = 0.5 s^2 tr(Q) tr(A), with
+    tr(Q) = ||u||^2 - (1/K) sum_k ||v_k||^2 = 2/K. For A = aI it is a*sigma_sq/K.
     """
-    d, a = family.dim, family.curvature
-    scale = np.sqrt(family.variance / d)
-    gen = rng.generator
-    train_mins = family.basin_mean + scale * gen.standard_normal((n_draws, K, d))
-    down_mins = family.basin_mean + scale * gen.standard_normal((n_draws, d))
-    theta_bar = train_mins.mean(axis=1)
-    c_train = 0.5 * a * np.mean(np.sum((theta_bar[:, None, :] - train_mins) ** 2, axis=2), axis=1)
-    down = 0.5 * a * np.sum((theta_bar - down_mins) ** 2, axis=1)
-    gaps = down - c_train
-    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_draws))
-
-
-def monte_carlo_anisotropic_gap(
-    A: np.ndarray, basin_mean: np.ndarray, sigma_sq: float, K: int, n_draws: int, rng: RngStream
-) -> tuple:
-    """Same measurement with a shared anisotropic SPD Hessian."""
-    basin_mean = as_params(basin_mean)
-    d = basin_mean.shape[0]
-    scale = np.sqrt(sigma_sq / d)
-    gen = rng.generator
-    train_mins = basin_mean + scale * gen.standard_normal((n_draws, K, d))
-    down_mins = basin_mean + scale * gen.standard_normal((n_draws, d))
-    theta_bar = train_mins.mean(axis=1)
-
-    def quad(diff):
-        return 0.5 * np.einsum("...a,ab,...b->...", diff, A, diff)
-
-    c_train = np.mean(quad(theta_bar[:, None, :] - train_mins), axis=1)
-    gaps = quad(theta_bar - down_mins) - c_train
-    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_draws))
+    A = np.asarray(A, dtype=np.float64)
+    if K < 1 or sigma_sq < 0:
+        raise ValueError("need K >= 1, sigma_sq >= 0")
+    theta_bar = np.full(K + 1, 1.0 / K)
+    theta_bar[0] = 0.0  # theta_bar's coefficient row over (t_0, .., t_K)
+    sq_norms = theta_bar @ theta_bar - 2.0 * theta_bar + 1.0  # ||theta_bar - t_j||^2: ||u||^2, then ||v_k||^2
+    trace_q = float(sq_norms[0] - sq_norms[1:].sum() / K)
+    return 0.5 * (sigma_sq / A.shape[0]) * trace_q * float(np.trace(A))
 
 
 def convergence_contraction(mu: float, L: float, gamma: float) -> float:

@@ -108,7 +108,9 @@ class QuadraticTask:
         self.third = np.asarray(self.third, dtype=np.float64)
         if self.third.shape != (d, d, d):
             raise DimensionMismatch(f"third tensor must have shape {(d, d, d)}, got {self.third.shape}")
-        if not _allclose(self.third, symmetrize_tensor(self.third), 1e-10):
+        # T against each transpose: a sum of the six copies would overflow for finite entries near 1e308
+        transposes = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+        if not all(_allclose(self.third, self.third.transpose(axes), 1e-10) for axes in transposes):
             raise ValueError("third tensor must be symmetric under index permutations")
         if not all_finite(self.third):  # an inf on the diagonal passes the symmetry check
             raise ValueError("third tensor must be finite")

@@ -34,11 +34,10 @@ from .oracles import (
     common_minimizer_taskset,
     convergence_contraction,
     cosgrad_analytic,
+    expected_gap_exact,
     expected_pseudo_gradient_exact,
     general_gap_bound,
     measure_sgd_contraction,
-    monte_carlo_anisotropic_gap,
-    monte_carlo_generalization_gap,
     nsgd_nexus_identity_check,
     quadratic_gap,
     quadratic_smoothness_constants,
@@ -49,7 +48,7 @@ from .oracles import (
     third_order_direction,
 )
 from .parallel import map_in_workers
-from .tasks import TaskFamily, TaskSet, mean_pairwise_cosine, random_cubic_task, random_spd_matrix, task_grads
+from .tasks import TaskSet, mean_pairwise_cosine, random_cubic_task, random_spd_matrix, task_grads
 
 
 @dataclass
@@ -83,13 +82,13 @@ def _result(name, measured, lower, upper, detail):
                        lower, upper, detail)
 
 
-def _slope_result(name, slopes, lower, upper, detail):
-    """The record of the slope nearest an edge of [lower, upper], or farthest outside it, or
-    not finite: it passes exactly when every slope lies within the edges."""
-    def excess(s):
-        return max(lower - s, s - upper) if math.isfinite(s) else math.inf
+def _nearest_edge_result(name, values, lower, upper, detail):
+    """The record of the value nearest an edge of [lower, upper], or farthest outside it, or
+    not finite: it passes exactly when every value lies within the edges."""
+    def excess(v):
+        return max(lower - v, v - upper) if math.isfinite(v) else math.inf
 
-    return _result(name, max(slopes, key=excess), lower, upper, detail)
+    return _result(name, max(values, key=excess), lower, upper, detail)
 
 
 def _loglog_slope(gammas, residuals) -> float:
@@ -145,8 +144,8 @@ def check_second_order(gamma_override: float | None = None) -> list:
     )
     if slopes:
         results.append(
-            _slope_result("second_order_residual_slope", slopes, 2.8, 3.2,
-                          "log-log residual slope nearest an edge, over all sets")
+            _nearest_edge_result("second_order_residual_slope", slopes, 2.8, 3.2,
+                                 "log-log residual slope nearest an edge, over all sets")
         )
     # similarity-gradient formula vs. central differences
     worst_rel = 0.0
@@ -189,8 +188,8 @@ def check_third_order() -> list:
             residuals.append(norm(exact - third_order_direction(ts, theta, cfg)))
         slopes.append(_loglog_slope(gammas, residuals))
     results.append(
-        _slope_result("third_order_residual_slope", slopes, 3.8, 4.2,
-                      f"cubic K=2 residual slope nearest an edge, over gammas {gammas}")
+        _nearest_edge_result("third_order_residual_slope", slopes, 3.8, 4.2,
+                             f"cubic K=2 residual slope nearest an edge, over gammas {gammas}")
     )
     rng = rng_substream(root, "quad")
     ts = random_quadratic_taskset(3, 2, rng)
@@ -251,36 +250,30 @@ def check_convergence() -> list:
 
 
 def check_generalization() -> list:
+    """The gap formula a*sigma^2/K and the strongly-convex bound at kappa = 1 each equal the
+    exact expected gap to a relative 1e-12 on an isotropic grid; on anisotropic Hessians the
+    bound holds."""
     root = rng_root(314)
-    n_draws = 10_000
-    results = []
-    grid = [(a, K, sig) for a in (0.5, 1.0, 2.0) for K, sig in ((2, 0.25), (4, 0.5), (8, 1.0))]
-    worst_z = 0.0
-    for a, K, sig in grid:
-        family = TaskFamily(np.zeros(4), sig, a)
-        mean, se = monte_carlo_generalization_gap(family, K, n_draws, rng_substream(root, f"{a}/{K}/{sig}"))
-        z = abs(mean - quadratic_gap(a, K, sig)) / se
-        worst_z = max(worst_z, z)
-    results.append(
-        _result("quadratic_gap_matches_theory", worst_z, None, 3.0,
-                f"max |gap - a*sigma^2/K| / SE over 9 grid points, {n_draws} draws each")
-    )
-    worst_excess = -np.inf
+    formula_gaps, tight_gaps = [], []
+    for a in (0.5, 1.0, 2.0):
+        for K, sig in ((2, 0.25), (4, 0.5), (8, 1.0)):
+            exact = expected_gap_exact(a * np.eye(4), K, sig)
+            formula_gaps.append(exact / quadratic_gap(a, K, sig) - 1.0)
+            tight_gaps.append(exact / general_gap_bound(CurvatureBounds(a, a), K, sig) - 1.0)
+    excess = []
     for kappa in (2.0, 5.0):
-        rng = rng_substream(root, f"aniso/{kappa}")
-        lam_min, lam_max = 1.0, kappa
-        A = random_spd_matrix(4, rng, (lam_min, lam_max))
-        eigs = np.linalg.eigvalsh(A)
-        cb = CurvatureBounds(float(eigs.min()), float(eigs.max()))
+        A = random_spd_matrix(4, rng_substream(root, f"aniso/{kappa}"), (1.0, kappa))
+        lam_min, lam_max = np.linalg.eigvalsh(A)[[0, -1]]  # ascending
         K, sig = 4, 0.5
-        mean, se = monte_carlo_anisotropic_gap(A, np.zeros(4), sig, K, n_draws, rng_substream(rng, "mc"))
-        bound = general_gap_bound(cb, K, sig)
-        worst_excess = max(worst_excess, (mean + 3 * se) - bound)
-    results.append(
-        _result("strongly_convex_bound_holds", worst_excess, None, 0.0,
-                "measured anisotropic gap + 3 SE stays below the curvature bound")
-    )
-    return results
+        excess.append(expected_gap_exact(A, K, sig) - general_gap_bound(CurvatureBounds(lam_min, lam_max), K, sig))
+    return [
+        _nearest_edge_result("quadratic_gap_matches_theory", formula_gaps, -1e-12, 1e-12,
+                             "exact gap / (a*sigma^2/K) - 1 nearest an edge, over 9 grid points"),
+        _result("strongly_convex_bound_holds", max(excess), None, 0.0,
+                "max exact anisotropic gap - curvature bound, kappa in (2, 5)"),
+        _nearest_edge_result("strongly_convex_bound_tight_at_kappa_1", tight_gaps, -1e-12, 1e-12,
+                             "exact gap / (curvature bound at kappa = 1) - 1 nearest an edge, over 9 grid points"),
+    ]
 
 
 def check_nsgd_identity() -> list:
@@ -309,9 +302,9 @@ _SUITE_FNS = {
 }
 SUITES = ("all", *_SUITE_FNS)
 
-# _SUITE_FNS by serial time, longest first (best of 3: about 96, 50, 38, 22, 8
-# and 6 ms on a 2-core Xeon VM): two workers then finish in about half the serial total
-_DISPATCH_ORDER = ("generalization", "second_order", "closeness", "nsgd_identity", "convergence", "third_order")
+# _SUITE_FNS by serial time, longest first (best of 3: about 52, 41, 23, 9, 7
+# and 0.5 ms on a 2-core Xeon VM): two workers then finish in about half the serial total
+_DISPATCH_ORDER = ("second_order", "closeness", "nsgd_identity", "convergence", "third_order", "generalization")
 
 
 def _run_suite(job) -> list:

@@ -17,6 +17,10 @@ program code calls.
 * ``alignment_pair_direction``: J_i h_j + J_j h_i, the pair term that the
   ``nexusopt.oracles`` docstring defines; it calls the oracles' private
   ``_locals`` and ``_jacobian_apply``.
+* ``monte_carlo_generalization_gap`` and ``monte_carlo_anisotropic_gap``:
+  sampled (mean, SE) estimates of the downstream generalization gap, for the
+  isotropic family and for a shared anisotropic Hessian, that the tests hold
+  ``expected_gap_exact`` against.
 
 A function that gains a program caller moves back into ``src/nexusopt``
 together with that caller.
@@ -31,10 +35,10 @@ import numpy as np
 
 from nexusopt.errors import NexusError
 from nexusopt.nexus import NexusConfig
-from nexusopt.numerics import as_params, norm
+from nexusopt.numerics import RngStream, as_params, norm
 from nexusopt.optimizers import DEFAULT_GRAD_FLOOR
 from nexusopt.oracles import SmoothnessConstants, _jacobian_apply, _locals, expected_pseudo_gradient_exact
-from nexusopt.tasks import QuadraticTask, TaskSet, train_grad
+from nexusopt.tasks import QuadraticTask, TaskFamily, TaskSet, train_grad
 
 
 def _directional_curvature(task, xi: np.ndarray, u: np.ndarray) -> float:
@@ -143,3 +147,45 @@ def gamma2_coefficient_from_enumeration(
     V = np.vander(nodes, N=len(nodes) + 1, increasing=True)[:, 1:]  # columns gamma^1 .. gamma^len
     coeffs, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
     return coeffs[1]
+
+
+def monte_carlo_generalization_gap(
+    family: TaskFamily, K: int, n_draws: int, rng: RngStream
+) -> tuple:
+    """Monte-Carlo estimate of the downstream gap; returns (mean, SE).
+
+    Each draw samples fresh training minimizers and one downstream minimizer,
+    places the trained parameter at the training stationary point (the mean of
+    the minimizers for the isotropic family), and measures downstream loss
+    minus training loss.
+    """
+    d, a = family.dim, family.curvature
+    scale = np.sqrt(family.variance / d)
+    gen = rng.generator
+    train_mins = family.basin_mean + scale * gen.standard_normal((n_draws, K, d))
+    down_mins = family.basin_mean + scale * gen.standard_normal((n_draws, d))
+    theta_bar = train_mins.mean(axis=1)
+    c_train = 0.5 * a * np.mean(np.sum((theta_bar[:, None, :] - train_mins) ** 2, axis=2), axis=1)
+    down = 0.5 * a * np.sum((theta_bar - down_mins) ** 2, axis=1)
+    gaps = down - c_train
+    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_draws))
+
+
+def monte_carlo_anisotropic_gap(
+    A: np.ndarray, basin_mean: np.ndarray, sigma_sq: float, K: int, n_draws: int, rng: RngStream
+) -> tuple:
+    """Same measurement with a shared anisotropic SPD Hessian."""
+    basin_mean = as_params(basin_mean)
+    d = basin_mean.shape[0]
+    scale = np.sqrt(sigma_sq / d)
+    gen = rng.generator
+    train_mins = basin_mean + scale * gen.standard_normal((n_draws, K, d))
+    down_mins = basin_mean + scale * gen.standard_normal((n_draws, d))
+    theta_bar = train_mins.mean(axis=1)
+
+    def quad(diff):
+        return 0.5 * np.einsum("...a,ab,...b->...", diff, A, diff)
+
+    c_train = np.mean(quad(theta_bar[:, None, :] - train_mins), axis=1)
+    gaps = quad(theta_bar - down_mins) - c_train
+    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_draws))

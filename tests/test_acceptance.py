@@ -110,12 +110,13 @@ def test_a5_quadratic_generalization():
     results = {r.check_name: r for r in check_generalization()}
     gap = results["quadratic_gap_matches_theory"]
     bound = results["strongly_convex_bound_holds"]
-    ok = gap.passed and bound.passed
+    tight = results["strongly_convex_bound_tight_at_kappa_1"]
+    ok = gap.passed and bound.passed and tight.passed
     report(
         "A5",
         ok,
-        f"max |gap - a*sigma^2/K|/SE {gap.reading} over 9 grid points; anisotropic "
-        f"gap + 3 SE - bound {bound.reading}",
+        f"exact gap / (a*sigma^2/K) - 1 {gap.reading} over 9 grid points; exact anisotropic "
+        f"gap - bound {bound.reading}; exact gap / (bound at kappa = 1) - 1 {tight.reading}",
         t0, 60,
     )
 

@@ -197,7 +197,35 @@ def test_cli_run_whose_loss_overflows_prints_no_warning(tmp_path, capsys):
     assert capsys.readouterr().err == "run failed: NonFiniteValue: step 0: train_loss is inf\n"
 
 
-DEEP = "[" * 100_000
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("third_bound, error", [
+    ("1e307", "train_loss is -inf"),
+    ("1e308", "train_loss is nan"),
+    ("1.7976931348623157e308", "train_loss is nan"),
+], ids=["1e307", "1e308", "largest_float"])
+def test_cli_run_of_a_cubic_set_with_a_huge_finite_tensor_bound_is_a_failed_run(tmp_path, capsys, third_bound, error):
+    # tensor entries near 1e308 are finite, so the task builds and the run diverges at its first emit
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("total_steps = 6", "total_steps = 3")
+                   + f'problem.kind = "cubic_set"\nproblem.third_bound = {third_bound}\n')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"run failed: NonFiniteValue: step 0: {error}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_of_a_taskset_file_with_a_huge_finite_tensor_entry_is_a_failed_run(tmp_path, capsys):
+    tasks = tmp_path / "cubic.json"
+    tasks.write_text(json.dumps({"tasks": [{
+        "kind": "cubic", "hessian": [1.0, 0.0, 0.0, 1.0], "minimizer": [0.0, 0.0], "third": {"0,0,1": 1e308},
+    }]}))
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("total_steps = 6", "total_steps = 3")
+                   + f'problem.kind = "custom_taskset_file"\nproblem.path = {json.dumps(str(tasks))}\n')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "run failed: NonFiniteValue: step 0: grad_norm is inf\n"
+
+
+DEEP ="[" * 100_000
 
 
 @pytest.mark.parametrize("entry", ["config_value", "set_value", "taskset_file"])
@@ -304,7 +332,7 @@ def test_every_validate_status_follows_from_the_reports_own_numbers(tmp_path, ca
     assert report["all_passed"] is (code == 0)
 
 
-VALIDATE_ALL_SHA256 = "dd8e6e18b6a5a7cb56f796678dd8ae348da5f9990262f2afc21d351d4abce404"
+VALIDATE_ALL_SHA256 = "9626d045392cecbf7658f8226cf9d144254777d87bdfb66eb99e75ad14b45956"
 
 
 def test_cli_validate_all_in_two_workers_writes_the_recorded_report(tmp_path, monkeypatch, forked_workers):

@@ -16,10 +16,10 @@ from nexusopt.oracles import (
     common_minimizer_taskset,
     convergence_contraction,
     cosgrad_analytic,
+    expected_gap_exact,
     expected_pseudo_gradient_exact,
     general_gap_bound,
     measure_sgd_contraction,
-    monte_carlo_generalization_gap,
     nsgd_nexus_identity_check,
     quadratic_gap,
     quadratic_smoothness_constants,
@@ -35,10 +35,17 @@ from nexusopt.tasks import (
     TaskFamily,
     TaskSet,
     random_cubic_task,
+    random_spd_matrix,
     stationary_point,
     train_grad,
 )
-from reference import alignment_pair_direction, gamma2_coefficient_from_enumeration, lipschitz_constants
+from reference import (
+    alignment_pair_direction,
+    gamma2_coefficient_from_enumeration,
+    lipschitz_constants,
+    monte_carlo_anisotropic_gap,
+    monte_carlo_generalization_gap,
+)
 
 
 def monte_carlo_pseudo_gradient(ts, theta, cfg, rng, n_draws):
@@ -453,6 +460,36 @@ def test_monte_carlo_gap_matches_formula():
     family = TaskFamily(np.zeros(3), 0.7, 1.3)
     mean, se = monte_carlo_generalization_gap(family, 4, 20_000, rng_root(15))
     assert abs(mean - quadratic_gap(1.3, 4, 0.7)) <= 3 * se
+
+
+def _validated_gap_fixtures():
+    """The generalization suite's fixtures with the seeds it drew its Monte Carlo gaps from:
+    (label, A, K, sigma^2, (mean, SE) of 10,000 draws)."""
+    root = rng_root(314)
+    for a in (0.5, 1.0, 2.0):
+        for K, sig in ((2, 0.25), (4, 0.5), (8, 1.0)):
+            rng = rng_substream(root, f"{a}/{K}/{sig}")
+            sampled = monte_carlo_generalization_gap(TaskFamily(np.zeros(4), sig, a), K, 10_000, rng)
+            yield f"{a}/{K}/{sig}", a * np.eye(4), K, sig, sampled
+    for kappa in (2.0, 5.0):
+        rng = rng_substream(root, f"aniso/{kappa}")
+        A = random_spd_matrix(4, rng, (1.0, kappa))
+        yield f"aniso/{kappa}", A, 4, 0.5, monte_carlo_anisotropic_gap(A, np.zeros(4), 0.5, 4, 10_000,
+                                                                       rng_substream(rng, "mc"))
+
+
+def test_exact_expected_gap_lies_within_3_se_of_the_sampled_gap():
+    fixtures = list(_validated_gap_fixtures())
+    assert len(fixtures) == 11
+    for label, A, K, sig, (mean, se) in fixtures:
+        assert abs(mean - expected_gap_exact(A, K, sig)) <= 3 * se, label
+
+
+def test_exact_expected_gap_is_the_trace_of_the_hessian_times_sigma_sq_over_d_k():
+    A = random_spd_matrix(5, rng_root(16), (0.5, 4.0))
+    for K in (1, 2, 3, 7):
+        assert_allclose(expected_gap_exact(A, K, 0.3), np.trace(A) * 0.3 / (5 * K), rtol=1e-14)
+    assert expected_gap_exact(A, 3, 0.0) == 0.0
 
 
 def test_convergence_contraction_values():

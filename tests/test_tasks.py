@@ -334,10 +334,11 @@ def _hessian_rows():
 
 
 def _tensor_rows():
-    def t(value, other=None):
-        # T[0,0,1] = value and T[0,1,0] = other (default -value): their orbit averages to exactly 0
+    def t(value, other=0.0):
+        # T[0,0,1] = value and T[0,1,0] = other, every other entry 0: a transpose that swaps
+        # two entries of the orbit of (0,0,1) sets value against other or 0
         T = np.zeros((2, 2, 2))
-        T[0, 0, 1], T[0, 1, 0] = value, -value if other is None else other
+        T[0, 0, 1], T[0, 1, 0] = value, other
         return T
 
     over = np.nextafter(1e-10, 1.0)

@@ -42,8 +42,9 @@ VALIDATE_ALL_CHECKS = {
     "convergence_cumulative_kappa_5": ("pass", "-0x1.1024c6595b76cp+8", None, -162.18604324226578),
     "convergence_per_step_kappa_10": ("pass", "0x1.56ae8c5917637p-1", None, 0.6694214876043058),
     "convergence_cumulative_kappa_10": ("pass", "-0x1.1bc4f1fc591f5p+7", None, -80.26827818386043),
-    "quadratic_gap_matches_theory": ("pass", "0x1.c6101adb7b1ffp+0", None, 3.0),
-    "strongly_convex_bound_holds": ("pass", "-0x1.0c1d3e34eb402p-4", None, 0.0),
+    "quadratic_gap_matches_theory": ("pass", "0x0.0p+0", -1e-12, 1e-12),
+    "strongly_convex_bound_holds": ("pass", "-0x1.347b6de74741ap-4", None, 0.0),
+    "strongly_convex_bound_tight_at_kappa_1": ("pass", "0x0.0p+0", -1e-12, 1e-12),
     "nsgd_equals_two_step_nexus": ("pass", "0x1.3a59a1adbb257p-48", None, 1e-12),
 }
 
@@ -95,7 +96,7 @@ def _stub_suite(name, fail_with=None):
 
 def test_suites_are_dispatched_longest_first_and_joined_in_table_order(monkeypatch, forked_workers):
     assert sorted(validate._DISPATCH_ORDER) == sorted(validate._SUITE_FNS)
-    assert validate._DISPATCH_ORDER[0] == "generalization"
+    assert validate._DISPATCH_ORDER[0] == "second_order"
     handed = []
     real = validate.map_in_workers
 
@@ -113,11 +114,11 @@ def test_suites_are_dispatched_longest_first_and_joined_in_table_order(monkeypat
 
 
 def test_the_first_failing_suite_in_dispatch_order_raises(monkeypatch):
-    # closeness comes before generalization in the table, after it in dispatch order
-    for name in ("closeness", "generalization"):
+    # third_order comes before closeness in the table, after it in dispatch order
+    for name in ("third_order", "closeness"):
         monkeypatch.setitem(validate._SUITE_FNS, name, functools.partial(_stub_suite, name, fail_with=name))
     for workers in (1, 2):
-        with pytest.raises(DegenerateGradient, match="^generalization$"):
+        with pytest.raises(DegenerateGradient, match="^closeness$"):
             validate_theorems("all", workers=workers)
 
 
@@ -157,14 +158,24 @@ def _scaled(monkeypatch, name, factor):
     monkeypatch.setattr(validate, name, lambda *args: factor * real(*args))
 
 
-def test_quadratic_gap_check_fails_when_the_gap_formula_grows_by_a_tenth(monkeypatch):
-    _scaled(monkeypatch, "quadratic_gap", 1.1)
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
+def test_quadratic_gap_check_fails_when_the_gap_formula_is_off_by_1e_9(monkeypatch, factor):
+    _scaled(monkeypatch, "quadratic_gap", factor)
     assert _failing(validate.check_generalization()) == {"quadratic_gap_matches_theory"}
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
+def test_kappa_1_bound_check_fails_when_the_bound_is_off_by_1e_9(monkeypatch, factor):
+    _scaled(monkeypatch, "general_gap_bound", factor)
+    assert _failing(validate.check_generalization()) == {"strongly_convex_bound_tight_at_kappa_1"}
 
 
 def test_strongly_convex_bound_check_fails_when_the_bound_is_halved(monkeypatch):
     _scaled(monkeypatch, "general_gap_bound", 0.5)
-    assert _failing(validate.check_generalization()) == {"strongly_convex_bound_holds"}
+    assert _failing(validate.check_generalization()) == {
+        "strongly_convex_bound_holds",
+        "strongly_convex_bound_tight_at_kappa_1",
+    }
 
 
 def test_per_step_convergence_checks_fail_when_the_contraction_tightens_by_a_percent(monkeypatch):
