@@ -99,7 +99,7 @@ def cmd_sweep(args) -> int:
         try:
             overrides[key] = decode_axis(values)
         except RecursionError as exc:
-            raise ConfigError(f"--set {key}: a value is nested too deeply to decode", key) from exc
+            raise ConfigError(f"--set {key}: a value is nested too deeply to decode") from exc
     results = sweep(cfg, args.out, overrides, num_seeds=args.num_seeds, workers=worker_count())
     print(f"swept {len(results)} runs into {args.out}")
     failed = [(label, summary["error"]) for label, summary in results if "error" in summary]

@@ -132,7 +132,7 @@ class ExperimentConfig:
         merged = dict(self.values)
         for key, value in overrides.items():
             if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {_shown(key)}", key)
+                raise ConfigError(f"unknown config key {_shown(key)}")
             merged[key] = _validate_one(key, value)
         return ExperimentConfig(merged)
 
@@ -169,7 +169,7 @@ def _validate_one(key: str, raw):
         if validator is not None:
             value = validator(value)
     except (ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
-        raise ConfigError(f"invalid value for {key}: {exc}", key) from exc
+        raise ConfigError(f"invalid value for {key}: {exc}") from exc
     return value
 
 
@@ -220,24 +220,23 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         key = key.strip()
         raw_value = raw_value.strip()
         if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {_shown(key)}", key)
+            raise ConfigError(f"{source}:{lineno}: unknown config key {_shown(key)}")
         if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}", key)
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             parsed = _decode_value(raw_value)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {_shown(raw_value)}",
-                              key) from exc
+            raise ConfigError(f"{source}:{lineno}: value for {key} is not a JSON literal: {_shown(raw_value)}") from exc
         except ValueError as exc:  # json reads digits with int(), which refuses more than 4300 of them
             raise ConfigError(f"{source}:{lineno}: value for {key} is an integer too long to read: "
-                              f"{_shown(raw_value)}", key) from exc
+                              f"{_shown(raw_value)}") from exc
         except RecursionError as exc:
-            raise ConfigError(f"{source}:{lineno}: value for {key} is nested too deeply to decode", key) from exc
+            raise ConfigError(f"{source}:{lineno}: value for {key} is nested too deeply to decode") from exc
         values[key] = _validate_one(key, parsed)
     for key, (_, default, _, _) in SCHEMA.items():
         if key not in values:
             if default is None:
-                raise ConfigError(f"required config key {key!r} missing", key)
+                raise ConfigError(f"required config key {key!r} missing")
             values[key] = default
     return ExperimentConfig(values)
 

@@ -35,8 +35,5 @@ class DegenerateGradient(NexusError):
 
 
 class ConfigError(NexusError):
-    """An experiment config, or a command's input, failed validation."""
-
-    def __init__(self, message: str, path: str | None = None):
-        super().__init__(message)
-        self.path = path
+    """An experiment config, or a command's input, failed validation; the
+    message names the key at fault, where there is one."""

@@ -142,7 +142,7 @@ def build_problem(cfg: ExperimentConfig, rng: RngStream) -> Problem:
             with open(path, "r", encoding="utf-8") as fh:
                 ts = taskset_from_json(fh.read())
         except (OSError, KeyError, TypeError, ValueError, RecursionError, DimensionMismatch, NonFiniteValue) as exc:
-            raise ConfigError(f"cannot read task set {path!r}: {type(exc).__name__}: {exc}", "problem.path") from exc
+            raise ConfigError(f"cannot read task set problem.path = {path!r}: {type(exc).__name__}: {exc}") from exc
         theta0 = cfg["problem.init_scale"] * init_rng.generator.standard_normal(ts.dim)
         return Problem(ts, theta0, None)
     raise ValueError(f"unknown problem kind {kind!r}")
@@ -181,7 +181,7 @@ def train(cfg: ExperimentConfig, problem: Problem) -> RunRecord:
                             cfg["schedule.warmup_steps"], cfg["schedule.decay_steps"])
     except ValueError as exc:
         # a validated config gets here only by a wsd decay that does not fit in the run
-        raise ConfigError(f"invalid schedule.decay_steps: {exc}", "schedule.decay_steps") from exc
+        raise ConfigError(f"invalid schedule.decay_steps: {exc}") from exc
     theta = np.array(problem.theta0, dtype=np.float64)
     task_rng = rng_substream(rng_root(cfg["seed"]), "tasks")
     opt_state = None if mode == "sgd" else AdamWState.init(

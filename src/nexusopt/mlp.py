@@ -26,12 +26,12 @@ stale.
 
 One faster BLAS form gives those bits at some shapes and not at others,
 because OpenBLAS picks its kernel by size: the first layer as one matmul of
-``[x | 1]`` (``DataSource.inputs_with_ones``) against the ``[W1; b1]`` block of
-theta, forward and backward. A plan takes it, for the loss as well as the
-gradient, only where a probe has shown it gives the plain expressions' bits
-at its shape (``_fold_keeps_bits``); elsewhere it takes the plain
-expressions. Hessian-vector products use central differences of those exact
-gradients (tolerance 1e-4 wherever they are consumed).
+``[x | 1]`` against the ``[W1; b1]`` block of theta, forward and backward. A
+plan takes it, for the loss as well as the gradient, only where a probe has
+shown it gives the plain expressions' bits at its shape (``_fold_keeps_bits``),
+and then holds a read-only ``[x | 1]`` of its own; elsewhere it takes the
+plain expressions. Hessian-vector products use central differences of those
+exact gradients (tolerance 1e-4 wherever they are consumed).
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ class MLPSpec:
             pos += fan_out
         return tuple(out)
 
-    @cached_property
-    def folded_layout(self) -> tuple:
-        """``layout`` with W1's rows and then b1 as one (fan_in + 1, units)
-        block, and None in b1's place."""
-        (start, _, (fan_in, units)), (_, stop, _) = self.layout[:2]
-        return ((start, stop, (fan_in + 1, units)), None) + self.layout[2:]
-
     def unflatten(self, theta: np.ndarray) -> list:
         """Views of theta, one per weight matrix and bias vector."""
         return _views(as_params(theta, self.n_params), self.layout)
@@ -128,14 +121,6 @@ class DataSource:
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
-
-    @cached_property
-    def inputs_with_ones(self) -> np.ndarray:
-        """``[inputs | 1]``, read-only, built on first use: the first layer's
-        weights and bias against it are one matmul."""
-        out = _with_ones(self.inputs)
-        out.flags.writeable = False
-        return out
 
 
 def _with_ones(x: np.ndarray) -> np.ndarray:
@@ -213,8 +198,8 @@ def mlp_forward(spec: MLPSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _Plan(NamedTuple):
     """What every evaluation of one task reads: its input matrix, a parameter
     and a gradient buffer with their layout views, its targets, and the scale
-    of dLoss/dprediction. Where ``_fold_keeps_bits`` allows the fold, x is
-    ``[x | 1]`` and b1's views are None."""
+    of dLoss/dprediction. Where ``_fold_keeps_bits`` allows the fold, x is a
+    read-only ``[x | 1]`` of its own, W1's views are ``[W1; b1]``, b1's None."""
 
     x: np.ndarray
     params: np.ndarray
@@ -256,7 +241,10 @@ class MLPTask:
         if _fold_keeps_bits(source.n, *spec.layer_widths[:2]):
             # W1 and b1 as one block of theta and of the gradient: against
             # [x | 1], one matmul adds the bias and one more writes [dW1; db1]
-            x, layout = source.inputs_with_ones, spec.folded_layout
+            (start, _, (fan_in, units)), (_, stop, _) = spec.layout[:2]
+            layout = ((start, stop, (fan_in + 1, units)), None) + spec.layout[2:]
+            x = _with_ones(source.inputs)
+            x.flags.writeable = False
         else:
             x, layout = source.inputs, spec.layout
         params, grad = np.empty(spec.n_params), np.empty(spec.n_params)

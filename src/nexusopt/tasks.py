@@ -27,19 +27,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NexusError
+from .errors import DimensionMismatch, NexusError, NonFiniteValue
 from .numerics import RngStream, all_finite, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
+
+
+# no difference of two floats below this in magnitude overflows
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) at its default rtol 1e-5, without its per-call overhead.
 
     This is np.isclose's own rule, finite or not: within tolerance where b is
-    finite, else exactly equal (equal infs are close, NaN is not). The mask is
-    counted as all_finite counts, without ndarray.all's Python wrapper.
+    finite, else exactly equal (equal infs are close, NaN is not). Where every
+    entry lies below half the largest float in magnitude, all are finite and
+    a - b cannot overflow, so the tolerance alone decides; any other pair is
+    compared under np.errstate, so that an overflowing difference or one of
+    equal infs does not warn. The masks are counted as all_finite counts,
+    without ndarray.all's Python wrapper.
     """
-    close = ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)) | (a == b)
+    abs_b = np.abs(b)
+    if np.count_nonzero(np.abs(a) < _HALF_MAX) + np.count_nonzero(abs_b < _HALF_MAX) == a.size + b.size:
+        close = np.abs(a - b) <= atol + 1e-5 * abs_b
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            close = ((np.abs(a - b) <= atol + 1e-5 * abs_b) & np.isfinite(b)) | (a == b)
     return bool(np.count_nonzero(close) == close.size)
 
 
@@ -178,6 +191,8 @@ def random_cubic_task(dim: int, rng: RngStream, third_bound: float = 0.5) -> Qua
         current = tensor_operator_bound(T)
         if current > 0:
             T = T * (third_bound / current)
+        if not all_finite(T):  # a bound near the largest float over a current below 1 scales by inf
+            raise NonFiniteValue(f"third tensor rescaled to bound {third_bound:g} is not finite")
     return QuadraticTask(A, minimizer, 0.0, T)
 
 

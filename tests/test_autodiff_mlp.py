@@ -323,27 +323,26 @@ def test_loss_and_grad_equal_the_reference_backprop_bitwise_where_fast_forms_dif
     assert_equal_to_the_reference_backprop_bitwise(activation, widths, n)
 
 
-def test_inputs_with_ones_are_read_only_and_built_once_per_source(monkeypatch):
+def test_a_folded_plan_builds_its_read_only_ones_column_input_once_on_first_use(monkeypatch):
     builds = []
     with_ones = mlp._with_ones
     monkeypatch.setattr(mlp, "_with_ones", lambda x: builds.append(x) or with_ones(x))
     # the fold forced on, so that this holds whatever shapes the BLAS keeps the bits at
     monkeypatch.setattr(mlp, "_fold_keeps_bits", lambda *shape: True)
-    sources, _ = make_synthetic_sources(3, 4, 1, 16, 0.5, rng_root(15))
+    sources, _ = make_synthetic_sources(1, 4, 1, 16, 0.5, rng_root(15))
     spec = MLPSpec((4, 6, 1))
+    task = MLPTask(spec, sources[0])
     theta = spec.init_params(rng_root(16))
-    for source in sources:
-        for task in (MLPTask(spec, source), MLPTask(spec, source, 2.0)):
-            task.grad(theta)
-            task.loss_and_grad(theta)
-    for source in sources:
-        assert sum(x is source.inputs for x in builds) == 1
-        x1 = source.inputs_with_ones
-        assert x1.tobytes() == np.hstack([source.inputs, np.ones((source.n, 1))]).tobytes()
-        assert not x1.flags.writeable
-        with pytest.raises(ValueError):
-            x1[0, 0] = 0.0
-    assert len(builds) == len(sources)
+    assert builds == []
+    task.grad(theta)
+    task.loss_and_grad(theta)
+    task.loss(theta)
+    assert len(builds) == 1 and builds[0] is task.source.inputs
+    x1 = task._plan.x
+    assert x1.tobytes() == np.hstack([task.source.inputs, np.ones((task.source.n, 1))]).tobytes()
+    assert not x1.flags.writeable
+    with pytest.raises(ValueError):
+        x1[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])

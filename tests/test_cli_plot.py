@@ -9,6 +9,7 @@ import pytest
 
 import nexusopt
 from nexusopt.cli import main, worker_count as sweep_workers
+from nexusopt.config import PROBLEM_KINDS, SCHEMA, parse_config_text
 from nexusopt.errors import NexusError
 from nexusopt.harness import CSV_HEADER
 from nexusopt.svgplot import plot
@@ -198,18 +199,20 @@ def test_cli_run_whose_loss_overflows_prints_no_warning(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("third_bound, error", [
-    ("1e307", "train_loss is -inf"),
-    ("1e308", "train_loss is nan"),
-    ("1.7976931348623157e308", "train_loss is nan"),
-], ids=["1e307", "1e308", "largest_float"])
-def test_cli_run_of_a_cubic_set_with_a_huge_finite_tensor_bound_is_a_failed_run(tmp_path, capsys, third_bound, error):
-    # tensor entries near 1e308 are finite, so the task builds and the run diverges at its first emit
+@pytest.mark.parametrize("seed, third_bound, error", [
+    (11, "1e307", "step 0: train_loss is -inf"),
+    (11, "1e308", "step 0: train_loss is nan"),
+    (11, "1.7976931348623157e308", "step 0: train_loss is nan"),
+    (1, "1.7976931348623157e308", "third tensor rescaled to bound 1.79769e+308 is not finite"),
+], ids=["1e307", "1e308", "largest_float", "largest_float-seed1"])
+def test_cli_run_of_a_cubic_set_with_a_huge_finite_tensor_bound_is_a_failed_run(tmp_path, capsys, seed, third_bound, error):
+    # tensor entries near 1e308 are finite, so the task builds and the run diverges at its first emit; at
+    # seed 1 a task's random tensor has an operator bound below 1, so its rescale to the largest float overflows
     cfg = tmp_path / "cubic.cfg"
-    cfg.write_text(CONFIG_TEXT.replace("total_steps = 6", "total_steps = 3")
+    cfg.write_text(CONFIG_TEXT.replace("total_steps = 6", "total_steps = 3").replace("seed = 11", f"seed = {seed}")
                    + f'problem.kind = "cubic_set"\nproblem.third_bound = {third_bound}\n')
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"run failed: NonFiniteValue: step 0: {error}\n"
+    assert capsys.readouterr().err == f"run failed: NonFiniteValue: {error}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -223,6 +226,53 @@ def test_cli_run_of_a_taskset_file_with_a_huge_finite_tensor_entry_is_a_failed_r
                    + f'problem.kind = "custom_taskset_file"\nproblem.path = {json.dumps(str(tasks))}\n')
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "run failed: NonFiniteValue: step 0: grad_norm is inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_of_a_taskset_file_whose_hessian_difference_overflows_prints_no_warning(tmp_path, capsys):
+    # H - H.T overflows at +-1e308: the symmetry check still decides, and says so once
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps({"tasks": [{"kind": "quadratic", "hessian": [1.0, 1e308, -1e308, 1.0],
+                                            "minimizer": [0.0, 0.0]}]}))
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(CONFIG_TEXT + f'problem.kind = "custom_taskset_file"\nproblem.path = {json.dumps(str(tasks))}\n')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"run failed: ConfigError: cannot read task set problem.path = {str(tasks)!r}: "
+                                       "ValueError: Hessian must be symmetric\n")
+
+
+EDGE_VALUES = ["0", "5e-324", "-1", "1e300", "1.7976931348623157e308", "-1.7976931348623157e308"]
+ERROR_PREFIXES = ("run failed:", "error:", "config error:")
+
+
+# warnings are not judged: a training step may overflow, which numpy reports
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_of_edge_values_of_every_float_key_ends_in_an_exit_code(tmp_path, capsys):
+    # every float key at each edge value, under each problem kind it takes effect
+    # under: elsewhere it is only validated, as it is in these cells too
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps({"tasks": [{"kind": "quadratic", "hessian": [2.0, 0.5, 0.5, 1.0],
+                                            "minimizer": [1.0, -1.0]}]}))
+    base = ("seed = 1\ntotal_steps = 3\nproblem.dim = 2\nproblem.k = 2\nproblem.widths = [2, 3, 1]\n"
+            'problem.n_per_source = 4\noptimizer.kind = "nexus_adamw"\nnexus.inner_steps = 2\n'
+            f"problem.path = {json.dumps(str(tasks))}\n")
+    cfg, out = tmp_path / "edge.cfg", str(tmp_path / "out")
+    faults = []
+    for kind in PROBLEM_KINDS:
+        text = base + f'problem.kind = "{kind}"\n'
+        keys = [key for key in parse_config_text(text).resolved() if SCHEMA[key][0] is float]
+        for key, value in ((key, value) for key in keys for value in EDGE_VALUES):
+            cfg.write_text(text + f"{key} = {value}\n")
+            try:
+                code = main(["run", "--config", str(cfg), "--out", out])
+            except Exception as exc:  # any escape is the fault this test looks for
+                faults.append((kind, key, value, f"raised {type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith(ERROR_PREFIXES)]
+            if code not in (0, 1, 2) or "Traceback" in err or len(errors) > 1:
+                faults.append((kind, key, value, code, err))
+    assert faults == []
 
 
 DEEP ="[" * 100_000
@@ -247,7 +297,7 @@ def test_cli_json_nested_too_deeply_is_a_config_error(tmp_path, config_file, mon
         # a task-set file is read when its run starts: the run fails, and a sweep goes on to its other runs
         (tmp_path / "deep.json").write_text(DEEP)
         config_file.write_text(CONFIG_TEXT + 'problem.kind = "custom_taskset_file"\nproblem.path = "deep.json"\n')
-        error = "ConfigError: cannot read task set 'deep.json': RecursionError: maximum recursion depth exceeded"
+        error = "ConfigError: cannot read task set problem.path = 'deep.json': RecursionError: maximum recursion depth exceeded"
         assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
         assert strict_json(out / "summary.json")["error"].startswith(error)
         sweep_out = tmp_path / "sweepout"
@@ -257,7 +307,7 @@ def test_cli_json_nested_too_deeply_is_a_config_error(tmp_path, config_file, mon
         index = strict_json(sweep_out / "sweep.json")
         assert sorted(index) == ["path=deep.json", "path=nofile.json"]
         assert index["path=deep.json"]["error"].startswith(error)
-        assert index["path=nofile.json"]["error"].startswith("ConfigError: cannot read task set 'nofile.json': ")
+        assert index["path=nofile.json"]["error"].startswith("ConfigError: cannot read task set problem.path = 'nofile.json': ")
         assert all(os.listdir(sweep_out / label) for label in index)
 
 

@@ -187,7 +187,6 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
 # check has no list.
 KEEP_UNREAD_FIELDS = {
     "RunRecord.final_theta": "read only by tests (A7 and the harness tests)",
-    "ConfigError.path": "read only by tests/test_config.py, which checks which key failed",
 }
 
 
