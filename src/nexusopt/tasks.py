@@ -32,27 +32,17 @@ from .numerics import RngStream, all_finite, as_params, norm
 from .optimizers import DEFAULT_GRAD_FLOOR, checked_norm
 
 
-# no difference of two floats below this in magnitude overflows
-_HALF_MAX = np.finfo(np.float64).max / 2
-
-
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) at its default rtol 1e-5, without its per-call overhead.
 
     This is np.isclose's own rule, finite or not: within tolerance where b is
-    finite, else exactly equal (equal infs are close, NaN is not). Where every
-    entry lies below half the largest float in magnitude, all are finite and
-    a - b cannot overflow, so the tolerance alone decides; any other pair is
-    compared under np.errstate, so that an overflowing difference or one of
-    equal infs does not warn. The masks are counted as all_finite counts,
-    without ndarray.all's Python wrapper.
+    finite, else exactly equal (equal infs are close, NaN is not). It runs
+    under np.errstate, so that a difference that overflows, or one of equal
+    infs, does not warn. The mask is counted as all_finite counts, without
+    ndarray.all's Python wrapper.
     """
-    abs_b = np.abs(b)
-    if np.count_nonzero(np.abs(a) < _HALF_MAX) + np.count_nonzero(abs_b < _HALF_MAX) == a.size + b.size:
-        close = np.abs(a - b) <= atol + 1e-5 * abs_b
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            close = ((np.abs(a - b) <= atol + 1e-5 * abs_b) & np.isfinite(b)) | (a == b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)) | (a == b)
     return bool(np.count_nonzero(close) == close.size)
 
 
